@@ -40,7 +40,6 @@ from .mwu import (
     ImbalanceSpec,
     MwuConfig,
     assemble_prices,
-    mwu_feasibility,
     run_mwu,
     solve_welfare,
     sparsify,

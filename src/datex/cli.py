@@ -123,9 +123,7 @@ def cmd_solve(args) -> int:
     eta = args.eta
     if eta is None and args.max_iters <= 20000:
         eta = practical_eta(instance.n, args.max_iters)
-    config = MwuConfig(
-        delta=args.delta, max_iters=args.max_iters, eta_override=eta, seed=args.seed,
-    )
+    config = MwuConfig(delta=args.delta, max_iters=args.max_iters, eta_override=eta)
     try:
         solution, report = solve_welfare(instance, config, oracle)
     except ValueError as exc:
@@ -198,9 +196,16 @@ def cmd_stability(args) -> int:
     return EXIT_OK
 
 
+def _fuzz(instance: Instance, algorithm: str, trials: int, seed: int) -> list[dict]:
+    try:
+        return strategyproofness_fuzz(instance, algorithm, trials, seed)
+    except ValueError as exc:  # e.g. a utility model with no misreport model
+        raise SystemExit(_fail(f"cannot fuzz this instance: {exc}"))
+
+
 def cmd_fuzz(args) -> int:
     instance = _load_instance(args.instance)
-    violations = strategyproofness_fuzz(instance, args.algorithm, args.trials, args.seed)
+    violations = _fuzz(instance, args.algorithm, args.trials, args.seed)
     for v in violations:
         print(json.dumps({
             "agent": v["agent"],
@@ -231,7 +236,7 @@ def cmd_audit(args) -> int:
         return _fail(str(exc))
     report = evaluate(instance, solution)
     blocking_pairs = check_2_stability(instance, solution)
-    coalitions = []
+    coalitions = None  # stays None unless the core audit runs to the end
     if args.coalitions > 0:
         try:
             coalitions = exact_core_audit(instance, solution, max_coalition=args.coalitions)
@@ -239,13 +244,14 @@ def cmd_audit(args) -> int:
             logger.warning("core audit skipped: %s", exc)
     fuzz = []
     if args.fuzz_trials > 0:
-        fuzz = strategyproofness_fuzz(instance, args.fuzz_algorithm, args.fuzz_trials, args.seed)
+        fuzz = _fuzz(instance, args.fuzz_algorithm, args.fuzz_trials, args.seed)
     print(json.dumps({
         "welfare": report.welfare,
         "residuals": [float(v) for v in report.balance_residual],
         "feasible": report.feasible,
         "blocking_pairs": [list(p) for p in blocking_pairs],
-        "blocking_coalitions": [[list(c), t] for c, t in coalitions],
+        "core_audit": "skipped" if coalitions is None else "complete",
+        "blocking_coalitions": [[list(c), t] for c, t in coalitions or []],
         "fuzz_violations": [
             {"agent": v["agent"], "U_before": v["U_before"], "U_after": v["U_after"]}
             for v in fuzz

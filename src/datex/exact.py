@@ -8,8 +8,8 @@ import logging
 import numpy as np
 from scipy.optimize import linprog
 
-from .model import ExchangeSolution, Instance, evaluate, utility
-from .sharing import shares
+from .model import ExchangeSolution, Instance, evaluate
+from .sharing import column_lp, column_matrices, lp_solution
 
 logger = logging.getLogger(__name__)
 
@@ -37,44 +37,14 @@ def exact_welfare_lp(instance: Instance, relax_eps: float = 0.0,
     for i in range(n):
         if len(instance.senders_of[i]) > MAX_LP_SENDERS:
             raise ValueError(f"agent {i} has too many senders for full enumeration")
-    cols: list[tuple[int, frozenset[int]]] = []
-    for i in range(n):
-        cols.extend((i, s) for s in _agent_columns(instance, i))
+    cols = [(i, s) for i in range(n) for s in _agent_columns(instance, i)]
     if not cols:
         return ExchangeSolution.empty(n), 0.0
-
-    util = np.zeros(len(cols))
-    mass = np.zeros((n, len(cols)))
-    resid = np.zeros((n, len(cols)))
-    for c, (i, subset) in enumerate(cols):
-        util[c] = utility(instance, i, subset)
-        mass[i, c] = 1.0
-        resid[i, c] += util[c]
-        for j, h in shares(instance, i, subset).items():
-            resid[j, c] -= h
-
-    if relax_eps <= 0.0:
-        res = linprog(
-            -util, A_ub=mass, b_ub=np.ones(n), A_eq=resid, b_eq=np.zeros(n),
-            bounds=(0, None), method="highs-ds",
-        )
-    else:
-        a_ub = np.vstack([mass, resid, -resid])
-        b_ub = np.concatenate([np.ones(n), np.full(n, relax_eps), np.full(n, relax_eps)])
-        res = linprog(-util, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
+    bound = np.full(n, max(relax_eps, 0.0))
+    res = column_lp(instance, cols, -bound, bound)
     if not res.success:
         raise RuntimeError(f"exact welfare LP failed: {res.message}")
-
-    out: dict[int, dict] = {}
-    active = 0
-    for c, x in enumerate(res.x):
-        if x > 1e-12:
-            i, subset = cols[c]
-            out.setdefault(i, {})[subset] = float(min(x, 1.0))
-            active += 1
-    if active > 2 * n + 1:
-        raise AssertionError(f"LP optimum has {active} > 2n+1 nonzero columns")
-    return ExchangeSolution(n=n, columns=out), float(-res.fun)
+    return lp_solution(n, cols, res.x), float(-res.fun)
 
 
 def _coalition_best_margin(instance: Instance, coalition: tuple[int, ...],
@@ -82,41 +52,23 @@ def _coalition_best_margin(instance: Instance, coalition: tuple[int, ...],
     """max t s.t. a balanced sub-solution on the coalition gives every member
     utility >= target + t; -inf when some member cannot reach its target."""
     within = frozenset(coalition)
-    cols: list[tuple[int, frozenset[int]]] = []
-    for i in coalition:
-        cols.extend((i, s) for s in _agent_columns(instance, i, within))
-    idx = {i: r for r, i in enumerate(coalition)}
-    k = len(coalition)
+    cols = [(i, s) for i in coalition for s in _agent_columns(instance, i, within)]
     if not cols:
         # only the empty solution exists on this coalition
         return float(-targets.max())
+    mats = column_matrices(instance, cols, coalition)
+    mass = mats.mass()
+    k, c = mass.shape
 
-    util = np.zeros(len(cols))
-    mass = np.zeros((k, len(cols)))
-    resid = np.zeros((k, len(cols)))
-    gain = np.zeros((k, len(cols)))
-    for c, (i, subset) in enumerate(cols):
-        util[c] = utility(instance, i, subset)
-        mass[idx[i], c] = 1.0
-        resid[idx[i], c] += util[c]
-        gain[idx[i], c] = util[c]
-        for j, h in shares(instance, i, subset).items():
-            resid[idx[j], c] -= h
-
-    # variables: column weights then t; maximize t
-    n_var = len(cols) + 1
-    cost = np.zeros(n_var)
+    # variables: column weights then t; maximize t subject to t - gain_i <= -target_i
+    cost = np.zeros(c + 1)
     cost[-1] = -1.0
-    a_ub = np.zeros((2 * k, n_var))
-    b_ub = np.zeros(2 * k)
-    a_ub[:k, : len(cols)] = mass
-    b_ub[:k] = 1.0
-    a_ub[k:, : len(cols)] = -gain  # t - gain_i <= -target_i
-    a_ub[k:, -1] = 1.0
-    b_ub[k:] = -targets
-    a_eq = np.zeros((k, n_var))
-    a_eq[:, : len(cols)] = resid
-    bounds = [(0, None)] * len(cols) + [(None, None)]
+    a_ub = np.zeros((2 * k, c + 1))
+    a_ub[:, :c] = np.vstack([mass, -(mass * mats.util)])
+    a_ub[k:, c] = 1.0
+    b_ub = np.concatenate([np.ones(k), -targets])
+    a_eq = np.hstack([mats.resid(), np.zeros((k, 1))])
+    bounds = [(0, None)] * c + [(None, None)]
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.zeros(k),
                   bounds=bounds, method="highs")
     if not res.success:

@@ -121,11 +121,11 @@ class ExplicitTable:
                 raise ValueError(f"agent {i}: u(empty set) must be 0")
             if np.any(vals < -EQ_TOL) or np.any(vals > 1.0 + EQ_TOL):
                 raise ValueError(f"agent {i}: utilities must lie in [0, 1]")
-            if k <= 12:
-                for mask in range(1 << k):
-                    for b in range(k):
-                        if mask & (1 << b) and vals[mask] < vals[mask ^ (1 << b)] - EQ_TOL:
-                            raise ValueError(f"agent {i}: table is not monotone")
+            for b in range(k):
+                # pairs[:, 1] are the masks with bit b set, pairs[:, 0] the same without it
+                pairs = vals.reshape(-1, 2, 1 << b)
+                if np.any(pairs[:, 1] < pairs[:, 0] - EQ_TOL):
+                    raise ValueError(f"agent {i}: table is not monotone")
 
     def mask_of(self, i: int, subset: frozenset[int]) -> int:
         send = self.senders[i]
@@ -494,9 +494,6 @@ class FracColumn:
         return frozenset(j for j, _ in self.y)
 
 
-Column = frozenset  # set column; FracColumn is the fractional alternative
-
-
 def column_senders(col: frozenset[int] | FracColumn) -> frozenset[int]:
     return col.senders() if isinstance(col, FracColumn) else col
 
@@ -549,6 +546,21 @@ class ExchangeSolution:
     def column_count(self) -> int:
         return sum(len(d) for d in self.columns.values())
 
+    def balance_bounds(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of the eps-balance rows lo <= residual <= hi: sent may exceed
+        received by eps + delta_i, received may exceed sent by eps + gamma_i."""
+        lo = np.full(self.n, -eps)
+        hi = np.full(self.n, eps)
+        if self.deltas is not None:
+            lo -= np.asarray(self.deltas)
+        if self.gammas is not None:
+            hi += np.asarray(self.gammas)
+        return lo, hi
+
+    def is_balanced(self, residual: np.ndarray, eps: float) -> bool:
+        lo, hi = self.balance_bounds(eps)
+        return bool(np.all(residual >= lo - EQ_TOL) and np.all(residual <= hi + EQ_TOL))
+
 
 def scale_solution(solution: ExchangeSolution, factor: float) -> ExchangeSolution:
     """Multiply every subset weight by factor in [0, 1]."""
@@ -562,16 +574,6 @@ def scale_solution(solution: ExchangeSolution, factor: float) -> ExchangeSolutio
     deltas = None if solution.deltas is None else solution.deltas * factor
     gammas = None if solution.gammas is None else solution.gammas * factor
     return ExchangeSolution(n=solution.n, columns=cols, deltas=deltas, gammas=gammas)
-
-
-def column_utility(instance: Instance, i: int, col: frozenset[int] | FracColumn) -> float:
-    """Utility of a solution column (set or fractional)."""
-    if isinstance(col, FracColumn):
-        model = instance.utility
-        if not isinstance(model, ContinuousConcave):
-            raise ValueError("fractional columns need the continuous model")
-        return model.value_fractional(i, dict(col.y))
-    return utility(instance, i, col)
 
 
 @dataclass
@@ -596,30 +598,19 @@ def evaluate(instance: Instance, solution: ExchangeSolution,
     Feasible means |residual_i| <= epsilon, widened by the delta/gamma slacks
     when the solution carries them.
     """
-    from .sharing import column_shares  # deferred: sharing depends on the model types
+    from .sharing import column_matrices  # deferred: sharing depends on the model types
 
     n = instance.n
-    received = np.zeros(n)
-    sent = np.zeros(n)
-    for i, col, x in solution.iter_columns():
-        if x == 0.0:
-            continue
-        received[i] += x * column_utility(instance, i, col)
-        for j, h in column_shares(instance, i, col).items():
-            sent[j] += x * h
-    residual = received - sent
-    lo = np.full(n, -instance.epsilon)
-    hi = np.full(n, instance.epsilon)
-    if solution.deltas is not None:
-        lo -= np.asarray(solution.deltas)  # sent may exceed received by delta_i
-    if solution.gammas is not None:
-        hi += np.asarray(solution.gammas)  # received may exceed sent by gamma_i
-    feasible = bool(np.all(residual >= lo - EQ_TOL) and np.all(residual <= hi + EQ_TOL))
+    live = [(i, col, x) for i, col, x in solution.iter_columns() if x != 0.0]
+    mats = column_matrices(instance, [(i, col) for i, col, _ in live], range(n))
+    weights = np.array([x for _, _, x in live], dtype=float)
+    received = mats.received(weights)
+    residual = received - mats.sent(weights)
     return SolveReport(
         welfare=float(received.sum()),
         per_agent_utility=received,
         balance_residual=residual,
         iterations=iterations,
-        feasible=feasible,
+        feasible=solution.is_balanced(residual, instance.epsilon),
         best_B=best_B,
     )

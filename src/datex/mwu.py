@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import (
     EQ_TOL,
@@ -15,12 +14,11 @@ from .model import (
     FracColumn,
     Instance,
     SolveReport,
-    column_utility,
     evaluate,
     utility,
 )
 from .oracles import ConvexCost, DualPrices, OracleResult, OracleSpec, oracle_imbalance
-from .sharing import column_shares
+from .sharing import column_lp, column_matrices, lp_solution
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +51,6 @@ class MwuConfig:
     delta: float = 1.0 / 3.0
     max_iters: int = 20000
     eta_override: float | None = None
-    seed: int = 0
     check_every: int = 25
     imbalance: ImbalanceSpec | None = None
 
@@ -161,8 +158,6 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec,
     for t in range(1, iters + 1):
         p, prices, threshold = assemble_prices(instance, w, B, alpha, eps)
 
-        received = np.zeros(n)
-        sent = np.zeros(n)
         oracle_total = 0.0
         chosen_cols: list[tuple[int, object]] = []
         for i in range(n):
@@ -176,9 +171,10 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec,
                 col = res.chosen
             chosen_cols.append((i, col))
             oracle_total += res.value
-            received[i] += column_utility(instance, i, col)
-            for j, h in column_shares(instance, i, col).items():
-                sent[j] += h
+        mats = column_matrices(instance, chosen_cols, range(n))
+        ones = np.ones(len(chosen_cols))
+        received = mats.received(ones)
+        sent = mats.sent(ones)
 
         delta = gamma = None
         if config.imbalance is not None:
@@ -232,13 +228,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec,
             avg = _averaged_solution(instance, counts, t, delta_sum, gamma_sum)
             target = B / alpha - eps / (2.0 * alpha) - EQ_TOL
             rep = evaluate(instance, avg)
-            slack_lo = np.zeros(n) if avg.deltas is None else np.asarray(avg.deltas)
-            slack_hi = np.zeros(n) if avg.gammas is None else np.asarray(avg.gammas)
-            balanced = bool(
-                np.all(rep.balance_residual >= -eps - slack_lo - EQ_TOL)
-                and np.all(rep.balance_residual <= eps + slack_hi + EQ_TOL)
-            )
-            if balanced and rep.welfare >= target:
+            if avg.is_balanced(rep.balance_residual, eps) and rep.welfare >= target:
                 certified = True
                 break
             # the raw average converges slowly at desk scale; the exact LP over
@@ -277,13 +267,6 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec,
     )
 
 
-def mwu_feasibility(instance: Instance, B: float, config: MwuConfig,
-                    oracle: OracleSpec) -> tuple[bool, ExchangeSolution | None]:
-    """Feasibility of LP1(B, eps): (feasible, averaged solution when feasible)."""
-    run = run_mwu(instance, B, config, oracle)
-    return run.feasible, run.solution
-
-
 def sparsify(instance: Instance, solution: ExchangeSolution) -> ExchangeSolution:
     """Re-optimize weights over the solution's own columns by exact LP.
 
@@ -291,47 +274,17 @@ def sparsify(instance: Instance, solution: ExchangeSolution) -> ExchangeSolution
     output has at most 2n+1 active columns and residuals within epsilon
     (widened by the solution's fixed delta/gamma slacks).
     """
-    merged: dict[tuple[int, object], float] = {}
-    for i, col, x in solution.iter_columns():
-        merged[(i, col)] = merged.get((i, col), 0.0) + x
-    cols = list(merged)
+    cols = [(i, col) for i, col, _ in solution.iter_columns()]
     if len(cols) > 5000:
         raise ValueError(f"{len(cols)} columns exceed the sparsify bound")
     if not cols:
         return solution
-    n = instance.n
-    eps = instance.epsilon
-    util = np.zeros(len(cols))
-    mass = np.zeros((n, len(cols)))
-    resid = np.zeros((n, len(cols)))
-    for c, (i, col) in enumerate(cols):
-        util[c] = column_utility(instance, i, col)
-        mass[i, c] = 1.0
-        resid[i, c] += util[c]
-        for j, h in column_shares(instance, i, col).items():
-            resid[j, c] -= h
-    hi = np.full(n, eps)
-    lo = np.full(n, eps)
-    if solution.gammas is not None:
-        hi = hi + np.asarray(solution.gammas)
-    if solution.deltas is not None:
-        lo = lo + np.asarray(solution.deltas)
-    a_ub = np.vstack([mass, resid, -resid])
-    b_ub = np.concatenate([np.ones(n), hi, lo])
-    res = linprog(-util, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
+    lo, hi = solution.balance_bounds(instance.epsilon)
+    res = column_lp(instance, cols, lo, hi)
     if not res.success:
         logger.warning("sparsify LP failed (%s); returning input unchanged", res.message)
         return solution
-    out: dict[int, dict] = {}
-    active = 0
-    for c, x in enumerate(res.x):
-        if x > 1e-12:
-            i, col = cols[c]
-            out.setdefault(i, {})[col] = float(min(x, 1.0))
-            active += 1
-    if active > 2 * n + 1:
-        raise AssertionError(f"sparsify returned {active} > 2n+1 active columns")
-    return ExchangeSolution(n=n, columns=out, deltas=solution.deltas, gammas=solution.gammas)
+    return lp_solution(instance.n, cols, res.x, solution.deltas, solution.gammas)
 
 
 def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,

@@ -1,16 +1,20 @@
-"""Utility sharing rules: exact Shapley, permutation-sampled Shapley, proportional."""
+"""Utility sharing rules (exact Shapley, permutation-sampled Shapley,
+proportional) and the column matrices and column LP they induce."""
 
 from __future__ import annotations
 
 import math
 import weakref
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .model import (
     EQ_TOL,
     ContinuousConcave,
+    ExchangeSolution,
     FracColumn,
     Instance,
     PathVariance,
@@ -20,6 +24,10 @@ from .model import (
 )
 
 MAX_EXACT_SHAPLEY = 12
+
+# HiGHS meets the mass rows only to its feasibility tolerance (~1e-7); an
+# agent's LP weights may exceed 1 by this much and are scaled back onto it
+LP_MASS_TOL = 1e-6
 
 # shares are pure per (instance, agent, subset); memoized for the solver loops
 _share_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -47,22 +55,109 @@ def shares(instance: Instance, i: int, subset: frozenset[int]) -> dict[int, floa
     return out
 
 
-def column_shares(instance: Instance, i: int, col: frozenset[int] | FracColumn) -> dict[int, float]:
-    """Shares of a solution column; fractional columns use proportional-on-volume."""
+def column_split(instance: Instance, i: int, col: frozenset[int] | FracColumn,
+                 ) -> tuple[float, dict[int, float]]:
+    """Utility of a solution column to i and its shares; fractional columns
+    need the continuous model and split proportionally to volume."""
     if not isinstance(col, FracColumn):
-        return shares(instance, i, col)
+        return utility(instance, i, col), shares(instance, i, col)
     model = instance.utility
     if not isinstance(model, ContinuousConcave):
         raise ValueError("fractional columns need the continuous model")
     if instance.sharing.kind != "proportional":
         raise ValueError("fractional columns need proportional sharing")
     y = dict(col.y)
+    u = model.value_fractional(i, y)
     volume = {j: model.sizes.get((i, j), 0.0) * frac for j, frac in y.items()}
     total = sum(volume.values())
     if total <= 0.0:
-        return {j: 0.0 for j in y}
-    u = model.value_fractional(i, y)
-    return {j: v / total * u for j, v in volume.items()}
+        return u, {j: 0.0 for j in y}
+    return u, {j: v / total * u for j, v in volume.items()}
+
+
+@dataclass(frozen=True)
+class ColumnMatrices:
+    """(agent, column) pairs as the rows agents[0..k-1] of a column LP.
+
+    Column c gives util[c] to row recv[c]; share s hands share[s] of column
+    share_col[s] to row share_row[s].
+    """
+
+    k: int
+    util: np.ndarray
+    recv: np.ndarray
+    share_row: np.ndarray
+    share_col: np.ndarray
+    share: np.ndarray
+
+    def mass(self) -> np.ndarray:
+        """k x C: 1 where the row receives the column (the x_i <= 1 rows)."""
+        out = np.zeros((self.k, len(self.util)))
+        out[self.recv, np.arange(len(self.util))] = 1.0
+        return out
+
+    def resid(self) -> np.ndarray:
+        """k x C: utility received minus shares sent, per unit column weight."""
+        out = self.mass() * self.util
+        out[self.share_row, self.share_col] -= self.share
+        return out
+
+    # bincount adds its weights in input order, as a loop over the columns would
+    def received(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.recv, weights=x * self.util, minlength=self.k)
+
+    def sent(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.share_row, weights=x[self.share_col] * self.share,
+                           minlength=self.k)
+
+
+def column_matrices(instance: Instance, cols: Sequence[tuple[int, frozenset[int] | FracColumn]],
+                    agents: Sequence[int]) -> ColumnMatrices:
+    """Utilities and shares of (agent, column) pairs, rows re-indexed to agents."""
+    row = {a: r for r, a in enumerate(agents)}
+    util, recv, share_row, share_col, share = [], [], [], [], []
+    for c, (i, col) in enumerate(cols):
+        u, split = column_split(instance, i, col)
+        util.append(u)
+        recv.append(row[i])
+        share_row.extend(row[j] for j in split)
+        share_col.extend([c] * len(split))
+        share.extend(split.values())
+    idx = lambda rows: np.array(rows, dtype=np.intp)
+    return ColumnMatrices(len(row), np.array(util, dtype=float), idx(recv), idx(share_row),
+                          idx(share_col), np.array(share, dtype=float))
+
+
+def column_lp(instance: Instance, cols: Sequence[tuple[int, frozenset[int] | FracColumn]],
+              lo: np.ndarray, hi: np.ndarray):
+    """LP1 on a column set: maximize welfare over the weights of cols subject to
+    mass_i <= 1 and lo_i <= residual_i <= hi_i (lo = hi = 0 is exact balance)."""
+    n = instance.n
+    mats = column_matrices(instance, cols, range(n))
+    resid = mats.resid()
+    a_ub = np.vstack([mats.mass(), resid, -resid])
+    b_ub = np.concatenate([np.ones(n), hi, -lo])
+    return linprog(-mats.util, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
+
+
+def lp_solution(n: int, cols: Sequence[tuple[int, frozenset[int] | FracColumn]],
+                x: np.ndarray, deltas: np.ndarray | None = None,
+                gammas: np.ndarray | None = None) -> ExchangeSolution:
+    """The solution carried by column-LP weights x: weights above 1e-12, each
+    clipped to 1; an agent's mass within LP_MASS_TOL above 1 is scaled back to
+    1 (a larger excess fails in ExchangeSolution); at most 2n+1 columns."""
+    keep = np.flatnonzero(x > 1e-12)
+    if len(keep) > 2 * n + 1:
+        raise AssertionError(f"column LP returned {len(keep)} > 2n+1 active columns")
+    agent = np.array([cols[c][0] for c in keep], dtype=np.intp)
+    w = np.minimum(x[keep], 1.0)
+    mass = np.bincount(agent, weights=w, minlength=n)  # summed as ExchangeSolution sums it
+    w /= np.where((mass > 1.0 + EQ_TOL) & (mass <= 1.0 + LP_MASS_TOL), mass, 1.0)[agent]
+    out: dict[int, dict] = {}
+    for c, xc in zip(keep, w):
+        i, col = cols[c]
+        out.setdefault(i, {})[col] = float(xc)
+    return ExchangeSolution(n=n, columns=out, deltas=deltas, gammas=gammas)
 
 
 def _x3c_shapley(instance: Instance, i: int, subset: frozenset[int]) -> dict[int, float]:

@@ -171,3 +171,44 @@ def test_solve_degenerate_instance_exits_2(tmp_path, capsys):
     code, _, err = run(["solve", str(inst), "--out", str(tmp_path / "s.json"),
                         "--report", str(tmp_path / "r.json")], capsys)
     assert code == 2 and "degenerate" in err
+
+
+def test_audit_reports_core_audit_status(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    run(["gen", "--kind", "random", "--n", "5", "--senders", "3", "--seed", "4",
+         "--out", str(inst)], capsys)
+    run(["stability", str(inst), "--algorithm", "greedy_match", "--out", str(sol)], capsys)
+    code, out, _ = run(["audit", str(inst), str(sol), "--coalitions", "2"], capsys)
+    assert code == 0 and json.loads(out.strip().splitlines()[-1])["core_audit"] == "complete"
+    code, out, _ = run(["audit", str(inst), str(sol)], capsys)
+    assert code == 0 and json.loads(out.strip().splitlines()[-1])["core_audit"] == "skipped"
+
+
+def test_audit_over_coalition_bound_says_skipped(tmp_path, capsys):
+    from datex import ExchangeSolution
+
+    # 20 agents: C(20,2) + C(20,3) + C(20,4) = 6175 coalitions > MAX_COALITIONS
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    run(["gen", "--kind", "random", "--n", "20", "--senders", "2", "--out", str(inst)], capsys)
+    dio.dump_solution(ExchangeSolution.empty(20), str(sol))
+    code, out, _ = run(["audit", str(inst), str(sol), "--coalitions", "4"], capsys)
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert code == 0
+    assert payload["core_audit"] == "skipped" and payload["blocking_coalitions"] == []
+
+
+def test_fuzz_without_misreport_model_exits_2(tmp_path, capsys):
+    # road instances (path_variance) have no misreport model
+    inst = tmp_path / "road.json"
+    sol = tmp_path / "sol.json"
+    code, _, _ = run(["gen", "--kind", "road", "--grid", "5x5", "--agents", "4",
+                      "--radius", "3", "--seed", "1", "--out", str(inst)], capsys)
+    assert code == 0
+    run(["stability", str(inst), "--out", str(sol)], capsys)
+    code, out, err = run(["audit", str(inst), str(sol), "--fuzz-trials", "5"], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "path_variance" in err
+    code, _, err = run(["fuzz", str(inst), "--trials", "5"], capsys)
+    assert code == 2 and "path_variance" in err

@@ -40,6 +40,29 @@ def test_basic_solution_bound():
         assert sol.column_count() <= 2 * inst.n + 1
 
 
+def test_lp_mass_within_solver_tolerance_is_renormalized():
+    # HiGHS meets agent 3's mass row only to ~5e-8 here; the solution must
+    # still be a valid ExchangeSolution rather than a ValueError
+    inst = gen_random(6, 3, "table", seed=3429269312, epsilon=0.1)
+    sol, welfare = exact_welfare_lp(inst, relax_eps=0.1)
+    for dist in sol.columns.values():
+        assert sum(dist.values()) <= 1.0 + 1e-9
+    assert sol.column_count() <= 2 * inst.n + 1
+    assert evaluate(inst, sol).welfare == pytest.approx(welfare, abs=1e-6)
+
+
+def test_lp_solution_renormalizes_only_within_solver_tolerance():
+    from datex.sharing import lp_solution
+
+    cols = [(0, frozenset({1})), (0, frozenset({2}))]
+    assert lp_solution(3, cols, np.array([0.6, 0.4])).columns == {
+        0: {frozenset({1}): 0.6, frozenset({2}): 0.4}}
+    scaled = lp_solution(3, cols, np.array([0.6, 0.4 + 5e-7]))
+    assert sum(scaled.columns[0].values()) <= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="sum to"):
+        lp_solution(3, cols, np.array([0.6, 0.4 + 1e-5]))
+
+
 def test_sender_cap_enforced():
     inst = gen_random(15, 14, "symmetric", seed=0)
     with pytest.raises(ValueError, match="too many senders"):

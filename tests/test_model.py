@@ -83,6 +83,18 @@ def test_explicit_table_rejects_nonmonotone():
         ExplicitTable(senders=((1, 2),), values=(vals,))
 
 
+def test_explicit_table_rejects_nonmonotone_beyond_twelve_senders():
+    k = 13
+    masks = np.arange(1 << k)
+    vals = np.array([bin(m).count("1") / k for m in masks])
+    tab = ExplicitTable(senders=(tuple(range(1, k + 1)),), values=(vals,))
+    assert tab.value(0, frozenset(range(1, k + 1))) == pytest.approx(1.0)
+    bad = vals.copy()
+    bad[(1 << k) - 1] = bad[(1 << k) - 2] - 0.01  # adding sender 1 to the rest loses utility
+    with pytest.raises(ValueError, match="not monotone"):
+        ExplicitTable(senders=(tuple(range(1, k + 1)),), values=(bad,))
+
+
 def test_path_variance_single_edge_value():
     # one shared edge, sigma2=0.5, z_i=2, donor holds 2 samples: 0.5/2 - 0.5/4
     pv = PathVariance(
@@ -274,6 +286,103 @@ def test_evaluate_is_linear(alpha, x1, x2):
         alpha * ra.balance_residual + (1 - alpha) * rb.balance_residual,
         atol=1e-9,
     )
+
+
+# ---------------------------------------------------------------------------
+# The shared column path: sparsify and the exact LP over gen_random columns
+# ---------------------------------------------------------------------------
+
+
+def _random_balanced_solution(inst, rng):
+    """Random weights on a random subset of each agent's columns, scaled into eps-balance."""
+    from datex.exact import _agent_columns
+
+    cols = {}
+    for i in range(inst.n):
+        pool = _agent_columns(inst, i)
+        if not pool:
+            continue
+        picked = rng.choice(len(pool), size=int(rng.integers(0, len(pool) + 1)), replace=False)
+        weights = rng.uniform(0.0, 1.0, size=len(picked)) / max(len(picked), 1)
+        if len(picked):
+            cols[i] = {pool[c]: float(w) for c, w in zip(picked, weights)}
+    sol = ExchangeSolution(n=inst.n, columns=cols)
+    worst = float(np.max(np.abs(evaluate(inst, sol).balance_residual)))
+    return scale_solution(sol, min(1.0, 0.999 * inst.epsilon / worst)) if worst > 0 else sol
+
+
+column_path_cases = dict(
+    n=st.integers(2, 5),
+    kind=st.sampled_from(["symmetric", "table"]),
+    seed=st.integers(0, 2**31 - 1),
+    pick=st.integers(0, 2**31 - 1),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**column_path_cases)
+def test_evaluate_matches_column_loop_bit_for_bit(n, kind, seed, pick):
+    from datex.instances import gen_random
+    from datex.sharing import column_split
+
+    inst = gen_random(n, 3, kind, seed=seed, epsilon=0.1)
+    sol = _random_balanced_solution(inst, np.random.default_rng(pick))
+    received, sent = np.zeros(n), np.zeros(n)
+    for i, col, x in sol.iter_columns():
+        u, split = column_split(inst, i, col)
+        received[i] += x * u
+        for j, h in split.items():
+            sent[j] += x * h
+    rep = evaluate(inst, sol)
+    assert np.array_equal(rep.per_agent_utility, received)
+    assert np.array_equal(rep.balance_residual, received - sent)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**column_path_cases)
+def test_sparsify_keeps_welfare_and_lp1_rows(n, kind, seed, pick):
+    from datex import sparsify
+    from datex.instances import gen_random
+
+    inst = gen_random(n, 3, kind, seed=seed, epsilon=0.1)
+    sol = _random_balanced_solution(inst, np.random.default_rng(pick))
+    out = sparsify(inst, sol)
+    before, after = evaluate(inst, sol), evaluate(inst, out)
+    assert after.welfare >= before.welfare - 1e-7
+    assert out.column_count() <= 2 * inst.n + 1
+    for dist in out.columns.values():
+        assert sum(dist.values()) <= 1.0 + 1e-9
+    assert np.max(np.abs(after.balance_residual), initial=0.0) <= inst.epsilon + 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(**column_path_cases)
+def test_exact_lp_dominates_sparsify_on_its_columns(n, kind, seed, pick):
+    from datex import exact_welfare_lp, sparsify
+    from datex.instances import gen_random
+
+    inst = gen_random(n, 3, kind, seed=seed, epsilon=0.1)
+    _, lp_welfare = exact_welfare_lp(inst, relax_eps=inst.epsilon)
+    sub = sparsify(inst, _random_balanced_solution(inst, np.random.default_rng(pick)))
+    assert lp_welfare >= evaluate(inst, sub).welfare - 1e-7
+
+
+def test_explicit_table_monotonicity_check_matches_pairwise_loop():
+    rng = np.random.default_rng(0)
+    for trial in range(200):
+        k = int(rng.integers(1, 6))
+        vals = np.array([bin(m).count("1") / k for m in range(1 << k)])
+        dips = rng.choice(np.arange(1, 1 << k), size=int(rng.integers(0, 3)))
+        vals[dips] -= rng.uniform(0.0, 2.0 / k, size=len(dips))
+        vals = np.clip(vals, 0.0, 1.0)
+        monotone = all(vals[m] >= vals[m ^ (1 << b)] - 1e-9
+                       for m in range(1 << k) for b in range(k) if m & (1 << b))
+        try:
+            ExplicitTable(senders=(tuple(range(1, k + 1)),), values=(vals,))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == monotone, trial
 
 
 def test_explicit_table_monotonicity_audit_random():

@@ -15,7 +15,6 @@ from datex import (
     assemble_prices,
     evaluate,
     get_oracle,
-    mwu_feasibility,
     normalize_instance,
     solve_welfare,
     sparsify,
@@ -85,16 +84,16 @@ def test_price_reduction_matches_explicit_row_expansion():
 
 def test_two_agents_feasible_at_b1(two_agent_symmetric):
     inst, _ = normalize_instance(two_agent_symmetric)
-    feasible, solution = mwu_feasibility(inst, 1.0, small_config(2), get_oracle("knapsack"))
-    assert feasible and solution is not None
-    rep = evaluate(inst, solution)
+    run = run_mwu(inst, 1.0, small_config(2), get_oracle("knapsack"))
+    assert run.feasible and run.solution is not None
+    rep = evaluate(inst, run.solution)
     assert rep.welfare >= 1.0 / (2 * 1.21 * 2) - 1e-9
 
 
 def test_b_above_width_is_infeasible(two_agent_symmetric):
     inst, _ = normalize_instance(two_agent_symmetric)
-    feasible, _ = mwu_feasibility(inst, 2.6, MwuConfig(max_iters=300), get_oracle("bruteforce"))
-    assert not feasible
+    run = run_mwu(inst, 2.6, MwuConfig(max_iters=300), get_oracle("bruteforce"))
+    assert not run.feasible
 
 
 def test_single_agent_infeasible():
@@ -106,8 +105,8 @@ def test_single_agent_infeasible():
         utility=ExplicitTable(senders=((),), values=(np.array([0.0]),)),
         sharing=SharingRuleSpec(kind="shapley_exact"),
     )
-    feasible, _ = mwu_feasibility(inst, 0.05, MwuConfig(max_iters=50), get_oracle("bruteforce"))
-    assert not feasible
+    run = run_mwu(inst, 0.05, MwuConfig(max_iters=50), get_oracle("bruteforce"))
+    assert not run.feasible
 
 
 def test_width_audit_and_regret_fields(two_agent_symmetric):
