@@ -162,7 +162,7 @@ def cmd_oracle(args) -> int:
     instance = _load_instance(args.instance)
     try:
         q_map = {int(j): float(v) for j, v in json.loads(args.q).items()}
-        prices = DualPrices(Q={
+        prices = DualPrices.from_pairs(instance.n, {
             (args.agent, j): q_map.get(j, 0.0) for j in instance.senders_of[args.agent]
         })
         oracle = get_oracle(args.oracle, eps=args.oracle_eps)
@@ -343,7 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-eps", type=float, default=0.1)
     p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("stability", help="greedy matching / cycle canceling + 2-stability check")
+    p = sub.add_parser(
+        "stability", help="greedy matching / cycle canceling + 2-stability check",
+        description="Run greedy matching or cycle canceling and check 2-stability. The printed "
+                    "welfare is in the instance's raw utility units; `datex audit` normalizes "
+                    "the instance (max utility 1) first, so its welfare differs by that scale.",
+    )
     p.add_argument("instance")
     p.add_argument("--algorithm", choices=["greedy_match", "cycle_cancel"], default="greedy_match")
     p.add_argument("--out", default="solution.json")

@@ -9,7 +9,7 @@ import networkx as nx
 import numpy as np
 
 from .instances import RoadSpec, gen_road
-from .model import ExchangeSolution, Instance, PathVariance, normalize_instance, utility
+from .model import ExchangeSolution, Instance, PathVariance, normalize_instance
 from .mwu import MwuConfig, practical_eta, solve_welfare
 from .oracles import get_oracle
 
@@ -47,10 +47,8 @@ def matching_benchmark(instance: Instance) -> tuple[ExchangeSolution, float]:
     2-agent eps-balance optima, then assemble the matched trades."""
     eps = instance.epsilon
     n = instance.n
-    u = {
-        (i, j): utility(instance, i, frozenset({j}))
-        for (i, j) in instance.allowed
-    }
+    table = instance.singleton_utility.tolist()
+    u = {(i, j): table[i][j] for (i, j) in instance.allowed}
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     for i in range(n):

@@ -422,6 +422,14 @@ class Instance:
                 for j in senders:
                     if (i, j) not in self.allowed:
                         raise ValueError(f"utility references non-permitted pair ({i},{j})")
+        elif isinstance(u, PathVariance):
+            if len(u.paths) != self.n or len(u.z) != self.n:
+                raise ValueError(f"path_variance needs one path and one sample count per agent "
+                                 f"({self.n}); got {len(u.paths)} paths, {len(u.z)} counts")
+            if len(u.sigma2) != len(u.edges) or len(u.classes) != len(u.edges):
+                raise ValueError(f"path_variance needs one variance and one class per edge "
+                                 f"({len(u.edges)}); got {len(u.sigma2)} variances, "
+                                 f"{len(u.classes)} classes")
 
     @cached_property
     def senders_of(self) -> tuple[tuple[int, ...], ...]:
@@ -439,6 +447,20 @@ class Instance:
 
     def full_set(self, i: int) -> frozenset[int]:
         return frozenset(self.senders_of[i])
+
+    @cached_property
+    def singleton_utility(self) -> np.ndarray:
+        """Read-only n x n table of u_i({j}) on the allowed pairs, 0 elsewhere.
+
+        These values never depend on prices, so the bucketing oracle, the
+        pairwise stability algorithms and proportional-singleton sharing read
+        them here instead of re-evaluating the utility model.
+        """
+        table = np.zeros((self.n, self.n))
+        for i, j in self.allowed:
+            table[i, j] = self.utility.value(i, frozenset({j}))
+        table.flags.writeable = False
+        return table
 
 
 def utility(instance: Instance, i: int, subset: frozenset[int]) -> float:

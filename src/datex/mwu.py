@@ -87,16 +87,16 @@ def assemble_prices(instance: Instance, w: np.ndarray, B: float, alpha: float,
     """Normalize row weights and reduce p^T A to per-pair prices.
 
     Q_ij = p0 + (p+_i - p-_i) - (p+_j - p-_j), where p0 weights the welfare
-    row and p+/p- the two balance rows; threshold is p.b / alpha.
+    row and p+/p- the two balance rows; threshold is p.b / alpha.  Q is dense:
+    entries off the allowed pairs are never read.
     """
     if np.any(w <= 0):
         raise ValueError("row weights must stay positive")
     n = instance.n
     p = w / w.sum()
     net = p[1 : n + 1] - p[n + 1 : 2 * n + 1]
-    q = {(i, j): float(p[0] + net[i] - net[j]) for i, j in instance.allowed}
     threshold = (p[0] * B - eps * (p[1:].sum())) / alpha
-    return p, DualPrices(Q=q), float(threshold)
+    return p, DualPrices(Q=p[0] + net[:, None] - net[None, :]), float(threshold)
 
 
 @dataclass

@@ -5,6 +5,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Mapping
 
 import numpy as np
 
@@ -13,7 +15,6 @@ from .model import (
     Instance,
     MAX_ENUMERABLE_SENDERS,
     SymmetricWeighted,
-    utility,
 )
 from .sharing import shares
 
@@ -24,12 +25,23 @@ SIZE_FIXED_POINT = 10**6  # knapsack capacities compared as 6-digit fixed point
 
 @dataclass(frozen=True)
 class DualPrices:
-    """Per-ordered-pair weights Q_ij assembled from the MWU row weights."""
+    """Per-ordered-pair weights Q_ij assembled from the MWU row weights.
 
-    Q: dict[tuple[int, int], float]
+    Q is a dense n x n array; oracles read only the entries of allowed pairs.
+    """
+
+    Q: np.ndarray
+
+    @staticmethod
+    def from_pairs(n: int, mapping: Mapping[tuple[int, int], float]) -> DualPrices:
+        """Prices given per (receiver, sender) pair; unlisted pairs get 0."""
+        Q = np.zeros((n, n))
+        for (i, j), v in mapping.items():
+            Q[i, j] = v
+        return DualPrices(Q=Q)
 
     def q(self, i: int, j: int) -> float:
-        return self.Q[(i, j)]
+        return float(self.Q[i, j])
 
 
 @dataclass
@@ -48,8 +60,11 @@ def oracle_value(instance: Instance, i: int, prices: DualPrices, subset: frozens
 _EMPTY = frozenset()
 
 
-def oracle_bruteforce(instance: Instance, i: int, prices: DualPrices) -> OracleResult:
-    """Exact argmax over all subsets of permitted senders (exactness baseline)."""
+def oracle_bruteforce(instance: Instance, i: int, prices: DualPrices, eps: float = 0.1) -> OracleResult:
+    """Exact argmax over all subsets of permitted senders (exactness baseline).
+
+    eps is taken only so every oracle has one signature; the argmax is exact.
+    """
     senders = instance.senders_of[i]
     if len(senders) > MAX_ENUMERABLE_SENDERS:
         raise ValueError(f"{len(senders)} senders too many for brute force")
@@ -65,6 +80,20 @@ def oracle_bruteforce(instance: Instance, i: int, prices: DualPrices) -> OracleR
 def bucketing_alpha(n: int, eps: float) -> float:
     """Approximation factor certified by the bucketing oracle."""
     return max(1.0, 3.0 * math.e * (1.0 + 3.0 * eps) * math.log(max(n, 2)))
+
+
+@lru_cache(maxsize=64)
+def _bucket_edges(n: int, eps: float) -> tuple[int, np.ndarray]:
+    """Bucket count and the edges e^k, k = 0..count, of the bucketing oracle.
+
+    The edges are Python's (1 + delta) ** k, so bucket membership does not
+    depend on numpy's pow; they increase, so u0 * edges is sorted.
+    """
+    delta = math.e - 1.0
+    count = 3 * math.ceil(math.log(n / eps) / math.log(1.0 + delta))
+    edges = np.array([(1.0 + delta) ** k for k in range(count + 1)])
+    edges.flags.writeable = False
+    return count, edges
 
 
 def oracle_bucketing(instance: Instance, i: int, prices: DualPrices, eps: float = 0.1) -> OracleResult:
@@ -85,21 +114,20 @@ def oracle_bucketing(instance: Instance, i: int, prices: DualPrices, eps: float 
     if instance.sharing.kind == "shapley_sampled":
         logger.debug("bucketing with sampled Shapley: cross-monotonicity only approximate")
     n = instance.n
-    senders = instance.senders_of[i]
-    q_of = {j: prices.q(i, j) for j in senders}
-    u_of = {j: utility(instance, i, frozenset({j})) for j in senders}
-    pos = [j for j in senders if q_of[j] > 0.0]
-    best_single, single_val = _EMPTY, 0.0
-    for j in pos:
-        if q_of[j] * u_of[j] > single_val:
-            best_single, single_val = frozenset({j}), q_of[j] * u_of[j]
-    if not pos or single_val <= 0.0:
+    senders = np.array(instance.senders_of[i], dtype=np.intp)
+    q = prices.Q[i][senders]
+    u = instance.singleton_utility[i][senders]
+    qu = q * u
+    single_val = float(qu.max(initial=0.0))
+    if single_val <= 0.0:
         return OracleResult(chosen=_EMPTY, value=0.0, guesses=0)
+    best_single = frozenset({int(senders[qu.argmax()])})  # first maximum in sender order
+    q_row = prices.Q[i].tolist()
+    sender_list = senders.tolist()
 
     alpha_hat = bucketing_alpha(n, eps)
-    delta = math.e - 1.0
-    n_buckets = 3 * math.ceil(math.log(n / eps) / math.log(1.0 + delta))
-    u_floor = eps * eps / (n * n)
+    n_buckets, edges = _bucket_edges(n, eps)
+    useful = u >= eps * eps / (n * n)
 
     best_set, best_val = _EMPTY, 0.0
     guesses = 0
@@ -108,23 +136,18 @@ def oracle_bucketing(instance: Instance, i: int, prices: DualPrices, eps: float 
     while guess >= lo:
         guesses += 1
         u0 = eps * guess / n
+        # c - 1 is the bucket k with u0 e^k < q <= u0 e^(k+1); c = 0 holds q <= u0
+        # and the senders whose utility or value is negligible at this guess
+        c = (u0 * edges).searchsorted(q)
+        c[~useful | (qu < u0)] = 0
         buckets: dict[int, list[int]] = {}
-        for j in pos:
-            if q_of[j] * u_of[j] < eps * guess / n or u_of[j] < u_floor:
-                continue
-            if q_of[j] <= u0:
-                continue
-            k = int(math.floor(math.log(q_of[j] / u0) / math.log(1.0 + delta)))
-            while u0 * (1.0 + delta) ** k >= q_of[j]:
-                k -= 1
-            while u0 * (1.0 + delta) ** (k + 1) < q_of[j]:
-                k += 1
-            if 0 <= k < n_buckets:
-                buckets.setdefault(k, []).append(j)
+        for j, cj in zip(sender_list, c.tolist()):
+            if 0 < cj <= n_buckets:
+                buckets.setdefault(cj, []).append(j)
         cand_set, cand_val = _EMPTY, 0.0
         for k in sorted(buckets):
             b_set = frozenset(buckets[k])
-            v_k = sum(q_of[j] * h for j, h in shares(instance, i, b_set).items())
+            v_k = sum(q_row[j] * h for j, h in shares(instance, i, b_set).items())
             if v_k > cand_val:
                 cand_set, cand_val = b_set, v_k
         if cand_val > best_val:
@@ -381,8 +404,6 @@ class OracleSpec:
         raise ValueError(f"unknown oracle {self.name!r}")
 
     def __call__(self, instance: Instance, i: int, prices: DualPrices) -> OracleResult:
-        if self.name == "bruteforce":
-            return oracle_bruteforce(instance, i, prices)
         return self.fn(instance, i, prices, self.eps)  # type: ignore[operator]
 
 

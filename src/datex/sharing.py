@@ -247,7 +247,7 @@ def _proportional_weight(instance: Instance, i: int, j: int,
                          weights: str | tuple[tuple[int, int, float], ...] | None) -> float:
     w = instance.sharing.weights if weights is None else weights
     if w is None or w == "singleton":
-        return utility(instance, i, frozenset({j}))
+        return float(instance.singleton_utility[i, j])
     if w == "size":
         model = instance.utility
         if not isinstance(model, (SymmetricWeighted, ContinuousConcave)):

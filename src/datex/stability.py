@@ -15,16 +15,13 @@ from .model import (
     Instance,
     SymmetricWeighted,
     evaluate,
-    utility,
 )
 
 
 def pairwise_utilities(instance: Instance) -> dict[tuple[int, int], float]:
     """u_ij = u_i({j}) for every permitted ordered pair."""
-    return {
-        (i, j): utility(instance, i, frozenset({j}))
-        for i, j in sorted(instance.allowed)
-    }
+    table = instance.singleton_utility.tolist()
+    return {(i, j): table[i][j] for i, j in sorted(instance.allowed)}
 
 
 def symmetric_pair_weights(instance: Instance) -> dict[tuple[int, int], float]:
@@ -75,12 +72,11 @@ def check_2_stability(instance: Instance, solution: ExchangeSolution,
 
 def _directed_trade_edges(instance: Instance, active: set[int]) -> dict[tuple[int, int], float]:
     """Edges sender->receiver with weight u_receiver({sender}); zero-utility dropped."""
+    table = instance.singleton_utility.tolist()
     out = {}
     for (i, j) in instance.allowed:  # i receives from j
-        if i in active and j in active:
-            w = utility(instance, i, frozenset({j}))
-            if w > 0.0:
-                out[(j, i)] = w
+        if i in active and j in active and table[i][j] > 0.0:
+            out[(j, i)] = table[i][j]
     return out
 
 

@@ -102,7 +102,7 @@ def test_03_bucketing_oracle_ratio():
         senders = inst.senders_of[i]
         if not senders:
             continue
-        prices = DualPrices(Q={(i, j): float(rng.normal()) for j in senders})
+        prices = DualPrices.from_pairs(inst.n, {(i, j): float(rng.normal()) for j in senders})
         res = oracle_bucketing(inst, i, prices, eps=eps)
         brute = oracle_bruteforce(inst, i, prices)
         alpha_hat = 3.0 * math.e * (1.0 + 3.0 * eps) * math.log(max(n, 2))
@@ -125,7 +125,7 @@ def test_04_knapsack_oracle_ratio():
         senders = inst.senders_of[i]
         if not senders:
             continue
-        prices = DualPrices(Q={(i, j): float(rng.normal()) for j in senders})
+        prices = DualPrices.from_pairs(inst.n, {(i, j): float(rng.normal()) for j in senders})
         res = oracle_knapsack(inst, i, prices, eps=eps)
         brute = oracle_bruteforce(inst, i, prices)
         assert res.value >= brute.value / (1.0 + eps) ** 2 - 1e-9, (checked, res.value, brute.value)

@@ -212,3 +212,19 @@ def test_fuzz_without_misreport_model_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "path_variance" in err
     code, _, err = run(["fuzz", str(inst), "--trials", "5"], capsys)
     assert code == 2 and "path_variance" in err
+
+
+def test_solve_road_with_missing_path_exits_2(tmp_path, capsys):
+    # a path_variance model needs one path per agent; the shape check runs on load
+    inst = tmp_path / "road.json"
+    code, _, _ = run(["gen", "--kind", "road", "--grid", "5x5", "--agents", "4",
+                      "--radius", "3", "--seed", "1", "--out", str(inst)], capsys)
+    assert code == 0
+    obj = json.loads(inst.read_text())
+    obj["utility"]["paths"] = obj["utility"]["paths"][:-1]
+    inst.write_text(json.dumps(obj))
+    code, out, err = run(["solve", str(inst), "--oracle", "bucketing", "--max-iters", "30",
+                          "--out", str(tmp_path / "s.json"), "--report", str(tmp_path / "r.json")],
+                         capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "3 paths" in err

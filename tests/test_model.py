@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from datex import (
     ConcaveSpec,
+    ContinuousConcave,
     DegenerateInstanceError,
     ExchangeSolution,
     ExplicitTable,
@@ -452,3 +453,52 @@ def test_solution_json_roundtrip_and_strictness():
     bad["welfare"] = 3.0
     with pytest.raises(dio.SchemaError):
         dio.solution_from_json(bad)
+
+
+def _five_model_instances():
+    from datex.instances import RoadSpec, gen_random, gen_road, gen_x3c, grid_graph, make_x3c_yes
+
+    sym = gen_random(6, 3, "symmetric", seed=11)
+    continuous = Instance(
+        n=sym.n, allowed=sym.allowed,
+        utility=ContinuousConcave(sizes=dict(sym.utility.sizes), f=sym.utility.f),
+        sharing=SharingRuleSpec(kind="proportional", weights="size"),
+    )
+    return [
+        gen_random(6, 3, "table", seed=12),
+        sym,
+        gen_road(RoadSpec(edges=grid_graph(8, 8, seed=1), radius=6, n_agents=6, seed=5)),
+        gen_x3c(make_x3c_yes(3, 1, seed=0)),
+        continuous,
+    ]
+
+
+def test_singleton_utility_table_matches_model_on_all_five_models():
+    instances = _five_model_instances()
+    assert {inst.utility.kind for inst in instances} == {
+        "explicit_table", "symmetric_weighted", "path_variance", "x3c_coverage",
+        "continuous_concave",
+    }
+    for inst in instances:
+        table = inst.singleton_utility
+        assert table.shape == (inst.n, inst.n) and table.dtype == np.float64
+        assert not table.flags.writeable and inst.singleton_utility is table
+        for i in range(inst.n):
+            for j in range(inst.n):
+                if (i, j) in inst.allowed:
+                    assert table[i, j] == utility(inst, i, frozenset({j})), (inst.utility.kind, i, j)
+                else:
+                    assert table[i, j] == 0.0
+
+
+@pytest.mark.parametrize("field", ["paths", "z", "sigma2", "classes"])
+def test_path_variance_lengths_must_match_agents_and_edges(field):
+    from dataclasses import replace
+
+    from datex.instances import RoadSpec, gen_road, grid_graph
+
+    road = gen_road(RoadSpec(edges=grid_graph(5, 5, seed=1), radius=3, n_agents=4, seed=1))
+    model = road.utility
+    short = replace(model, **{field: getattr(model, field)[:-1]})
+    with pytest.raises(ValueError, match="path_variance needs one"):
+        Instance(n=road.n, allowed=road.allowed, utility=short, sharing=road.sharing)

@@ -77,6 +77,21 @@ def test_price_reduction_matches_explicit_row_expansion():
                 assert coef == pytest.approx(q_form, abs=1e-12)
 
 
+def test_dense_prices_match_pairwise_formula_bit_for_bit():
+    # Q_ij = p0 + net_i - net_j, as the per-pair dict of floats computed it
+    rng = np.random.default_rng(9)
+    for trial in range(30):
+        n = int(rng.integers(2, 12))
+        inst = gen_random(n, min(n - 1, 4), "table", seed=700 + trial)
+        w = rng.uniform(1e-6, 5.0, size=2 * n + 1) * 10.0 ** rng.uniform(-3, 3, size=2 * n + 1)
+        p, prices, _ = assemble_prices(inst, w, B=0.5, alpha=3.0, eps=0.05)
+        net = p[1 : n + 1] - p[n + 1 : 2 * n + 1]
+        assert prices.Q.shape == (n, n)
+        for i, j in inst.allowed:
+            old = float(p[0] + net[i] - net[j])
+            assert prices.q(i, j) == old and prices.Q[i, j] == old
+
+
 # ---------------------------------------------------------------------------
 # Feasibility loop
 # ---------------------------------------------------------------------------

@@ -20,13 +20,17 @@ from datex import (
     oracle_knapsack,
 )
 from datex.oracles import bucketing_alpha, oracle_value
-from datex.instances import gen_random
+from datex.instances import RoadSpec, gen_random, gen_road, grid_graph
+from datex.model import normalize_instance, utility
+from datex.sharing import shares
 
 from conftest import table_instance
 
 
 def prices_for(instance, i, values):
-    return DualPrices(Q={(i, j): values.get(j, 0.0) for j in instance.senders_of[i]})
+    return DualPrices.from_pairs(
+        instance.n, {(i, j): values.get(j, 0.0) for j in instance.senders_of[i]}
+    )
 
 
 def sqrt_instance(sizes_by_sender, n=None, floor=None):
@@ -110,6 +114,105 @@ def test_bucketing_ratio_and_sign_invariants():
         assert res.value >= brute.value / bucketing_alpha(n, 0.1) - 1e-9
         checked += 1
     assert checked >= 40
+
+
+def _bucketing_per_sender_loop(instance, i, prices, eps):
+    """The bucketing oracle as a plain loop over senders, with u_i({j}) from
+    the utility model and bucket k found by floor(log) plus two corrections."""
+    n = instance.n
+    senders = instance.senders_of[i]
+    q_of = {j: prices.q(i, j) for j in senders}
+    u_of = {j: utility(instance, i, frozenset({j})) for j in senders}
+    pos = [j for j in senders if q_of[j] > 0.0]
+    best_single, single_val = frozenset(), 0.0
+    for j in pos:
+        if q_of[j] * u_of[j] > single_val:
+            best_single, single_val = frozenset({j}), q_of[j] * u_of[j]
+    if not pos or single_val <= 0.0:
+        return frozenset(), 0.0, 0
+    alpha_hat = bucketing_alpha(n, eps)
+    delta = math.e - 1.0
+    n_buckets = 3 * math.ceil(math.log(n / eps) / math.log(1.0 + delta))
+    u_floor = eps * eps / (n * n)
+    best_set, best_val = frozenset(), 0.0
+    guesses = 0
+    guess = n * single_val
+    lo = single_val / (1.0 + eps)
+    while guess >= lo:
+        guesses += 1
+        u0 = eps * guess / n
+        buckets = {}
+        for j in pos:
+            if q_of[j] * u_of[j] < eps * guess / n or u_of[j] < u_floor or q_of[j] <= u0:
+                continue
+            k = int(math.floor(math.log(q_of[j] / u0) / math.log(1.0 + delta)))
+            while u0 * (1.0 + delta) ** k >= q_of[j]:
+                k -= 1
+            while u0 * (1.0 + delta) ** (k + 1) < q_of[j]:
+                k += 1
+            if 0 <= k < n_buckets:
+                buckets.setdefault(k, []).append(j)
+        cand_set, cand_val = frozenset(), 0.0
+        for k in sorted(buckets):
+            b_set = frozenset(buckets[k])
+            v_k = sum(q_of[j] * h for j, h in shares(instance, i, b_set).items())
+            if v_k > cand_val:
+                cand_set, cand_val = b_set, v_k
+        if cand_val > best_val:
+            best_set, best_val = cand_set, cand_val
+        if cand_val >= guess / alpha_hat:
+            break
+        guess /= 1.0 + eps
+    if single_val > best_val:
+        best_set, best_val = best_single, single_val
+    return best_set, best_val, guesses
+
+
+def test_bucketing_matches_per_sender_loop_bit_for_bit():
+    rng = np.random.default_rng(33)
+    road = [
+        normalize_instance(gen_road(RoadSpec(edges=grid_graph(8, 8, seed=0), radius=5,
+                                             n_agents=12, seed=40 + k)))[0]
+        for k in range(2)
+    ]
+    tables = [gen_random(int(rng.integers(3, 11)), 7, "table", seed=900 + k) for k in range(4)]
+    draws = 0
+    for trial in range(240):
+        inst = road[trial // 2 % 2] if trial % 2 else tables[trial // 2 % 4]
+        i = int(rng.integers(0, inst.n))
+        if not inst.senders_of[i]:
+            continue
+        # prices around an MWU-like positive level, at scales from 1e-3 to 3
+        scale = 10.0 ** rng.uniform(-3.0, 0.5)
+        Q = rng.normal(loc=scale * rng.choice([0.0, 1.0]), scale=scale, size=(inst.n, inst.n))
+        prices = DualPrices(Q=Q)
+        for eps in (0.1, 0.3):
+            res = oracle_bucketing(inst, i, prices, eps=eps)
+            assert (res.chosen, res.value, res.guesses) == _bucketing_per_sender_loop(
+                inst, i, prices, eps
+            ), (trial, eps)
+            assert all(type(j) is int for j in res.chosen)
+        draws += 1
+    assert draws >= 200
+
+
+def test_bucketing_ties_on_bucket_edges_match_per_sender_loop():
+    # prices placed exactly on the rule's boundaries: a price equal to the edge
+    # u0 e^3 stays in bucket 2, a value q u equal to u0 stays in, and among equal
+    # singletons below the utility floor the first sender is the fallback
+    n, eps = 6, 0.1
+    inst = table_instance(n, {(0, 1): 0.5, (0, 2): 0.3, (0, 3): 0.125,
+                              (5, 0): 2e-4, (5, 1): 2e-4})
+    u0 = eps * (n * (1.0 * 0.5)) / n  # the first guess is n times the best singleton
+    edge3 = u0 * math.e**3
+    assert 1.0 < edge3 and edge3 * 0.3 < 0.5 and (u0 * 8.0) * 0.125 == u0
+    prices = DualPrices.from_pairs(n, {(0, 1): 1.0, (0, 2): edge3, (0, 3): u0 * 8.0,
+                                       (5, 0): 1.0, (5, 1): 1.0})
+    expected = {0: frozenset({1, 2, 3}), 5: frozenset({0})}
+    for i, chosen in expected.items():
+        res = oracle_bucketing(inst, i, prices, eps=eps)
+        assert res.chosen == chosen
+        assert (res.chosen, res.value, res.guesses) == _bucketing_per_sender_loop(inst, i, prices, eps)
 
 
 # ---------------------------------------------------------------------------
