@@ -160,6 +160,8 @@ def cmd_exact(args) -> int:
 
 def cmd_oracle(args) -> int:
     instance = _load_instance(args.instance)
+    if not 0 <= args.agent < instance.n:
+        return _fail(f"--agent {args.agent} is not an agent of this instance (0..{instance.n - 1})")
     try:
         q_map = {int(j): float(v) for j, v in json.loads(args.q).items()}
         prices = DualPrices.from_pairs(instance.n, {

@@ -62,24 +62,13 @@ def is_exactly_coverable(spec: X3CSpec) -> bool:
 def gen_x3c(spec: X3CSpec) -> Instance:
     """The data-exchange instance of the hardness reduction (utilities raw).
 
-    Agents 0..m-1 are p_i, m..2m-1 are q_i, then w, z1, z2.  Receiver->sender
-    pairs: w from each p_i and q_i, each p_i from z1, each q_i from z2, and
-    z1, z2 from w.
+    Agents 0..m-1 are p_i, m..2m-1 are q_i, then w, z1, z2; the permitted
+    pairs are `X3CCoverage.allowed_pairs`.
     """
-    m, k = spec.m, spec.k
-    model = X3CCoverage(m=m, k=k, sets=spec.sets)
-    w, z1, z2 = model.w, model.z1, model.z2
-    allowed = set()
-    for i in range(m):
-        allowed.add((w, i))  # p_i sends to w
-        allowed.add((w, m + i))  # q_i sends to w
-        allowed.add((i, z1))  # z1 sends to p_i
-        allowed.add((m + i, z2))  # z2 sends to q_i
-    allowed.add((z1, w))
-    allowed.add((z2, w))
+    model = X3CCoverage(m=spec.m, k=spec.k, sets=spec.sets)
     return Instance(
-        n=2 * m + 3,
-        allowed=frozenset(allowed),
+        n=2 * spec.m + 3,
+        allowed=model.allowed_pairs(),
         utility=model,
         sharing=SharingRuleSpec(kind="shapley_exact"),
         epsilon=0.01,

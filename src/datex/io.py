@@ -109,7 +109,6 @@ def _utility_to_json(model) -> dict:
             "kind": model.kind,
             "sizes": [[i, j, s] for (i, j), s in sorted(model.sizes.items())],
             "f": [concave_to_json(fi) for fi in model.f],
-            "floor": model.floor,
         }
     raise SchemaError(f"unknown utility model {model!r}")
 
@@ -154,11 +153,11 @@ def _utility_from_json(obj: dict):
             scale=float(obj.get("scale", 1.0)),
         )
     if kind == "continuous_concave":
+        # "floor" is accepted for files written by older versions and ignored
         _require_fields(obj, {"kind", "sizes", "f"}, {"floor"}, "continuous_concave")
         return ContinuousConcave(
             sizes={(int(i), int(j)): float(s) for i, j, s in obj["sizes"]},
             f=tuple(concave_from_json(fo) for fo in obj["f"]),
-            floor=float(obj.get("floor", 1e-6)),
         )
     raise SchemaError(f"unknown utility kind {kind!r}")
 

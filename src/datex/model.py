@@ -277,6 +277,14 @@ class X3CCoverage:
     def z2(self) -> int:
         return 2 * self.m + 2
 
+    def allowed_pairs(self) -> frozenset[tuple[int, int]]:
+        """The construction's (receiver, sender) pairs: w from each p_i and q_i,
+        each p_i from z1, each q_i from z2, and z1, z2 from w."""
+        pairs = {(self.z1, self.w), (self.z2, self.w)}
+        for i in range(self.m):
+            pairs |= {(self.w, i), (self.w, self.m + i), (i, self.z1), (self.m + i, self.z2)}
+        return frozenset(pairs)
+
     def elements_of(self, agent: int) -> frozenset[int]:
         if agent < self.m:  # p_i covers its triple plus dummy i
             return self.sets[agent] | {3 * self.k + agent}
@@ -323,13 +331,10 @@ class ContinuousConcave:
 
     sizes: dict[tuple[int, int], float]
     f: tuple[ConcaveSpec, ...]
-    floor: float = 1e-6  # positivity floor: u from any single full transfer
 
     kind = "continuous_concave"
 
     def __post_init__(self) -> None:
-        if self.floor <= 0:
-            raise ValueError("positivity floor must be > 0")
         for (i, j), s in self.sizes.items():
             if s < 0:
                 raise ValueError(f"size s[{i},{j}] must be non-negative")
@@ -341,9 +346,7 @@ class ContinuousConcave:
         return self.f[i](sum(self.sizes.get((i, j), 0.0) * yj for j, yj in y.items()))
 
     def rescaled(self, divisor: float) -> ContinuousConcave:
-        return ContinuousConcave(
-            dict(self.sizes), tuple(fi.rescaled(divisor) for fi in self.f), self.floor
-        )
+        return ContinuousConcave(dict(self.sizes), tuple(fi.rescaled(divisor) for fi in self.f))
 
 
 UtilityModel = ExplicitTable | SymmetricWeighted | PathVariance | X3CCoverage | ContinuousConcave
@@ -430,6 +433,15 @@ class Instance:
                 raise ValueError(f"path_variance needs one variance and one class per edge "
                                  f"({len(u.edges)}); got {len(u.sigma2)} variances, "
                                  f"{len(u.classes)} classes")
+        elif isinstance(u, X3CCoverage):
+            if self.n != 2 * u.m + 3:
+                raise ValueError(f"x3c_coverage with m = {u.m} sets needs n = {2 * u.m + 3} "
+                                 f"agents; got {self.n}")
+            pairs = u.allowed_pairs()
+            if self.allowed != pairs:
+                extra, missing = sorted(self.allowed - pairs), sorted(pairs - self.allowed)
+                raise ValueError(f"x3c_coverage allows exactly the pairs of the construction; "
+                                 f"extra {extra}, missing {missing}")
 
     @cached_property
     def senders_of(self) -> tuple[tuple[int, ...], ...]:

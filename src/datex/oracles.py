@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
@@ -20,7 +21,7 @@ from .sharing import shares
 
 logger = logging.getLogger(__name__)
 
-SIZE_FIXED_POINT = 10**6  # knapsack capacities compared as 6-digit fixed point
+SIZE_FIXED_POINT = 10**6  # knapsack sizes in units of 1e-6, or finer for smaller sizes
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,17 @@ def oracle_bucketing(instance: Instance, i: int, prices: DualPrices, eps: float 
     return OracleResult(chosen=best_set, value=best_val, guesses=guesses)
 
 
-def _knapsack_fptas(profits: list[float], weights_int: list[int], cap_int: int,
-                    eps: float) -> int:
-    """Profit-scaled knapsack DP; returns a bitmask of the chosen items."""
+def _knapsack_table(profits: list[float], weights_int: list[int],
+                    eps: float) -> tuple[list[float], list[tuple[float, int]]]:
+    """Ibarra-Kim profit-scaled knapsack DP over one item set, answered per capacity.
+
+    Cell t holds the least weight min_w[t] reaching scaled profit t, the
+    bitmask of its items and their true profit, summed in item order.  A
+    capacity admits the cells with min_w[t] <= cap; its answer is the first t
+    with the largest true profit among them.  Returns the admitted weights in
+    ascending order and, per prefix, that answer as (profit, mask), so one
+    bisect_right finds the answer for any capacity.
+    """
     m = len(profits)
     p_max = max(profits)
     scale = eps * p_max / m if p_max > 0 else 1.0
@@ -172,20 +181,25 @@ def _knapsack_fptas(profits: list[float], weights_int: list[int], cap_int: int,
     INF = float("inf")
     min_w: list[float] = [0.0] + [INF] * total
     pick: list[int] = [0] * (total + 1)
+    actual: list[float] = [0] * (total + 1)
     for idx in range(m):
-        w, r = weights_int[idx], rp[idx]
+        w, r, p = weights_int[idx], rp[idx], profits[idx]
         for t in range(total, r - 1, -1):
             cand = min_w[t - r] + w
             if cand < min_w[t]:
                 min_w[t] = cand
                 pick[t] = pick[t - r] | (1 << idx)
-    best_mask, best_profit = 0, -1.0
-    for t in range(total + 1):
-        if min_w[t] <= cap_int:
-            actual = sum(profits[b] for b in range(m) if pick[t] & (1 << b))
-            if actual > best_profit:
-                best_mask, best_profit = pick[t], actual
-    return best_mask
+                actual[t] = actual[t - r] + p
+    cells = sorted((min_w[t], t) for t in range(total + 1) if min_w[t] < INF)
+    caps: list[float] = []
+    answers: list[tuple[float, int]] = []
+    top_p, top_t = -1.0, -1
+    for w, t in cells:
+        if actual[t] > top_p or (actual[t] == top_p and t < top_t):
+            top_p, top_t = actual[t], t
+        caps.append(w)
+        answers.append((top_p, pick[top_t]))
+    return caps, answers
 
 
 def oracle_knapsack(instance: Instance, i: int, prices: DualPrices, eps: float = 0.1) -> OracleResult:
@@ -194,6 +208,8 @@ def oracle_knapsack(instance: Instance, i: int, prices: DualPrices, eps: float =
     For symmetric weighted utilities with proportional sharing (w = s) the
     objective factors as (sum_j Q_ij s_ij) * f_i(D)/D; f(x)/x non-increasing
     lets a (1+eps) grid on D plus an FPTAS knapsack give a (1+eps)^2 factor.
+    The DP of a guess depends on it only through the items that fit, and
+    those sets are nested, so one table per distinct set answers every guess.
     """
     model = instance.utility
     if not isinstance(model, SymmetricWeighted):
@@ -211,8 +227,13 @@ def oracle_knapsack(instance: Instance, i: int, prices: DualPrices, eps: float =
     if not items:
         return OracleResult(chosen=_EMPTY, value=0.0, guesses=0)
 
-    # sizes live on a 6-digit fixed-point grid so capacity comparisons are exact
-    weights_int = [round(s * SIZE_FIXED_POINT) for _, _, s in items]
+    # sizes live on a decimal fixed-point grid so capacity comparisons are
+    # exact; the smallest size is at least one unit, so every guess is positive
+    s_min, unit = min(s for _, _, s in items), SIZE_FIXED_POINT
+    while s_min * unit < 1.0:
+        unit *= 10
+    weights_int = [round(s * unit) for _, _, s in items]
+    profits = [q * s for _, q, s in items]
     total_int = sum(weights_int)
     grid_int = set(weights_int) | {total_int}
     phi = float(min(weights_int))
@@ -220,25 +241,25 @@ def oracle_knapsack(instance: Instance, i: int, prices: DualPrices, eps: float =
         grid_int.add(round(phi))
         phi *= 1.0 + eps
 
+    sorted_w = sorted(weights_int)
+    n_fit = 0
     best_set, best_score = _EMPTY, 0.0
     for cap_int in sorted(grid_int):
-        phi = cap_int / SIZE_FIXED_POINT
-        fit = [idx for idx in range(len(items)) if weights_int[idx] <= cap_int]
-        if not fit:
+        k = bisect_right(sorted_w, cap_int)
+        if k != n_fit:  # fitting sets are nested, so their size names them
+            n_fit = k
+            fit = [idx for idx in range(len(items)) if weights_int[idx] <= cap_int]
+            caps, answers = _knapsack_table(
+                [profits[idx] for idx in fit], [weights_int[idx] for idx in fit], eps
+            )
+        v_phi, mask = answers[bisect_right(caps, cap_int) - 1]
+        if not mask:
             continue
-        mask = _knapsack_fptas(
-            [items[idx][1] * items[idx][2] for idx in fit],
-            [weights_int[idx] for idx in fit],
-            cap_int,
-            eps,
-        )
-        chosen = frozenset(items[fit[b]][0] for b in range(len(fit)) if mask & (1 << b))
-        if not chosen:
-            continue
-        v_phi = sum(items[fit[b]][1] * items[fit[b]][2] for b in range(len(fit)) if mask & (1 << b))
+        phi = cap_int / unit
         score = v_phi * f(phi) / phi
         if score > best_score:
-            best_set, best_score = chosen, score
+            best_set = frozenset(items[fit[b]][0] for b in range(len(fit)) if mask >> b & 1)
+            best_score = score
 
     if not best_set:
         return OracleResult(chosen=_EMPTY, value=0.0, guesses=len(grid_int))

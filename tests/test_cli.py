@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from datex.cli import main
 from datex import io as dio
 
@@ -228,3 +230,40 @@ def test_solve_road_with_missing_path_exits_2(tmp_path, capsys):
                          capsys)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "3 paths" in err
+
+
+@pytest.mark.parametrize("agent", [9, -1])
+def test_oracle_agent_outside_instance_exits_2(tmp_path, capsys, agent):
+    inst = tmp_path / "inst.json"
+    run(["gen", "--kind", "random", "--n", "4", "--senders", "3", "--seed", "3",
+         "--out", str(inst)], capsys)
+    code, out, err = run(["oracle", str(inst), f"--agent={agent}", "--q", '{"1": 1.0}',
+                          "--oracle", "knapsack"], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "--agent" in err
+
+
+def _x3c_file(tmp_path, capsys, edit):
+    inst = tmp_path / "x3c.json"
+    code, _, _ = run(["gen", "--kind", "x3c", "--m", "3", "--k", "1", "--yes", "--seed", "0",
+                      "--out", str(inst)], capsys)
+    assert code == 0
+    obj = json.loads(inst.read_text())
+    edit(obj)
+    inst.write_text(json.dumps(obj))
+    return inst
+
+
+def test_x3c_with_wrong_agent_count_exits_2(tmp_path, capsys):
+    inst = _x3c_file(tmp_path, capsys, lambda obj: obj.update(n=obj["n"] + 1))
+    code, out, err = run(["exact", str(inst), "--out", str(tmp_path / "s.json")], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "needs n = 9" in err
+
+
+def test_x3c_with_extra_pair_exits_2(tmp_path, capsys):
+    # agent 0 (p_0) may receive only from z1; a pair from p_1 is not in the construction
+    inst = _x3c_file(tmp_path, capsys, lambda obj: obj["allowed"].append([0, 1]))
+    code, out, err = run(["exact", str(inst), "--out", str(tmp_path / "s.json")], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "extra [(0, 1)]" in err

@@ -502,3 +502,27 @@ def test_path_variance_lengths_must_match_agents_and_edges(field):
     short = replace(model, **{field: getattr(model, field)[:-1]})
     with pytest.raises(ValueError, match="path_variance needs one"):
         Instance(n=road.n, allowed=road.allowed, utility=short, sharing=road.sharing)
+
+
+def test_continuous_concave_json_ignores_legacy_floor():
+    inst = next(i for i in _five_model_instances() if i.utility.kind == "continuous_concave")
+    obj = dio.instance_to_json(inst)
+    assert set(obj["utility"]) == {"kind", "sizes", "f"}
+    obj["utility"]["floor"] = 1e-6  # written by versions that stored a positivity floor
+    back = dio.instance_from_json(obj)
+    assert back.utility.sizes == inst.utility.sizes and back.utility.f == inst.utility.f
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**31 - 1))
+def test_knapsack_solve_welfare_is_deterministic(n, seed):
+    from datex import MwuConfig, get_oracle, solve_welfare
+    from datex.mwu import practical_eta
+    from datex.instances import gen_random
+
+    inst, _ = normalize_instance(gen_random(n, 3, "symmetric", seed=seed, epsilon=0.1))
+    config = MwuConfig(delta=1.0 / 3.0, max_iters=120, eta_override=practical_eta(n, 120))
+    runs = [solve_welfare(inst, config, get_oracle("knapsack", eps=0.1)) for _ in range(2)]
+    (sol_a, rep_a), (sol_b, rep_b) = runs
+    assert rep_a.welfare == rep_b.welfare
+    assert sol_a.columns == sol_b.columns

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import signal
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from datex import (
     oracle_imbalance,
     oracle_knapsack,
 )
-from datex.oracles import bucketing_alpha, oracle_value
+from datex.oracles import _knapsack_table, bucketing_alpha, oracle_value
 from datex.instances import RoadSpec, gen_random, gen_road, grid_graph
 from datex.model import normalize_instance, utility
 from datex.sharing import shares
@@ -33,13 +35,13 @@ def prices_for(instance, i, values):
     )
 
 
-def sqrt_instance(sizes_by_sender, n=None, floor=None):
+def sqrt_instance(sizes_by_sender, n=None, continuous=False):
     n = n or (max(sizes_by_sender) + 1)
     sizes = {(0, j): s for j, s in sizes_by_sender.items()}
     f = tuple(ConcaveSpec(kind="sqrt") for _ in range(n))
     model = (
-        ContinuousConcave(sizes=sizes, f=f, floor=floor)
-        if floor is not None
+        ContinuousConcave(sizes=sizes, f=f)
+        if continuous
         else SymmetricWeighted(sizes=sizes, f=f)
     )
     return Instance(
@@ -255,6 +257,148 @@ def test_knapsack_ratio_vs_bruteforce():
         assert res.value >= brute.value / (1 + eps) ** 2 - 1e-9
 
 
+def _per_guess_fptas(profits, weights_int, cap_int, eps):
+    """The profit-scaled DP as it ran once per capacity guess; a bitmask."""
+    m = len(profits)
+    p_max = max(profits)
+    scale = eps * p_max / m if p_max > 0 else 1.0
+    rp = [int(p // scale) for p in profits]
+    total = sum(rp)
+    min_w = [0.0] + [float("inf")] * total
+    pick = [0] * (total + 1)
+    for idx in range(m):
+        w, r = weights_int[idx], rp[idx]
+        for t in range(total, r - 1, -1):
+            cand = min_w[t - r] + w
+            if cand < min_w[t]:
+                min_w[t] = cand
+                pick[t] = pick[t - r] | (1 << idx)
+    best_mask, best_profit = 0, -1.0
+    for t in range(total + 1):
+        if min_w[t] <= cap_int:
+            actual = sum(profits[b] for b in range(m) if pick[t] & (1 << b))
+            if actual > best_profit:
+                best_mask, best_profit = pick[t], actual
+    return best_mask
+
+
+def _per_guess_knapsack(instance, i, prices, eps):
+    """Reference: one DP per capacity guess on the 1e-6 size grid."""
+    model = instance.utility
+    f = model.f[i]
+    items = [(j, prices.q(i, j), model.sizes.get((i, j), 0.0)) for j in instance.senders_of[i]]
+    items = [(j, q, s) for j, q, s in items if q > 0.0 and s > 0.0]
+    if not items:
+        return frozenset(), 0.0, 0
+    weights_int = [round(s * 10**6) for _, _, s in items]
+    total_int = sum(weights_int)
+    grid_int = set(weights_int) | {total_int}
+    phi = float(min(weights_int))
+    while phi < total_int:
+        grid_int.add(round(phi))
+        phi *= 1.0 + eps
+    best_set, best_score = frozenset(), 0.0
+    for cap_int in sorted(grid_int):
+        phi = cap_int / 10**6
+        fit = [idx for idx in range(len(items)) if weights_int[idx] <= cap_int]
+        if not fit:
+            continue
+        mask = _per_guess_fptas([items[idx][1] * items[idx][2] for idx in fit],
+                                [weights_int[idx] for idx in fit], cap_int, eps)
+        chosen = frozenset(items[fit[b]][0] for b in range(len(fit)) if mask & (1 << b))
+        if not chosen:
+            continue
+        v_phi = sum(items[fit[b]][1] * items[fit[b]][2] for b in range(len(fit)) if mask & (1 << b))
+        score = v_phi * f(phi) / phi
+        if score > best_score:
+            best_set, best_score = chosen, score
+    if not best_set:
+        return frozenset(), 0.0, len(grid_int)
+    return best_set, oracle_value(instance, i, prices, best_set), len(grid_int)
+
+
+def _with_sizes(instance, sizes):
+    return Instance(
+        n=instance.n, allowed=instance.allowed,
+        utility=SymmetricWeighted(sizes=sizes, f=instance.utility.f),
+        sharing=instance.sharing,
+    )
+
+
+def test_knapsack_matches_per_guess_dp_bit_for_bit():
+    """240 draws over n in 2..8: random, equal and few-valued sizes; prices that
+    scale to rp = 0 next to a large one; exact zeros and negatives; dyadic sizes
+    and prices, whose exact profit ties test the first-t-among-maxima rule."""
+    rng = np.random.default_rng(44)
+    kinds = ("random", "equal_sizes", "two_sizes", "zero_rp", "zero_and_negative", "dyadic")
+    for trial in range(240):
+        kind = kinds[trial % len(kinds)]
+        n = int(rng.integers(2, 9))
+        inst = gen_random(n, n - 1, "symmetric", seed=4400 + trial)
+        if kind == "equal_sizes":
+            inst = _with_sizes(inst, {pair: 0.5 for pair in inst.utility.sizes})
+        elif kind in ("two_sizes", "dyadic"):
+            inst = _with_sizes(inst, {pair: float(rng.choice([0.25, 0.5, 0.75]))
+                                      for pair in sorted(inst.utility.sizes)})
+        i = int(rng.integers(0, n))
+        senders = inst.senders_of[i]
+        q = {j: float(rng.normal()) for j in senders}
+        if kind == "zero_rp":
+            q = {j: abs(v) * 10.0 ** float(rng.uniform(-5.0, 0.0)) for j, v in q.items()}
+            q[senders[0]] = 1.0
+        elif kind == "zero_and_negative":
+            q = {j: (0.0 if rng.random() < 0.4 else v) for j, v in q.items()}
+        elif kind == "dyadic":
+            q = {j: float(rng.choice([0.25, 0.5, 1.0, 2.0])) for j in senders}
+        eps = float(rng.choice([0.05, 0.1, 0.3, 0.5]))
+        prices = prices_for(inst, i, q)
+        res = oracle_knapsack(inst, i, prices, eps=eps)
+        assert (res.chosen, res.value, res.guesses) == _per_guess_knapsack(inst, i, prices, eps), trial
+
+
+def test_knapsack_table_answers_every_capacity_like_per_guess_dp():
+    """At every capacity the table's answer is the per-guess DP's mask.
+
+    Dyadic profits tie exactly, and a tied maximum must resolve to the cell
+    with the smallest scaled profit, as the ascending per-guess scan did.
+    """
+    rng = np.random.default_rng(46)
+    for trial in range(300):
+        m = int(rng.integers(1, 8))
+        profits = [float(rng.integers(1, 17)) / 16 for _ in range(m)]
+        weights = [int(rng.integers(1, 9)) for _ in range(m)]
+        eps = float(rng.choice([0.05, 0.1, 0.25, 0.4, 0.5]))
+        caps, answers = _knapsack_table(profits, weights, eps)
+        for cap in range(sum(weights) + 1):
+            _, mask = answers[bisect_right(caps, cap) - 1]
+            assert mask == _per_guess_fptas(profits, weights, cap, eps), (trial, cap)
+
+
+def test_knapsack_size_below_fixed_point_unit_terminates():
+    """A size below half of 1e-6 (weight 0 on the 1e-6 grid) must not stall the
+    capacity-guess grid, and the result keeps the (1+eps)^2 bound."""
+    raw = gen_random(3, 2, "symmetric", seed=1)
+    inst = _with_sizes(raw, {**raw.utility.sizes, (0, 2): 1e-7})
+    eps = 0.1
+    rng = np.random.default_rng(45)
+    draws = [{1: 1.0, 2: 1.0}] + [{j: float(rng.normal()) for j in (1, 2)} for _ in range(30)]
+
+    def timeout(signum, frame):
+        raise TimeoutError("knapsack oracle did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        for q in draws:
+            prices = prices_for(inst, 0, q)
+            res = oracle_knapsack(inst, 0, prices, eps=eps)
+            brute = oracle_bruteforce(inst, 0, prices)
+            assert res.value >= brute.value / (1 + eps) ** 2 - 1e-12, q
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # ---------------------------------------------------------------------------
 # Continuous oracle
 # ---------------------------------------------------------------------------
@@ -279,20 +423,20 @@ def grid_oracle_2d(instance, i, q, res=1e-3):
 
 
 def test_continuous_all_negative():
-    inst = sqrt_instance({1: 1.0, 2: 1.0}, n=3, floor=1e-6)
+    inst = sqrt_instance({1: 1.0, 2: 1.0}, n=3, continuous=True)
     res = oracle_continuous(inst, 0, prices_for(inst, 0, {1: -1.0, 2: -2.0}))
     assert res.value == 0.0 and not res.y
 
 
 def test_continuous_two_positive():
-    inst = sqrt_instance({1: 1.0, 2: 1.0}, n=3, floor=1e-6)
+    inst = sqrt_instance({1: 1.0, 2: 1.0}, n=3, continuous=True)
     res = oracle_continuous(inst, 0, prices_for(inst, 0, {1: 1.0, 2: 1.0}), eps=0.01)
     assert res.y == {1: 1.0, 2: 1.0}
     assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
 def test_continuous_negative_sender_excluded():
-    inst = sqrt_instance({1: 1.0, 2: 1.0}, n=3, floor=1e-6)
+    inst = sqrt_instance({1: 1.0, 2: 1.0}, n=3, continuous=True)
     res = oracle_continuous(inst, 0, prices_for(inst, 0, {1: 1.0, 2: -5.0}), eps=0.01)
     assert res.y == {1: 1.0}
     assert res.value == pytest.approx(1.0, abs=1e-9)
@@ -303,7 +447,7 @@ def test_continuous_vs_grid_oracle():
     eps = 0.05
     for trial in range(10):
         sizes = {1: float(rng.uniform(0.2, 1.5)), 2: float(rng.uniform(0.2, 1.5))}
-        inst = sqrt_instance(sizes, n=3, floor=1e-6)
+        inst = sqrt_instance(sizes, n=3, continuous=True)
         q = {1: float(rng.normal()), 2: float(rng.normal())}
         res = oracle_continuous(inst, 0, prices_for(inst, 0, q), eps=eps)
         grid = grid_oracle_2d(inst, 0, q)
