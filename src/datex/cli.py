@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from . import io
 from .exact import exact_core_audit, exact_welfare_lp
@@ -24,7 +25,7 @@ from .instances import (
 )
 from .model import Instance, SharingRuleSpec, evaluate, normalize_instance
 from .mwu import MwuConfig, practical_eta, solve_welfare
-from .oracles import DualPrices, get_oracle
+from .oracles import ORACLES, DualPrices, get_oracle
 from .stability import (
     check_2_stability,
     greedy_cycle_canceling,
@@ -102,38 +103,24 @@ def _sharing_override(name: str, m: int, seed: int) -> SharingRuleSpec:
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
-    if args.epsilon is not None or args.sharing is not None:
-        sharing = instance.sharing
+    try:
+        if args.epsilon is not None:
+            instance = replace(instance, epsilon=args.epsilon)
         if args.sharing is not None:
-            sharing = _sharing_override(args.sharing, args.sharing_m, args.seed)
-        try:
-            instance = Instance(
-                n=instance.n, allowed=instance.allowed, utility=instance.utility,
-                sharing=sharing,
-                epsilon=instance.epsilon if args.epsilon is None else args.epsilon,
-                seed=instance.seed,
-            )
-        except ValueError as exc:
-            return _fail(str(exc))
-    try:
+            instance = replace(instance, sharing=_sharing_override(
+                args.sharing, args.sharing_m, args.seed))
         instance, scale = normalize_instance(instance)
-    except ValueError as exc:
-        return _fail(str(exc))
-    oracle = get_oracle(args.oracle, eps=args.oracle_eps)
-    eta = args.eta
-    if eta is None and args.max_iters <= 20000:
-        eta = practical_eta(instance.n, args.max_iters)
-    config = MwuConfig(delta=args.delta, max_iters=args.max_iters, eta_override=eta)
-    try:
+        oracle = get_oracle(args.oracle, eps=args.oracle_eps)
+        eta = args.eta
+        if eta is None and args.max_iters <= 20000:
+            eta = practical_eta(instance.n, args.max_iters)
+        config = MwuConfig(delta=args.delta, max_iters=args.max_iters, eta_override=eta)
         solution, report = solve_welfare(instance, config, oracle)
     except ValueError as exc:
         return _fail(str(exc))
     if args.trace:
-        from .mwu import run_mwu
-
-        run = run_mwu(instance, max(report.best_B, instance.epsilon), config, oracle, trace=True)
         with open(args.trace, "w", encoding="utf-8") as fh:
-            for row in run.trace:
+            for row in report.trace:
                 fh.write(json.dumps(row) + "\n")
     io.dump_solution(solution, args.out)
     payload = io.report_to_json(report)
@@ -313,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the MWU welfare solver")
     p.add_argument("instance")
-    p.add_argument("--oracle", choices=["bruteforce", "bucketing", "knapsack", "continuous"],
-                   default="bucketing")
+    p.add_argument("--oracle", choices=list(ORACLES), default="bucketing")
     p.add_argument("--oracle-eps", type=float, default=0.1)
     p.add_argument("--epsilon", type=float, default=None, help="override balance slack")
     p.add_argument("--sharing", choices=SHARING_CHOICES, default=None,
@@ -340,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", type=int, required=True)
     p.add_argument("--q", required=True,
                    help='JSON map sender -> price, e.g. \'{"1": 0.5}\'; unlisted senders get 0')
-    p.add_argument("--oracle", choices=["bruteforce", "bucketing", "knapsack", "continuous"],
-                   default="bruteforce")
+    p.add_argument("--oracle", choices=list(ORACLES), default="bruteforce")
     p.add_argument("--oracle-eps", type=float, default=0.1)
     p.set_defaults(fn=cmd_oracle)
 

@@ -79,7 +79,7 @@ def _utility_to_json(model) -> dict:
                 for i, (send, vals) in enumerate(zip(model.senders, model.values))
             ],
         }
-    if isinstance(model, SymmetricWeighted):
+    if isinstance(model, (SymmetricWeighted, ContinuousConcave)):
         return {
             "kind": model.kind,
             "sizes": [[i, j, s] for (i, j), s in sorted(model.sizes.items())],
@@ -104,12 +104,6 @@ def _utility_to_json(model) -> dict:
             "sets": [sorted(s) for s in model.sets],
             "scale": model.scale,
         }
-    if isinstance(model, ContinuousConcave):
-        return {
-            "kind": model.kind,
-            "sizes": [[i, j, s] for (i, j), s in sorted(model.sizes.items())],
-            "f": [concave_to_json(fi) for fi in model.f],
-        }
     raise SchemaError(f"unknown utility model {model!r}")
 
 
@@ -124,9 +118,12 @@ def _utility_from_json(obj: dict):
             senders=tuple(tuple(t["senders"]) for t in tables),
             values=tuple(np.asarray(t["values"], dtype=float) for t in tables),
         )
-    if kind == "symmetric_weighted":
-        _require_fields(obj, {"kind", "sizes", "f"}, set(), "symmetric_weighted")
-        return SymmetricWeighted(
+    if kind in ("symmetric_weighted", "continuous_concave"):
+        # "floor" is accepted in continuous_concave files written by older versions and ignored
+        legacy = {"floor"} if kind == "continuous_concave" else set()
+        _require_fields(obj, {"kind", "sizes", "f"}, legacy, kind)
+        cls = SymmetricWeighted if kind == "symmetric_weighted" else ContinuousConcave
+        return cls(
             sizes={(int(i), int(j)): float(s) for i, j, s in obj["sizes"]},
             f=tuple(concave_from_json(fo) for fo in obj["f"]),
         )
@@ -151,13 +148,6 @@ def _utility_from_json(obj: dict):
             k=int(obj["k"]),
             sets=tuple(frozenset(int(e) for e in s) for s in obj["sets"]),
             scale=float(obj.get("scale", 1.0)),
-        )
-    if kind == "continuous_concave":
-        # "floor" is accepted for files written by older versions and ignored
-        _require_fields(obj, {"kind", "sizes", "f"}, {"floor"}, "continuous_concave")
-        return ContinuousConcave(
-            sizes={(int(i), int(j)): float(s) for i, j, s in obj["sizes"]},
-            f=tuple(concave_from_json(fo) for fo in obj["f"]),
         )
     raise SchemaError(f"unknown utility kind {kind!r}")
 

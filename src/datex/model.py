@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -119,7 +119,7 @@ class ExplicitTable:
                 raise ValueError(f"agent {i}: table must cover all {1 << k} subsets")
             if abs(vals[0]) > EQ_TOL:
                 raise ValueError(f"agent {i}: u(empty set) must be 0")
-            if np.any(vals < -EQ_TOL) or np.any(vals > 1.0 + EQ_TOL):
+            if not np.all((vals >= -EQ_TOL) & (vals <= 1.0 + EQ_TOL)):  # rejects NaN too
                 raise ValueError(f"agent {i}: utilities must lie in [0, 1]")
             for b in range(k):
                 # pairs[:, 1] are the masks with bit b set, pairs[:, 0] the same without it
@@ -144,6 +144,12 @@ class ExplicitTable:
         return ExplicitTable(self.senders, tuple(v / divisor for v in self.values))
 
 
+def _check_sizes(sizes: Mapping[tuple[int, int], float]) -> None:
+    for (i, j), s in sizes.items():
+        if not 0.0 <= s < math.inf:  # also false for NaN
+            raise ValueError(f"size s[{i},{j}] must be finite and non-negative; got {s}")
+
+
 @dataclass(eq=False)
 class SymmetricWeighted:
     """u_i(S) = f_i(sum of data sizes s_ij over j in S) with f_i concave."""
@@ -154,9 +160,7 @@ class SymmetricWeighted:
     kind = "symmetric_weighted"
 
     def __post_init__(self) -> None:
-        for (i, j), s in self.sizes.items():
-            if s < 0:
-                raise ValueError(f"size s[{i},{j}] must be non-negative")
+        _check_sizes(self.sizes)
 
     def total_size(self, i: int, subset: frozenset[int]) -> float:
         return sum(self.sizes.get((i, j), 0.0) for j in subset)
@@ -189,7 +193,7 @@ class PathVariance:
     kind = "path_variance"
 
     def __post_init__(self) -> None:
-        if np.any(self.sigma2 < 0) or np.any(self.sigma2 > 1 + EQ_TOL):
+        if not np.all((self.sigma2 >= 0) & (self.sigma2 <= 1 + EQ_TOL)):  # rejects NaN too
             raise ValueError("edge variances must lie in [0, 1]")
         if np.any(self.z < 1):
             raise ValueError("sample counts must be >= 1")
@@ -335,9 +339,7 @@ class ContinuousConcave:
     kind = "continuous_concave"
 
     def __post_init__(self) -> None:
-        for (i, j), s in self.sizes.items():
-            if s < 0:
-                raise ValueError(f"size s[{i},{j}] must be non-negative")
+        _check_sizes(self.sizes)
 
     def value(self, i: int, subset: frozenset[int]) -> float:
         return self.f[i](sum(self.sizes.get((i, j), 0.0) for j in subset))
@@ -492,17 +494,7 @@ def normalize_instance(instance: Instance) -> tuple[Instance, float]:
         raise DegenerateInstanceError("degenerate instance: all utilities are zero")
     if abs(peak - 1.0) <= EQ_TOL:
         return instance, 1.0
-    return (
-        Instance(
-            n=instance.n,
-            allowed=instance.allowed,
-            utility=instance.utility.rescaled(peak),
-            sharing=instance.sharing,
-            epsilon=instance.epsilon,
-            seed=instance.seed,
-        ),
-        peak,
-    )
+    return replace(instance, utility=instance.utility.rescaled(peak)), peak
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +614,7 @@ class SolveReport:
     best_B: float
     guarantee: float = 0.0  # certified welfare lower bound, when a solver ran
     caveats: list[str] = field(default_factory=list)
+    trace: list[dict] = field(default_factory=list)  # MWU rows of every probe, in probe order
 
 
 def evaluate(instance: Instance, solution: ExchangeSolution,

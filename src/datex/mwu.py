@@ -39,15 +39,13 @@ class ImbalanceSpec:
 
 @dataclass
 class MwuConfig:
-    """Solver knobs.
+    """Solver knobs; the balance slack eps is always the instance epsilon.
 
-    eps (balance slack) defaults to the instance epsilon; delta is the
-    welfare-grid ratio (<= 1/3); max_iters caps the theoretical iteration
-    count T = 32 n^2 alpha^2 ln(n) / eps^2; eta_override replaces the
-    theoretical learning rate eps / (4 n alpha).
+    delta is the welfare-grid ratio (<= 1/3); max_iters caps the theoretical
+    iteration count T = 32 n^2 alpha^2 ln(n) / eps^2; eta_override replaces
+    the theoretical learning rate eps / (4 n alpha).
     """
 
-    eps: float | None = None
     delta: float = 1.0 / 3.0
     max_iters: int = 20000
     eta_override: float | None = None
@@ -55,15 +53,10 @@ class MwuConfig:
     imbalance: ImbalanceSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.eps is not None and not (0.0 < self.eps < 1.0):
-            raise ValueError("eps must lie in (0, 1)")
         if not (0.0 < self.delta <= 1.0 / 3.0):
             raise ValueError("delta must lie in (0, 1/3]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-
-    def resolved_eps(self, instance: Instance) -> float:
-        return instance.epsilon if self.eps is None else self.eps
 
 
 def practical_eta(n: int, iters: int) -> float:
@@ -121,11 +114,14 @@ def _averaged_solution(instance: Instance, counts: dict, t: int,
     return ExchangeSolution(n=instance.n, columns=cols, deltas=deltas, gammas=gammas)
 
 
-def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec,
-            trace: bool = False) -> MwuRun:
-    """One feasibility run of the weight-update loop at welfare target B."""
+def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec) -> MwuRun:
+    """One feasibility run of the weight-update loop at welfare target B.
+
+    The run's trace holds one row per iteration; an infeasible iteration ends
+    it with a row whose max_residual is NaN.
+    """
     n = instance.n
-    eps = config.resolved_eps(instance)
+    eps = instance.epsilon
     if B < eps - EQ_TOL:
         raise ValueError("welfare targets below eps are never needed (OPT >= eps)")
     alpha = oracle.alpha(instance)
@@ -189,9 +185,8 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec,
         if oracle_total < threshold:
             feasible = False
             t_done = t - 1
-            if trace:
-                rows.append({"t": t, "B": B, "pb_threshold": threshold,
-                             "oracle_value": oracle_total, "max_residual": float("nan")})
+            rows.append({"t": t, "B": B, "pb_threshold": threshold,
+                         "oracle_value": oracle_total, "max_residual": float("nan")})
             break
 
         # m = (A x - b/alpha) / rho for the 2n+1 rows
@@ -219,10 +214,9 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec,
             gamma_sum += gamma
         t_done = t
 
-        if trace:
-            rows.append({"t": t, "B": B, "pb_threshold": threshold,
-                         "oracle_value": oracle_total,
-                         "max_residual": float(np.max(np.abs(balance)))})
+        rows.append({"t": t, "B": B, "pb_threshold": threshold,
+                     "oracle_value": oracle_total,
+                     "max_residual": float(np.max(np.abs(balance)))})
 
         if t % config.check_every == 0 or t == iters:
             avg = _averaged_solution(instance, counts, t, delta_sum, gamma_sum)
@@ -233,7 +227,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec,
                 break
             # the raw average converges slowly at desk scale; the exact LP over
             # the generated columns certifies the same feasibility level early
-            if abs(eps - instance.epsilon) <= EQ_TOL and avg.column_count() <= 5000:
+            if avg.column_count() <= 5000:
                 cleaned = sparsify(instance, avg)
                 rep_c = evaluate(instance, cleaned)
                 if rep_c.feasible and rep_c.welfare >= target:
@@ -295,7 +289,7 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
     its residuals are within epsilon by construction.
     """
     n = instance.n
-    eps = config.resolved_eps(instance)
+    eps = instance.epsilon
     peak = max((utility(instance, i, instance.full_set(i)) for i in range(n)), default=0.0)
     if peak <= 0.0:
         report = evaluate(instance, ExchangeSolution.empty(n))
@@ -310,12 +304,14 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
     grid = [eps * (1.0 + config.delta) ** k for k in range(grid_len)]
 
     total_iters = 0
+    trace: list[dict] = []
     best: tuple[float, MwuRun] | None = None
 
     def probe(k: int) -> bool:
         nonlocal total_iters, best
         run = run_mwu(instance, grid[k], config, oracle)
         total_iters += run.iterations
+        trace.extend(run.trace)
         if run.feasible and run.solution is not None:
             if best is None or grid[k] > best[0]:
                 best = (grid[k], run)
@@ -324,6 +320,7 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
 
     if not probe(0):
         report = evaluate(instance, ExchangeSolution.empty(n), iterations=total_iters)
+        report.trace = trace
         report.caveats.append(
             "MWU declared every welfare target infeasible (one-sided test); no solution"
         )
@@ -359,6 +356,7 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
         solution = sparsify(instance, solution)
     report = evaluate(instance, solution, iterations=total_iters, best_B=best_b)
     report.guarantee = best_b / (2.0 * alpha * (1.0 + 3.0 * config.delta))
+    report.trace = trace
     if not best_run.certified:
         report.caveats.append(
             "iteration cap reached before the running average certified the target"

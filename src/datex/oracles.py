@@ -7,7 +7,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -108,8 +108,7 @@ def oracle_bucketing(instance: Instance, i: int, prices: DualPrices, eps: float 
     returned value is never below (max_j Q_ij u_ij), which at this scale
     dominates 1/alpha_hat of the exact optimum.
     """
-    if not (0.0 < eps < 0.5):
-        raise ValueError("eps must lie in (0, 1/2)")
+    check_oracle_eps("bucketing", eps)
     if instance.sharing.kind == "proportional":
         raise ValueError("bucketing oracle needs a cross-monotone sharing rule")
     if instance.sharing.kind == "shapley_sampled":
@@ -216,8 +215,7 @@ def oracle_knapsack(instance: Instance, i: int, prices: DualPrices, eps: float =
         raise ValueError("knapsack oracle needs the symmetric weighted model")
     if instance.sharing.kind != "proportional" or instance.sharing.weights != "size":
         raise ValueError("knapsack oracle needs proportional sharing with w = s")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
+    check_oracle_eps("knapsack", eps)
     f = model.f[i]
     items = [
         (j, prices.q(i, j), model.sizes.get((i, j), 0.0))
@@ -279,6 +277,7 @@ def oracle_continuous(instance: Instance, i: int, prices: DualPrices, eps: float
         raise ValueError("unsupported concave family: continuous oracle needs scalar-volume utilities")
     if instance.sharing.kind != "proportional" or instance.sharing.weights != "size":
         raise ValueError("continuous oracle needs proportional sharing with w = s")
+    check_oracle_eps("continuous", eps)
     f = model.f[i]
     items = [
         (j, prices.q(i, j), model.sizes.get((i, j), 0.0))
@@ -408,33 +407,50 @@ def oracle_imbalance(p: np.ndarray, r: np.ndarray, C: float, C_prime: float,
 
 
 @dataclass(frozen=True)
+class OracleKind:
+    """A registry entry: the oracle function's name in this module, its
+    approximation factor alpha(n, eps) and the open upper end of its eps range."""
+
+    fn_name: str
+    alpha: Callable[[int, float], float]
+    eps_max: float
+
+
+ORACLES: dict[str, OracleKind] = {
+    "bruteforce": OracleKind("oracle_bruteforce", lambda n, eps: 1.0, 1.0),
+    "bucketing": OracleKind("oracle_bucketing", bucketing_alpha, 0.5),
+    "knapsack": OracleKind("oracle_knapsack", lambda n, eps: (1.0 + eps) ** 2, 1.0),
+    "continuous": OracleKind("oracle_continuous", lambda n, eps: 1.0 + eps, 1.0),
+}
+
+# Below this eps the (1+eps) guess grids of the knapsack and continuous oracles
+# grow to seconds per call; once 1 + eps == 1 they never end.
+ORACLE_EPS_MIN = 1e-4
+
+
+def check_oracle_eps(name: str, eps: float) -> None:
+    """Reject an eps outside [ORACLE_EPS_MIN, eps_max) of the named oracle."""
+    hi = ORACLES[name].eps_max
+    if not ORACLE_EPS_MIN <= eps < hi:
+        raise ValueError(f"{name} oracle eps must lie in [{ORACLE_EPS_MIN:g}, {hi:g}); got {eps!r}")
+
+
+@dataclass(frozen=True)
 class OracleSpec:
     name: str
     fn: object = field(repr=False)
     eps: float = 0.1
 
     def alpha(self, instance: Instance) -> float:
-        if self.name == "bruteforce":
-            return 1.0
-        if self.name == "bucketing":
-            return bucketing_alpha(instance.n, self.eps)
-        if self.name == "knapsack":
-            return (1.0 + self.eps) ** 2
-        if self.name == "continuous":
-            return 1.0 + self.eps
-        raise ValueError(f"unknown oracle {self.name!r}")
+        return ORACLES[self.name].alpha(instance.n, self.eps)
 
     def __call__(self, instance: Instance, i: int, prices: DualPrices) -> OracleResult:
         return self.fn(instance, i, prices, self.eps)  # type: ignore[operator]
 
 
 def get_oracle(name: str, eps: float = 0.1) -> OracleSpec:
-    table = {
-        "bruteforce": oracle_bruteforce,
-        "bucketing": oracle_bucketing,
-        "knapsack": oracle_knapsack,
-        "continuous": oracle_continuous,
-    }
-    if name not in table:
+    if name not in ORACLES:
         raise ValueError(f"unknown oracle {name!r}")
-    return OracleSpec(name=name, fn=table[name], eps=eps)
+    check_oracle_eps(name, eps)
+    # looked up per call, so a rebound module attribute (a tracing wrapper) is used
+    return OracleSpec(name=name, fn=globals()[ORACLES[name].fn_name], eps=eps)

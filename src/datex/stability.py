@@ -325,10 +325,7 @@ def apply_misreport(instance: Instance, mis: Misreport) -> Instance:
             new_model = replace(model, sizes=sizes)
         else:
             raise ValueError(f"misreports are not modeled for {model.kind}")
-    return Instance(
-        n=instance.n, allowed=instance.allowed, utility=new_model,
-        sharing=instance.sharing, epsilon=instance.epsilon, seed=instance.seed,
-    )
+    return replace(instance, utility=new_model)
 
 
 def _perceived_utility(reported: Instance, solution: ExchangeSolution, agent: int) -> float:

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import signal
+from contextlib import contextmanager
 
 import pytest
 
+from datex import MwuConfig, get_oracle, normalize_instance
+from datex import mwu
 from datex.cli import main
 from datex import io as dio
+from datex.mwu import practical_eta, run_mwu
 
 
 def run(argv, capsys):
@@ -267,3 +274,127 @@ def test_x3c_with_extra_pair_exits_2(tmp_path, capsys):
     code, out, err = run(["exact", str(inst), "--out", str(tmp_path / "s.json")], capsys)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "extra [(0, 1)]" in err
+
+
+def test_solve_trace_holds_every_probe(tmp_path, capsys, monkeypatch):
+    # the trace is written from the solve itself: one row per iteration of every probe
+    inst = tmp_path / "inst.json"
+    run(["gen", "--kind", "random", "--n", "4", "--senders", "3", "--seed", "3",
+         "--out", str(inst)], capsys)
+    solve = ["solve", str(inst), "--oracle", "knapsack", "--max-iters", "80"]
+    probed: list[float] = []
+
+    def recording_run_mwu(instance, B, config, oracle):
+        probed.append(B)
+        return run_mwu(instance, B, config, oracle)
+
+    monkeypatch.setattr(mwu, "run_mwu", recording_run_mwu)
+    code, _, _ = run(solve + ["--trace", str(tmp_path / "trace.jsonl"), "--out",
+                              str(tmp_path / "s.json"), "--report", str(tmp_path / "r.json")],
+                     capsys)
+    monkeypatch.undo()
+    assert code == 0
+    lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    blocks = [b for b, _ in itertools.groupby(row["B"] for row in rows)]
+    assert len(probed) > 2 and blocks == probed  # contiguous, in probe order, one per probe
+
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert sum(not math.isnan(row["max_residual"]) for row in rows) == report["iterations"]
+
+    instance, _ = normalize_instance(dio.load_instance(str(inst)))
+    config = MwuConfig(max_iters=80, eta_override=practical_eta(instance.n, 80))
+    best = run_mwu(instance, report["best_B"], config, get_oracle("knapsack", eps=0.1))
+    assert [line for line, row in zip(lines, rows) if row["B"] == report["best_B"]] == [
+        json.dumps(row) for row in best.trace
+    ]
+
+    code, _, _ = run(solve + ["--out", str(tmp_path / "s0.json"), "--report",
+                              str(tmp_path / "r0.json")], capsys)
+    assert code == 0
+    assert (tmp_path / "s.json").read_bytes() == (tmp_path / "s0.json").read_bytes()
+    assert (tmp_path / "r.json").read_bytes() == (tmp_path / "r0.json").read_bytes()
+
+
+@contextmanager
+def time_limit(seconds: int):
+    def timeout(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+GEN_FOR_MODEL = {
+    "symmetric_weighted": ["--kind", "random", "--n", "4", "--model", "symmetric"],
+    "continuous_concave": ["--kind", "random", "--n", "4", "--model", "symmetric"],
+    "explicit_table": ["--kind", "random", "--n", "4", "--model", "table"],
+    "path_variance": ["--kind", "road", "--grid", "5x5", "--agents", "4", "--radius", "3"],
+}
+SYM, CONT = "symmetric_weighted", "continuous_concave"
+Q = '{"1": 1.0, "2": 0.5, "3": 0.3}'
+
+
+def _instance_file(tmp_path, capsys, model, path=(), value=None):
+    """A generated 4-agent instance of `model`, with utility[path] set to value."""
+    inst = tmp_path / "inst.json"
+    code, _, _ = run(["gen", *GEN_FOR_MODEL[model], "--seed", "1", "--out", str(inst)], capsys)
+    assert code == 0
+    obj = json.loads(inst.read_text())
+    obj["utility"]["kind"] = model  # continuous_concave shares the symmetric schema
+    if path:
+        *keys, last = path
+        target = obj["utility"]
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    inst.write_text(json.dumps(obj))
+    return inst
+
+
+def _cli_args(command, inst, tmp_path):
+    argv = [command[0], str(inst), *command[1:]]
+    if command[0] == "oracle":
+        return argv + ["--agent", "0", "--q", Q]
+    argv += ["--out", str(tmp_path / "s.json")]
+    return argv + ["--report", str(tmp_path / "r.json")] if command[0] == "solve" else argv
+
+
+@pytest.mark.parametrize("model, command, message", [
+    (SYM, ["solve", "--delta", "0.9"], "delta must lie in (0, 1/3]"),
+    (SYM, ["solve", "--max-iters", "0"], "max_iters must be >= 1"),
+    (SYM, ["solve", "--oracle", "knapsack", "--oracle-eps", "-1"], "knapsack oracle eps"),
+    (CONT, ["oracle", "--oracle", "continuous", "--oracle-eps", "-0.5"], "continuous oracle eps"),
+    (CONT, ["oracle", "--oracle", "continuous", "--oracle-eps", "5"], "continuous oracle eps"),
+    (CONT, ["oracle", "--oracle", "continuous", "--oracle-eps", "1e-17"], "continuous oracle eps"),
+    (CONT, ["oracle", "--oracle", "continuous", "--oracle-eps", "1e-12"], "continuous oracle eps"),
+    (SYM, ["oracle", "--oracle", "knapsack", "--oracle-eps", "1e-17"], "knapsack oracle eps"),
+    (SYM, ["oracle", "--oracle", "knapsack", "--oracle-eps", "1e-12"], "knapsack oracle eps"),
+    (SYM, ["oracle", "--oracle", "bucketing", "--oracle-eps", "0.5"], "bucketing oracle eps"),
+])
+def test_out_of_range_solver_option_exits_2(tmp_path, capsys, model, command, message):
+    inst = _instance_file(tmp_path, capsys, model)
+    with time_limit(10):  # tiny or negative eps used to loop forever in the guess grids
+        code, out, err = run(_cli_args(command, inst, tmp_path), capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("model, path, value, command", [
+    (SYM, ("sizes", 0, 2), math.inf, ["oracle", "--oracle", "knapsack"]),
+    (SYM, ("sizes", 0, 2), math.nan, ["stability"]),
+    (CONT, ("sizes", 0, 2), math.inf, ["oracle", "--oracle", "continuous"]),
+    ("explicit_table", ("tables", 0, "values", 1), math.nan, ["exact"]),
+    ("path_variance", ("sigma2", 0), math.nan, ["solve"]),
+])
+def test_non_finite_utility_input_exits_2(tmp_path, capsys, model, path, value, command):
+    inst = _instance_file(tmp_path, capsys, model, path, value)
+    with time_limit(10):  # an infinite size sent the continuous oracle into an endless loop
+        code, out, err = run(_cli_args(command, inst, tmp_path), capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "bad instance file" in err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from datex import (
     utility,
 )
 from datex.mwu import practical_eta, run_mwu, width
+from datex.oracles import OracleResult, OracleSpec
 from datex.sharing import shares
 from datex.exact import exact_welfare_lp
 from datex.instances import gen_random, gen_x3c, make_x3c_yes
@@ -126,10 +128,23 @@ def test_single_agent_infeasible():
 
 def test_width_audit_and_regret_fields(two_agent_symmetric):
     inst, _ = normalize_instance(two_agent_symmetric)
-    run = run_mwu(inst, 0.5, small_config(2, 200), get_oracle("bruteforce"), trace=True)
+    run = run_mwu(inst, 0.5, small_config(2, 200), get_oracle("bruteforce"))
     assert run.regret_lhs <= run.regret_rhs_min + 1e-6
     assert run.trace and {"t", "B", "pb_threshold", "oracle_value", "max_residual"} <= run.trace[0].keys()
     assert width(inst, 0.1) == pytest.approx(2.0 + 0.1)
+
+
+def test_infeasible_first_probe_trace_ends_in_break_row(two_agent_symmetric):
+    # an oracle that never finds value makes the first probe (B = eps) infeasible
+    inst, _ = normalize_instance(two_agent_symmetric)
+    never = OracleSpec(name="bruteforce",
+                       fn=lambda instance, i, prices, eps: OracleResult(frozenset(), 0.0))
+    sol, rep = solve_welfare(inst, small_config(2, 200), never)
+    assert sol.column_count() == 0 and "every welfare target infeasible" in rep.caveats[0]
+    assert {row["B"] for row in rep.trace} == {inst.epsilon}
+    assert [row["t"] for row in rep.trace] == list(range(1, rep.iterations + 2))
+    assert math.isnan(rep.trace[-1]["max_residual"])
+    assert not any(math.isnan(row["max_residual"]) for row in rep.trace[:-1])
 
 
 def test_determinism_of_solve(two_agent_symmetric):
