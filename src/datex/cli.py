@@ -58,6 +58,10 @@ def _fail(message: str, code: int = EXIT_BAD_INPUT) -> int:
     return code
 
 
+def _one_line(exc: BaseException) -> str:
+    return " ".join(str(exc).split()) or type(exc).__name__
+
+
 def _edges_from_args(args) -> tuple[tuple[int, int], ...]:
     if args.graph:
         return load_edge_csv(args.graph)
@@ -383,6 +387,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse or guarded failures
         code = exc.code
         return code if isinstance(code, int) else EXIT_BAD_INPUT
+    except AssertionError as exc:  # regret bound, width, 2n+1 columns
+        logger.debug("invariant violated", exc_info=True)
+        return _fail(f"invariant violated: {_one_line(exc)}", EXIT_INVARIANT)
+    except Exception as exc:
+        logger.debug("solver failure", exc_info=True)
+        return _fail(f"solver failure: {type(exc).__name__}: {_one_line(exc)}", EXIT_SOLVER)
 
 
 if __name__ == "__main__":

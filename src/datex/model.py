@@ -46,12 +46,15 @@ class ConcaveSpec:
             raise ValueError(f"unknown concave kind {self.kind!r}")
         if self.kind == "power" and not (0.0 < self.c <= 1.0):
             raise ValueError("power exponent must lie in (0, 1]")
-        if self.kind == "capped_linear" and self.cap < 0:
-            raise ValueError("cap must be non-negative")
+        for name in ("cap", "sigma2", "scale"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # also false for NaN
+                raise ValueError(f"{name} must be finite and non-negative; got {getattr(self, name)}")
         if self.kind == "piecewise_linear":
             pts = self.points
             if not pts or pts[0] != (0.0, 0.0):
                 raise ValueError("piecewise_linear must start at (0, 0)")
+            if not all(math.isfinite(v) for p in pts for v in p):
+                raise ValueError("piecewise_linear breakpoints must be finite")
             slopes = []
             for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
                 if x1 <= x0 or y1 < y0:
@@ -59,8 +62,6 @@ class ConcaveSpec:
                 slopes.append((y1 - y0) / (x1 - x0))
             if any(s1 > s0 + EQ_TOL for s0, s1 in zip(slopes, slopes[1:])):
                 raise ValueError("piecewise_linear slopes must be non-increasing (concavity)")
-        if self.scale < 0:
-            raise ValueError("scale must be non-negative")
 
     def __call__(self, x: float) -> float:
         if x < 0:

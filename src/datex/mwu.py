@@ -304,13 +304,15 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
     grid = [eps * (1.0 + config.delta) ** k for k in range(grid_len)]
 
     total_iters = 0
+    probes = 0
     trace: list[dict] = []
     best: tuple[float, MwuRun] | None = None
 
     def probe(k: int) -> bool:
-        nonlocal total_iters, best
+        nonlocal total_iters, probes, best
         run = run_mwu(instance, grid[k], config, oracle)
         total_iters += run.iterations
+        probes += 1
         trace.extend(run.trace)
         if run.feasible and run.solution is not None:
             if best is None or grid[k] > best[0]:
@@ -318,37 +320,36 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
             return True
         return False
 
-    if not probe(0):
-        report = evaluate(instance, ExchangeSolution.empty(n), iterations=total_iters)
-        report.trace = trace
-        report.caveats.append(
-            "MWU declared every welfare target infeasible (one-sided test); no solution"
-        )
-        return ExchangeSolution.empty(n), report
-
-    # exponential probing on grid indices, then bisection between the last
-    # feasible and first infeasible index
-    lo, hi = 0, None
-    step = 1
-    while hi is None:
-        k = lo + step
-        if k >= grid_len:
-            if lo == grid_len - 1:
+    # The grid top bounds any welfare (it is >= rho), so a feasible top is the
+    # answer. Otherwise search below it from B = eps: exponential probing on
+    # grid indices, then bisection between the last feasible and the first
+    # infeasible index. No index is probed twice.
+    top = grid_len - 1
+    if probe(top):
+        search = "B search: grid top feasible (1 probe)"
+    else:
+        lo, hi, step = 0, top, 1
+        if top > 0 and not probe(0):
+            hi = 0  # every target infeasible
+        while lo + step < hi:
+            if not probe(lo + step):
+                hi = lo + step
                 break
-            k = grid_len - 1
-        if probe(k):
-            lo = k
-            if k == grid_len - 1:
-                break
+            lo += step
             step *= 2
-        else:
-            hi = k
-    if hi is not None:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if probe(mid) else (lo, mid)
+        search = f"B search: grid top infeasible; searched below it ({probes} probes)"
 
-    assert best is not None
+    if best is None:
+        report = evaluate(instance, ExchangeSolution.empty(n), iterations=total_iters)
+        report.trace = trace
+        report.caveats += [
+            "MWU declared every welfare target infeasible (one-sided test); no solution",
+            search,
+        ]
+        return ExchangeSolution.empty(n), report
     best_b, best_run = best
     solution = best_run.solution
     assert solution is not None
@@ -361,5 +362,5 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
         report.caveats.append(
             "iteration cap reached before the running average certified the target"
         )
-    report.caveats.append("MWU infeasibility is one-sided; B search treats it as 'too high'")
+    report.caveats += ["MWU infeasibility is one-sided; B search treats it as 'too high'", search]
     return solution, report

@@ -10,9 +10,10 @@ import pytest
 
 from datex import MwuConfig, get_oracle, normalize_instance
 from datex import mwu
+from datex import cli
 from datex.cli import main
 from datex import io as dio
-from datex.mwu import practical_eta, run_mwu
+from datex.mwu import RegretBoundError, practical_eta, run_mwu
 
 
 def run(argv, capsys):
@@ -391,6 +392,9 @@ def test_out_of_range_solver_option_exits_2(tmp_path, capsys, model, command, me
     (CONT, ("sizes", 0, 2), math.inf, ["oracle", "--oracle", "continuous"]),
     ("explicit_table", ("tables", 0, "values", 1), math.nan, ["exact"]),
     ("path_variance", ("sigma2", 0), math.nan, ["solve"]),
+    # a NaN cap made min(x, cap) drop the cap; an infinite scale gave blocking pairs
+    (SYM, ("f", 0), {"kind": "capped_linear", "cap": math.nan}, ["stability"]),
+    (SYM, ("f", 0), {"kind": "power", "c": 0.5, "scale": math.inf}, ["stability"]),
 ])
 def test_non_finite_utility_input_exits_2(tmp_path, capsys, model, path, value, command):
     inst = _instance_file(tmp_path, capsys, model, path, value)
@@ -398,3 +402,23 @@ def test_non_finite_utility_input_exits_2(tmp_path, capsys, model, path, value, 
         code, out, err = run(_cli_args(command, inst, tmp_path), capsys)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "bad instance file" in err
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (RegretBoundError("regret bound violated:\n lhs 2.0 > rhs 1.0"), 1,
+     "invariant violated: regret bound violated: lhs 2.0 > rhs 1.0"),
+    (AssertionError("width violated: |m| = 1.2 > 1"), 1, "invariant violated: width violated"),
+    (ZeroDivisionError("float division by zero"), 3,
+     "solver failure: ZeroDivisionError: float division by zero"),
+    (KeyError(7), 3, "solver failure: KeyError: 7"),
+])
+def test_uncaught_exception_exits_with_one_line(tmp_path, capsys, monkeypatch, exc, code, message):
+    inst = _instance_file(tmp_path, capsys, SYM)
+
+    def failing_solve(instance, config, oracle):
+        raise exc
+
+    monkeypatch.setattr(cli, "solve_welfare", failing_solve)
+    got, out, err = run(_cli_args(["solve"], inst, tmp_path), capsys)
+    assert got == code and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: " + message)

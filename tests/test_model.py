@@ -61,6 +61,21 @@ def test_concave_spec_rejects_bad_shapes():
         ConcaveSpec(kind="unknown")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "capped_linear", "cap": math.nan},
+    {"kind": "capped_linear", "cap": math.inf},
+    {"kind": "variance_reduction", "sigma2": math.nan},
+    {"kind": "variance_reduction", "sigma2": -1.0},
+    {"kind": "power", "c": 0.5, "scale": math.inf},
+    {"kind": "sqrt", "scale": math.nan},
+    {"kind": "piecewise_linear", "points": ((0.0, 0.0), (math.nan, 0.5))},
+    {"kind": "piecewise_linear", "points": ((0.0, 0.0), (1.0, 0.5), (math.inf, 0.8))},
+])
+def test_concave_spec_rejects_non_finite_parameters(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        ConcaveSpec(**kwargs)
+
+
 def test_mean_estimation_example():
     # one unit of own data, three donated units, unit population variance
     f = ConcaveSpec(kind="variance_reduction", sigma2=1.0)

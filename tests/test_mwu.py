@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from datex import (
     sparsify,
     utility,
 )
+from datex import mwu
 from datex.mwu import practical_eta, run_mwu, width
 from datex.oracles import OracleResult, OracleSpec
 from datex.sharing import shares
 from datex.exact import exact_welfare_lp
 from datex.instances import gen_random, gen_x3c, make_x3c_yes
+from conftest import table_instance
 
 
 def small_config(n, iters=400):
@@ -135,16 +138,157 @@ def test_width_audit_and_regret_fields(two_agent_symmetric):
 
 
 def test_infeasible_first_probe_trace_ends_in_break_row(two_agent_symmetric):
-    # an oracle that never finds value makes the first probe (B = eps) infeasible
+    # an oracle that never finds value makes every probe infeasible: the grid
+    # top is probed first, then B = eps, and the search stops
     inst, _ = normalize_instance(two_agent_symmetric)
     never = OracleSpec(name="bruteforce",
                        fn=lambda instance, i, prices, eps: OracleResult(frozenset(), 0.0))
     sol, rep = solve_welfare(inst, small_config(2, 200), never)
     assert sol.column_count() == 0 and "every welfare target infeasible" in rep.caveats[0]
-    assert {row["B"] for row in rep.trace} == {inst.epsilon}
-    assert [row["t"] for row in rep.trace] == list(range(1, rep.iterations + 2))
-    assert math.isnan(rep.trace[-1]["max_residual"])
-    assert not any(math.isnan(row["max_residual"]) for row in rep.trace[:-1])
+    assert rep.caveats[1] == "B search: grid top infeasible; searched below it (2 probes)"
+    rho = sum(utility(inst, i, inst.full_set(i)) for i in range(inst.n))
+    blocks = [(b, list(rows)) for b, rows in itertools.groupby(rep.trace, key=lambda r: r["B"])]
+    assert len(blocks) == 2 and blocks[0][0] >= rho and blocks[1][0] == inst.epsilon
+    for _, rows in blocks:
+        assert [row["t"] for row in rows] == list(range(1, len(rows) + 1))
+        assert math.isnan(rows[-1]["max_residual"])
+        assert not any(math.isnan(row["max_residual"]) for row in rows[:-1])
+    assert sum(len(rows) - 1 for _, rows in blocks) == rep.iterations
+
+
+@pytest.fixture
+def probed(monkeypatch):
+    """The target B of every run_mwu call solve_welfare makes, in call order."""
+    targets = []
+
+    def recording_run_mwu(instance, B, config, oracle):
+        targets.append(B)
+        return run_mwu(instance, B, config, oracle)
+
+    monkeypatch.setattr(mwu, "run_mwu", recording_run_mwu)
+    return targets
+
+
+def test_one_point_grid_is_probed_once(probed):
+    # rho = 0.04 < eps = 0.1 leaves a grid of one target, which is also the top
+    inst = table_instance(2, {(0, 1): 0.02, (1, 0): 0.02}, epsilon=0.1)
+    sol, rep = solve_welfare(inst, small_config(2, 100), get_oracle("bruteforce"))
+    assert probed == [inst.epsilon] and sol.column_count() == 0
+    assert "every welfare target infeasible" in rep.caveats[0]
+
+
+def _climbing_search(inst, config, oracle, run_mwu=run_mwu):
+    """The B search that climbs from B = eps without probing the top first:
+    exponential probing on grid indices, then bisection. Returns the chosen B,
+    the sparsified solution, its welfare and the probed targets in order."""
+    eps = inst.epsilon
+    rho = sum(utility(inst, i, inst.full_set(i)) for i in range(inst.n))
+    grid_len = max(1, 1 + math.ceil(math.log(max(rho / eps, 1.0)) / math.log(1.0 + config.delta)))
+    grid = [eps * (1.0 + config.delta) ** k for k in range(grid_len)]
+    probed, best = [], None
+
+    def probe(k):
+        nonlocal best
+        run = run_mwu(inst, grid[k], config, oracle)
+        probed.append(grid[k])
+        if run.feasible and run.solution is not None:
+            if best is None or grid[k] > best[0]:
+                best = (grid[k], run)
+            return True
+        return False
+
+    if not probe(0):
+        return None, None, 0.0, probed
+    lo, hi = 0, None
+    step = 1
+    while hi is None:
+        k = lo + step
+        if k >= grid_len:
+            if lo == grid_len - 1:
+                break
+            k = grid_len - 1
+        if probe(k):
+            lo = k
+            if k == grid_len - 1:
+                break
+            step *= 2
+        else:
+            hi = k
+    if hi is not None:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if probe(mid) else (lo, mid)
+    solution = sparsify(inst, best[1].solution)
+    return best[0], solution, evaluate(inst, solution).welfare, probed
+
+
+@pytest.mark.parametrize("oracle_name,model,seed,iters", [
+    # seed 1 has a feasible top (1 probe); seed 3 an infeasible one (8 probes)
+    ("knapsack", "symmetric", 1, 80), ("knapsack", "symmetric", 3, 80),
+    ("knapsack", "symmetric", 0, 200), ("knapsack", "symmetric", 2, 400),
+    ("bruteforce", "symmetric", 7, 80), ("bruteforce", "symmetric", 2, 200),
+    ("bruteforce", "table", 2, 80), ("bruteforce", "table", 4, 200),
+])
+def test_top_first_search_matches_climbing_search(probed, oracle_name, model, seed, iters):
+    inst, _ = normalize_instance(gen_random(4, 3, model, seed=seed))
+    config = small_config(inst.n, iters)
+    oracle = get_oracle(oracle_name, eps=0.1)
+    old_b, old_sol, old_welfare, old_probed = _climbing_search(inst, config, oracle)
+    sol, rep = solve_welfare(inst, config, oracle)
+    top = max(old_probed + probed)
+    assert probed[0] == top and len(set(probed)) == len(probed)
+    assert rep.iterations == sum(not math.isnan(row["max_residual"]) for row in rep.trace)
+    assert set(probed) <= set(old_probed) | {top}
+    assert rep.best_B == old_b and rep.welfare == old_welfare
+    assert list(sol.iter_columns()) == list(old_sol.iter_columns())
+    if rep.best_B == top:
+        assert probed == [top] and rep.caveats[-1] == "B search: grid top feasible (1 probe)"
+    else:
+        assert set(probed) == set(old_probed) | {top}
+        assert rep.caveats[-1] == (
+            f"B search: grid top infeasible; searched below it ({len(probed)} probes)"
+        )
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.7])  # grids of 12, 8 and 4 targets
+def test_top_first_search_decisions_match_climbing_search_on_feasibility_patterns(
+        monkeypatch, two_agent_symmetric, epsilon):
+    # Real solves are feasible up to near the top, so they never reach the
+    # search's early exits. A stand-in run_mwu declares each grid index
+    # feasible or not from a pattern: every pattern on the short grids, and
+    # every monotone threshold plus random (also non-monotone) patterns on
+    # the long one.
+    inst, _ = normalize_instance(replace(two_agent_symmetric, epsilon=epsilon))
+    config, oracle = small_config(2), get_oracle("bruteforce")
+    grid = [inst.epsilon * (1.0 + config.delta) ** k for k in range(64)]
+    index = {b: k for k, b in enumerate(grid)}
+    rho = sum(utility(inst, i, inst.full_set(i)) for i in range(inst.n))
+    grid_len = 1 + next(k for k, b in enumerate(grid) if b >= rho)
+    if grid_len <= 8:
+        patterns = [list(p) for p in itertools.product([False, True], repeat=grid_len)]
+    else:
+        rng = np.random.default_rng(0)
+        patterns = [[k < m for k in range(grid_len)] for m in range(grid_len + 1)]
+        patterns += [list(rng.random(grid_len) < 0.7) for _ in range(200)]
+    for pattern in patterns:
+        def pattern_run_mwu(instance, B, config, oracle):
+            feasible = bool(pattern[index[B]])
+            return mwu.MwuRun(feasible, ExchangeSolution.empty(instance.n) if feasible else None,
+                              True, 1, 0.0, 0.0, [{"B": B}])
+
+        old_b, _, _, old_probed = _climbing_search(inst, config, oracle, pattern_run_mwu)
+        monkeypatch.setattr(mwu, "run_mwu", pattern_run_mwu)
+        _, rep = solve_welfare(inst, config, oracle)
+        monkeypatch.undo()
+        probed = [row["B"] for row in rep.trace]
+        top = grid[grid_len - 1]
+        assert probed[0] == top and len(set(probed)) == len(probed) == rep.iterations
+        if pattern[-1]:
+            assert probed == [top] and rep.best_B == top
+        else:
+            assert probed[1:] == [b for b in old_probed if b != top]
+            assert rep.best_B == (0.0 if old_b is None else old_b)
+            assert ("every welfare target infeasible" in rep.caveats[0]) == (old_b is None)
 
 
 def test_determinism_of_solve(two_agent_symmetric):
