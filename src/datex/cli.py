@@ -70,24 +70,21 @@ def _edges_from_args(args) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "x3c":
-        spec = make_x3c_yes(args.m, args.k, args.seed) if args.yes else make_x3c_no(
-            args.m, args.k, args.seed
-        )
-        instance = gen_x3c(spec)
-    elif args.kind == "core-gap":
-        instance = gen_core_gap(args.n)
-    elif args.kind == "random":
-        instance = gen_random(args.n, args.senders, args.model, args.seed, args.epsilon)
-    else:  # road
-        try:
-            edges = _edges_from_args(args)
+    try:
+        if args.kind == "x3c":
+            make = make_x3c_yes if args.yes else make_x3c_no
+            instance = gen_x3c(make(args.m, args.k, args.seed))
+        elif args.kind == "core-gap":
+            instance = gen_core_gap(args.n)
+        elif args.kind == "random":
+            instance = gen_random(args.n, args.senders, args.model, args.seed, args.epsilon)
+        else:  # road
             instance = gen_road(RoadSpec(
-                edges=edges, radius=args.radius, n_agents=args.agents,
+                edges=_edges_from_args(args), radius=args.radius, n_agents=args.agents,
                 correlation=args.correlation, rho=args.rho, seed=args.seed,
             ))
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc))
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
     io.dump_instance(instance, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -154,7 +151,10 @@ def cmd_oracle(args) -> int:
     if not 0 <= args.agent < instance.n:
         return _fail(f"--agent {args.agent} is not an agent of this instance (0..{instance.n - 1})")
     try:
-        q_map = {int(j): float(v) for j, v in json.loads(args.q).items()}
+        q_obj = json.loads(args.q)
+        if not isinstance(q_obj, dict):
+            raise ValueError(f"--q must be a JSON object of sender prices, got {args.q!r}")
+        q_map = {int(j): float(v) for j, v in q_obj.items()}
         prices = DualPrices.from_pairs(instance.n, {
             (args.agent, j): q_map.get(j, 0.0) for j in instance.senders_of[args.agent]
         })
@@ -258,16 +258,13 @@ def cmd_audit(args) -> int:
 def cmd_experiment(args) -> int:
     try:
         edges = _edges_from_args(args)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    rhos = tuple(float(v) for v in args.rho.split(","))
-    modes = tuple(args.modes.split(","))
-    try:
+        rhos = tuple(float(v) for v in args.rho.split(","))
+        modes = tuple(args.modes.split(","))
         rows = run_experiment(
             edges, args.replicates, modes=modes, rhos=rhos, seed=args.seed,
             n_agents=args.agents, radius=args.radius, max_iters=args.max_iters,
         )
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     csv_text = rows_to_csv(rows)
     with open(args.out, "w", encoding="utf-8") as fh:

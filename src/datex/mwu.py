@@ -22,6 +22,9 @@ from .sharing import column_lp, column_matrices, lp_solution
 
 logger = logging.getLogger(__name__)
 
+# sparsify's column LP grows with the columns; larger averages are evaluated raw
+SPARSIFY_MAX_COLUMNS = 5000
+
 
 class RegretBoundError(AssertionError):
     """The logged multiplicative-weights regret inequality failed."""
@@ -95,7 +98,7 @@ def assemble_prices(instance: Instance, w: np.ndarray, B: float, alpha: float,
 @dataclass
 class MwuRun:
     feasible: bool
-    solution: ExchangeSolution | None
+    solution: ExchangeSolution | None  # the last check's column-LP solution; None if infeasible
     certified: bool
     iterations: int
     regret_lhs: float
@@ -148,7 +151,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
     rows: list[dict] = []
     feasible = True
     certified = False
-    final_solution: ExchangeSolution | None = None
+    solution: ExchangeSolution | None = None
     t_done = 0
 
     for t in range(1, iters + 1):
@@ -219,21 +222,15 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
                      "max_residual": float(np.max(np.abs(balance)))})
 
         if t % config.check_every == 0 or t == iters:
-            avg = _averaged_solution(instance, counts, t, delta_sum, gamma_sum)
-            target = B / alpha - eps / (2.0 * alpha) - EQ_TOL
-            rep = evaluate(instance, avg)
-            if avg.is_balanced(rep.balance_residual, eps) and rep.welfare >= target:
+            # the exact LP over the generated columns certifies the target long
+            # before the raw average does at desk scale; its solution is the run's
+            solution = _averaged_solution(instance, counts, t, delta_sum, gamma_sum)
+            if solution.column_count() <= SPARSIFY_MAX_COLUMNS:
+                solution = sparsify(instance, solution)
+            rep = evaluate(instance, solution)
+            if rep.feasible and rep.welfare >= B / alpha - eps / (2.0 * alpha) - EQ_TOL:
                 certified = True
                 break
-            # the raw average converges slowly at desk scale; the exact LP over
-            # the generated columns certifies the same feasibility level early
-            if avg.column_count() <= 5000:
-                cleaned = sparsify(instance, avg)
-                rep_c = evaluate(instance, cleaned)
-                if rep_c.feasible and rep_c.welfare >= target:
-                    certified = True
-                    final_solution = cleaned
-                    break
 
     rhs = row_m_sum + eta * row_m_abs + reg_const / eta
     rhs_min = float(rhs.min())
@@ -242,17 +239,9 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
             f"regret bound violated: lhs {lhs:.6g} > rhs {rhs_min:.6g} at B={B:.6g}"
         )
 
-    solution = None
-    if feasible:
-        if final_solution is not None:
-            solution = final_solution
-        elif t_done > 0:
-            solution = _averaged_solution(instance, counts, t_done, delta_sum, gamma_sum)
-        else:
-            solution = ExchangeSolution.empty(n)
     return MwuRun(
         feasible=feasible,
-        solution=solution,
+        solution=solution if feasible else None,
         certified=certified,
         iterations=t_done,
         regret_lhs=lhs,
@@ -269,7 +258,7 @@ def sparsify(instance: Instance, solution: ExchangeSolution) -> ExchangeSolution
     (widened by the solution's fixed delta/gamma slacks).
     """
     cols = [(i, col) for i, col, _ in solution.iter_columns()]
-    if len(cols) > 5000:
+    if len(cols) > SPARSIFY_MAX_COLUMNS:
         raise ValueError(f"{len(cols)} columns exceed the sparsify bound")
     if not cols:
         return solution
@@ -285,8 +274,9 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
                   ) -> tuple[ExchangeSolution, SolveReport]:
     """Search welfare targets B on the (1+delta) grid and keep the largest feasible.
 
-    The returned solution is the column-LP cleanup of the best run's average;
-    its residuals are within epsilon by construction.
+    The returned solution is the best run's own: the column LP (sparsify) over
+    its generated columns that certified it, or its last check's when the
+    iteration cap came first.  Its residuals are within epsilon by construction.
     """
     n = instance.n
     eps = instance.epsilon
@@ -353,14 +343,12 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
     best_b, best_run = best
     solution = best_run.solution
     assert solution is not None
-    if solution.column_count() <= 5000:
-        solution = sparsify(instance, solution)
     report = evaluate(instance, solution, iterations=total_iters, best_B=best_b)
     report.guarantee = best_b / (2.0 * alpha * (1.0 + 3.0 * config.delta))
     report.trace = trace
     if not best_run.certified:
         report.caveats.append(
-            "iteration cap reached before the running average certified the target"
+            "iteration cap reached before the column LP certified the target"
         )
     report.caveats += ["MWU infeasibility is one-sided; B search treats it as 'too high'", search]
     return solution, report

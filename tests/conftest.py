@@ -5,6 +5,7 @@ import pytest
 
 from datex import (
     ConcaveSpec,
+    ContinuousConcave,
     ExplicitTable,
     Instance,
     SharingRuleSpec,
@@ -32,6 +33,25 @@ def table_instance(n, singleton_u, epsilon=0.01, sharing=None):
         sharing=sharing or SharingRuleSpec(kind="shapley_exact"),
         epsilon=epsilon,
     )
+
+
+def five_model_instances(seed=0):
+    """One instance of each utility model, each with the generator's sharing rule."""
+    from datex.instances import RoadSpec, gen_random, gen_road, gen_x3c, grid_graph, make_x3c_yes
+
+    sym = gen_random(6, 3, "symmetric", seed=11 + seed)
+    continuous = Instance(
+        n=sym.n, allowed=sym.allowed,
+        utility=ContinuousConcave(sizes=dict(sym.utility.sizes), f=sym.utility.f),
+        sharing=SharingRuleSpec(kind="proportional", weights="size"),
+    )
+    return [
+        gen_random(6, 3, "table", seed=12 + seed),
+        sym,
+        gen_road(RoadSpec(edges=grid_graph(8, 8, seed=1), radius=6, n_agents=6, seed=5 + seed)),
+        gen_x3c(make_x3c_yes(3, 1, seed=seed)),
+        continuous,
+    ]
 
 
 @pytest.fixture

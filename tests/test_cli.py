@@ -422,3 +422,25 @@ def test_uncaught_exception_exits_with_one_line(tmp_path, capsys, monkeypatch, e
     got, out, err = run(_cli_args(["solve"], inst, tmp_path), capsys)
     assert got == code and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--kind", "random", "--n", "0"], "need at least one agent"),
+    (["gen", "--kind", "random", "--epsilon", "2"], "epsilon must lie in (0, 1)"),
+    (["gen", "--kind", "core-gap", "--n", "3"], "core-gap construction needs n >= 6"),
+    (["gen", "--kind", "x3c", "--m", "1", "--k", "3", "--yes"], "need at least k sets"),
+    (["gen", "--kind", "x3c", "--m", "3", "--k", "1"], "no-instances need k >= 2"),
+    (["experiment", "--rho", "abc"], "could not convert string to float: 'abc'"),
+    (["oracle", "--agent", "0", "--q", "[1,2]"], "--q must be a JSON object"),
+    (["oracle", "--agent", "0", "--q", "3"], "--q must be a JSON object"),
+])
+def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    if argv[0] == "oracle":
+        inst = tmp_path / "inst.json"
+        assert run(["gen", "--kind", "random", "--n", "4", "--out", str(inst)], capsys)[0] == 0
+        argv = ["oracle", str(inst), *argv[1:]]
+    else:
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and not (tmp_path / "out").exists()
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ") and message in err

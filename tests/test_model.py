@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from datex import (
     ConcaveSpec,
-    ContinuousConcave,
     DegenerateInstanceError,
     ExchangeSolution,
     ExplicitTable,
@@ -24,7 +23,7 @@ from datex import (
 )
 from datex import io as dio
 
-from conftest import table_instance
+from conftest import five_model_instances, table_instance
 
 
 # ---------------------------------------------------------------------------
@@ -470,26 +469,8 @@ def test_solution_json_roundtrip_and_strictness():
         dio.solution_from_json(bad)
 
 
-def _five_model_instances():
-    from datex.instances import RoadSpec, gen_random, gen_road, gen_x3c, grid_graph, make_x3c_yes
-
-    sym = gen_random(6, 3, "symmetric", seed=11)
-    continuous = Instance(
-        n=sym.n, allowed=sym.allowed,
-        utility=ContinuousConcave(sizes=dict(sym.utility.sizes), f=sym.utility.f),
-        sharing=SharingRuleSpec(kind="proportional", weights="size"),
-    )
-    return [
-        gen_random(6, 3, "table", seed=12),
-        sym,
-        gen_road(RoadSpec(edges=grid_graph(8, 8, seed=1), radius=6, n_agents=6, seed=5)),
-        gen_x3c(make_x3c_yes(3, 1, seed=0)),
-        continuous,
-    ]
-
-
 def test_singleton_utility_table_matches_model_on_all_five_models():
-    instances = _five_model_instances()
+    instances = five_model_instances()
     assert {inst.utility.kind for inst in instances} == {
         "explicit_table", "symmetric_weighted", "path_variance", "x3c_coverage",
         "continuous_concave",
@@ -520,7 +501,7 @@ def test_path_variance_lengths_must_match_agents_and_edges(field):
 
 
 def test_continuous_concave_json_ignores_legacy_floor():
-    inst = next(i for i in _five_model_instances() if i.utility.kind == "continuous_concave")
+    inst = next(i for i in five_model_instances() if i.utility.kind == "continuous_concave")
     obj = dio.instance_to_json(inst)
     assert set(obj["utility"]) == {"kind", "sizes", "f"}
     obj["utility"]["floor"] = 1e-6  # written by versions that stored a positivity floor

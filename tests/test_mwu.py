@@ -25,7 +25,7 @@ from datex import (
 from datex import mwu
 from datex.mwu import practical_eta, run_mwu, width
 from datex.oracles import OracleResult, OracleSpec
-from datex.sharing import shares
+from datex.sharing import column_lp, shares
 from datex.exact import exact_welfare_lp
 from datex.instances import gen_random, gen_x3c, make_x3c_yes
 from conftest import table_instance
@@ -180,7 +180,7 @@ def test_one_point_grid_is_probed_once(probed):
 def _climbing_search(inst, config, oracle, run_mwu=run_mwu):
     """The B search that climbs from B = eps without probing the top first:
     exponential probing on grid indices, then bisection. Returns the chosen B,
-    the sparsified solution, its welfare and the probed targets in order."""
+    the best run's solution, its welfare and the probed targets in order."""
     eps = inst.epsilon
     rho = sum(utility(inst, i, inst.full_set(i)) for i in range(inst.n))
     grid_len = max(1, 1 + math.ceil(math.log(max(rho / eps, 1.0)) / math.log(1.0 + config.delta)))
@@ -218,7 +218,7 @@ def _climbing_search(inst, config, oracle, run_mwu=run_mwu):
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if probe(mid) else (lo, mid)
-    solution = sparsify(inst, best[1].solution)
+    solution = best[1].solution
     return best[0], solution, evaluate(inst, solution).welfare, probed
 
 
@@ -289,6 +289,51 @@ def test_top_first_search_decisions_match_climbing_search_on_feasibility_pattern
             assert probed[1:] == [b for b in old_probed if b != top]
             assert rep.best_B == (0.0 if old_b is None else old_b)
             assert ("every welfare target infeasible" in rep.caveats[0]) == (old_b is None)
+
+
+def _checks_run(run, check_every):
+    """Certification checks a run made: one per check_every iterations, plus
+    one at the iteration cap; an infeasible iteration ends the run unchecked."""
+    if not run.feasible:
+        return run.iterations // check_every
+    return math.ceil(run.iterations / check_every)
+
+
+@pytest.mark.parametrize("case", ["road", "knapsack-top-feasible", "knapsack-top-infeasible"])
+def test_one_column_lp_per_certification_check(monkeypatch, case):
+    # the column LP is the only certificate: every check solves it once, and
+    # solve_welfare returns the best run's solution as it is
+    if case == "road":
+        from datex.experiment import road_mwu_config
+        from datex.instances import RoadSpec, gen_road, grid_graph
+
+        raw = gen_road(RoadSpec(edges=grid_graph(8, 8, seed=1), radius=6, n_agents=6, seed=5))
+        config, oracle = road_mwu_config(6), get_oracle("bucketing")
+    else:
+        raw = gen_random(4, 3, "symmetric", seed=1 if case == "knapsack-top-feasible" else 3)
+        config, oracle = small_config(4, 80), get_oracle("knapsack", eps=0.1)
+    inst, _ = normalize_instance(raw)
+    runs, lp_calls = [], [0]
+
+    def recording_run_mwu(instance, B, config, oracle):
+        runs.append((B, run_mwu(instance, B, config, oracle)))
+        return runs[-1][1]
+
+    def counting_column_lp(*args):
+        lp_calls[0] += 1
+        return column_lp(*args)
+
+    monkeypatch.setattr(mwu, "run_mwu", recording_run_mwu)
+    monkeypatch.setattr(mwu, "column_lp", counting_column_lp)
+    sol, rep = solve_welfare(inst, config, oracle)
+    assert lp_calls[0] == sum(_checks_run(run, config.check_every) for _, run in runs) > 0
+    assert any(not run.feasible for _, run in runs) == (case == "knapsack-top-infeasible")
+    feasible = [(B, run) for B, run in runs if run.feasible]
+    best_b, best = max(feasible, key=lambda item: item[0])
+    assert rep.best_B == best_b and sol is best.solution
+    assert all(run.solution is None for _, run in runs if not run.feasible)
+    assert 0 < sol.column_count() <= 2 * inst.n + 1
+    assert rep.feasible and sol.is_balanced(rep.balance_residual, inst.epsilon)
 
 
 def test_determinism_of_solve(two_agent_symmetric):
@@ -378,15 +423,24 @@ def test_sparsify_merges_duplicates(two_agent_symmetric):
     assert np.max(np.abs(rep_out.balance_residual)) <= inst.epsilon + 1e-9
 
 
-def test_sparsify_keeps_basic_support(two_agent_symmetric):
+def test_sparsify_keeps_basic_support(two_agent_symmetric, monkeypatch):
     inst, _ = normalize_instance(two_agent_symmetric)
-    # raw 100-iterate average, no early certification
+    # raw 100-iterate average, no early certification; the run sparsifies it
+    # itself, so keep the average it built at its one check
+    averaged, averages = mwu._averaged_solution, []
+
+    def recording_average(*args):
+        averages.append(averaged(*args))
+        return averages[-1]
+
+    monkeypatch.setattr(mwu, "_averaged_solution", recording_average)
     config = MwuConfig(max_iters=100, eta_override=0.05, check_every=10**6)
     run = run_mwu(inst, 1.0, config, get_oracle("knapsack"))
-    assert run.solution is not None
-    out = sparsify(inst, run.solution)
+    assert run.solution is not None and len(averages) == 1
+    raw = averages[0]
+    out = sparsify(inst, raw)
     assert out.column_count() <= 2 * inst.n + 1 <= 5
-    assert evaluate(inst, out).welfare >= evaluate(inst, run.solution).welfare - 1e-9
+    assert evaluate(inst, out).welfare >= evaluate(inst, raw).welfare - 1e-9
 
 
 def test_sparsify_column_cap():

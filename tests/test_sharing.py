@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import functools
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datex import (
     ConcaveSpec,
+    ContinuousConcave,
+    FracColumn,
     Instance,
     SharingRuleSpec,
     SymmetricWeighted,
@@ -18,6 +24,9 @@ from datex import (
     utility,
 )
 from datex.instances import gen_random
+from datex.sharing import column_split
+
+from conftest import five_model_instances
 
 
 def brute_shapley(instance, i, subset):
@@ -215,6 +224,52 @@ def test_efficiency_on_random_queries(rule):
             S = frozenset(int(x) for x in rng.choice(senders, size=size, replace=False))
             h = shares(inst, i, S)
             assert sum(h.values()) == pytest.approx(utility(inst, i, S), abs=1e-9)
+
+
+five_models = functools.lru_cache(maxsize=None)(five_model_instances)
+
+RULES = ["shapley_exact", "shapley_sampled", "proportional_singleton", "proportional_size",
+         "proportional_explicit"]
+
+
+def _with_rule(inst, rule, data):
+    if rule == "shapley_sampled":
+        spec = SharingRuleSpec(kind=rule, m=data.draw(st.integers(1, 8)),
+                               seed=data.draw(st.integers(0, 2**31 - 1)))
+    elif rule == "proportional_explicit":
+        weights = data.draw(st.lists(st.floats(0.05, 5.0), min_size=len(inst.allowed),
+                                     max_size=len(inst.allowed)))
+        spec = SharingRuleSpec(kind="proportional", weights=tuple(
+            (i, j, w) for (i, j), w in zip(sorted(inst.allowed), weights)))
+    elif rule.startswith("proportional"):
+        spec = SharingRuleSpec(kind="proportional", weights=rule.split("_")[1])
+    else:
+        spec = SharingRuleSpec(kind=rule)
+    return replace(inst, sharing=spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2), model=st.integers(0, 4), rule=st.sampled_from(RULES),
+       data=st.data())
+def test_shares_add_up_to_utility_for_every_rule_and_model(seed, model, rule, data):
+    # sum_j h_ij(S) = u_i(S): the reduced cost of a column reads as the
+    # oracle's objective only because the shares are efficient
+    inst = five_models(seed)[model]
+    if rule == "proportional_size" and not isinstance(
+            inst.utility, (SymmetricWeighted, ContinuousConcave)):
+        return  # size weights need a size-based utility model
+    inst = _with_rule(inst, rule, data)
+    i = data.draw(st.sampled_from([a for a in range(inst.n) if inst.senders_of[a]]))
+    senders = inst.senders_of[i]
+    S = frozenset(data.draw(st.lists(st.sampled_from(senders), min_size=1, unique=True)))
+    h = shares(inst, i, S)
+    assert set(h) == S
+    assert sum(h.values()) == pytest.approx(utility(inst, i, S), rel=0, abs=1e-9)
+    if isinstance(inst.utility, ContinuousConcave) and inst.sharing.kind == "proportional":
+        y = {j: data.draw(st.floats(0.0, 1.0, exclude_min=True)) for j in sorted(S)}
+        u, h = column_split(inst, i, FracColumn(y=tuple(sorted(y.items()))))
+        assert u == inst.utility.value_fractional(i, y)
+        assert sum(h.values()) == pytest.approx(u, rel=0, abs=1e-9)
 
 
 def test_exact_shapley_cross_monotone_on_submodular_tables():
