@@ -23,7 +23,7 @@ from .instances import (
     make_x3c_no,
     make_x3c_yes,
 )
-from .model import Instance, SharingRuleSpec, evaluate, normalize_instance
+from .model import SharingRuleSpec, evaluate, normalize_instance
 from .mwu import MwuConfig, practical_eta, solve_welfare
 from .oracles import ORACLES, DualPrices, get_oracle
 from .stability import (
@@ -46,11 +46,12 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.ERROR))
 
 
-def _load_instance(path: str) -> Instance:
+def _parse(parse, text: str, what: str):
+    """parse(text), with any failure re-raised as a ValueError that names `what`."""
     try:
-        return io.load_instance(path)
-    except (OSError, json.JSONDecodeError, io.SchemaError, ValueError) as exc:
-        raise SystemExit(_fail(f"bad instance file: {exc}"))
+        return parse(text)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"bad {what}: {exc}") from exc
 
 
 def _fail(message: str, code: int = EXIT_BAD_INPUT) -> int:
@@ -65,26 +66,25 @@ def _one_line(exc: BaseException) -> str:
 def _edges_from_args(args) -> tuple[tuple[int, int], ...]:
     if args.graph:
         return load_edge_csv(args.graph)
-    width, height = (int(v) for v in args.grid.lower().split("x"))
-    return grid_graph(width, height, seed=args.seed)
+    width, _, height = args.grid.lower().partition("x")
+    if not (width.isdecimal() and height.isdecimal()):
+        raise ValueError(f"--grid must be WxH, got {args.grid!r}")
+    return grid_graph(int(width), int(height), seed=args.seed)
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.kind == "x3c":
-            make = make_x3c_yes if args.yes else make_x3c_no
-            instance = gen_x3c(make(args.m, args.k, args.seed))
-        elif args.kind == "core-gap":
-            instance = gen_core_gap(args.n)
-        elif args.kind == "random":
-            instance = gen_random(args.n, args.senders, args.model, args.seed, args.epsilon)
-        else:  # road
-            instance = gen_road(RoadSpec(
-                edges=_edges_from_args(args), radius=args.radius, n_agents=args.agents,
-                correlation=args.correlation, rho=args.rho, seed=args.seed,
-            ))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    if args.kind == "x3c":
+        make = make_x3c_yes if args.yes else make_x3c_no
+        instance = gen_x3c(make(args.m, args.k, args.seed))
+    elif args.kind == "core-gap":
+        instance = gen_core_gap(args.n)
+    elif args.kind == "random":
+        instance = gen_random(args.n, args.senders, args.model, args.seed, args.epsilon)
+    else:  # road
+        instance = gen_road(RoadSpec(
+            edges=_edges_from_args(args), radius=args.radius, n_agents=args.agents,
+            correlation=args.correlation, rho=args.rho, seed=args.seed,
+        ))
     io.dump_instance(instance, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -103,22 +103,19 @@ def _sharing_override(name: str, m: int, seed: int) -> SharingRuleSpec:
 
 
 def cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
-    try:
-        if args.epsilon is not None:
-            instance = replace(instance, epsilon=args.epsilon)
-        if args.sharing is not None:
-            instance = replace(instance, sharing=_sharing_override(
-                args.sharing, args.sharing_m, args.seed))
-        instance, scale = normalize_instance(instance)
-        oracle = get_oracle(args.oracle, eps=args.oracle_eps)
-        eta = args.eta
-        if eta is None and args.max_iters <= 20000:
-            eta = practical_eta(instance.n, args.max_iters)
-        config = MwuConfig(delta=args.delta, max_iters=args.max_iters, eta_override=eta)
-        solution, report = solve_welfare(instance, config, oracle)
-    except ValueError as exc:
-        return _fail(str(exc))
+    instance = _parse(io.load_instance, args.instance, "instance file")
+    if args.epsilon is not None:
+        instance = replace(instance, epsilon=args.epsilon)
+    if args.sharing is not None:
+        instance = replace(instance, sharing=_sharing_override(
+            args.sharing, args.sharing_m, args.seed))
+    instance, scale = normalize_instance(instance)
+    oracle = get_oracle(args.oracle, eps=args.oracle_eps)
+    eta = args.eta
+    if eta is None and args.max_iters <= 20000:
+        eta = practical_eta(instance.n, args.max_iters)
+    config = MwuConfig(delta=args.delta, max_iters=args.max_iters, eta_override=eta)
+    solution, report = solve_welfare(instance, config, oracle)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for row in report.trace:
@@ -136,32 +133,27 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    instance = _load_instance(args.instance)
-    try:
-        solution, welfare = exact_welfare_lp(instance, relax_eps=args.relax_eps)
-    except ValueError as exc:
-        return _fail(str(exc))
+    instance = _parse(io.load_instance, args.instance, "instance file")
+    solution, welfare = exact_welfare_lp(instance, relax_eps=args.relax_eps)
     io.dump_solution(solution, args.out)
     print(f"welfare {welfare:.9g}")
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _parse(io.load_instance, args.instance, "instance file")
     if not 0 <= args.agent < instance.n:
-        return _fail(f"--agent {args.agent} is not an agent of this instance (0..{instance.n - 1})")
-    try:
-        q_obj = json.loads(args.q)
-        if not isinstance(q_obj, dict):
-            raise ValueError(f"--q must be a JSON object of sender prices, got {args.q!r}")
-        q_map = {int(j): float(v) for j, v in q_obj.items()}
-        prices = DualPrices.from_pairs(instance.n, {
-            (args.agent, j): q_map.get(j, 0.0) for j in instance.senders_of[args.agent]
-        })
-        oracle = get_oracle(args.oracle, eps=args.oracle_eps)
-        result = oracle(instance, args.agent, prices)
-    except (ValueError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+        raise ValueError(
+            f"--agent {args.agent} is not an agent of this instance (0..{instance.n - 1})")
+    q_obj = json.loads(args.q)
+    if not isinstance(q_obj, dict):
+        raise ValueError(f"--q must be a JSON object of sender prices, got {args.q!r}")
+    q_map = {int(j): float(v) for j, v in q_obj.items()}
+    prices = DualPrices.from_pairs(instance.n, {
+        (args.agent, j): q_map.get(j, 0.0) for j in instance.senders_of[args.agent]
+    })
+    oracle = get_oracle(args.oracle, eps=args.oracle_eps)
+    result = oracle(instance, args.agent, prices)
     print(json.dumps({
         "chosen": sorted(result.chosen),
         "value": result.value,
@@ -172,7 +164,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _parse(io.load_instance, args.instance, "instance file")
     if args.algorithm == "greedy_match":
         solution = greedy_matching(instance)
         cycles: list[list[int]] = []
@@ -189,16 +181,9 @@ def cmd_stability(args) -> int:
     return EXIT_OK
 
 
-def _fuzz(instance: Instance, algorithm: str, trials: int, seed: int) -> list[dict]:
-    try:
-        return strategyproofness_fuzz(instance, algorithm, trials, seed)
-    except ValueError as exc:  # e.g. a utility model with no misreport model
-        raise SystemExit(_fail(f"cannot fuzz this instance: {exc}"))
-
-
 def cmd_fuzz(args) -> int:
-    instance = _load_instance(args.instance)
-    violations = _fuzz(instance, args.algorithm, args.trials, args.seed)
+    instance = _parse(io.load_instance, args.instance, "instance file")
+    violations = strategyproofness_fuzz(instance, args.algorithm, args.trials, args.seed)
     for v in violations:
         print(json.dumps({
             "agent": v["agent"],
@@ -215,18 +200,14 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    instance = _load_instance(args.instance)
-    try:
-        solution = io.load_solution(args.solution)
-    except (OSError, json.JSONDecodeError, io.SchemaError, ValueError) as exc:
-        return _fail(f"bad solution file: {exc}")
+    if args.coalitions < 0:
+        raise ValueError(f"--coalitions must be >= 0, got {args.coalitions}")
+    instance = _parse(io.load_instance, args.instance, "instance file")
+    solution = _parse(io.load_solution, args.solution, "solution file")
     if solution.n != instance.n:
-        return _fail("solution agent count does not match the instance")
+        raise ValueError("solution agent count does not match the instance")
     # audits run in the solver's normalized units, so epsilon means the same thing
-    try:
-        instance, _scale = normalize_instance(instance)
-    except ValueError as exc:
-        return _fail(str(exc))
+    instance, _scale = normalize_instance(instance)
     report = evaluate(instance, solution)
     blocking_pairs = check_2_stability(instance, solution)
     coalitions = None  # stays None unless the core audit runs to the end
@@ -236,8 +217,8 @@ def cmd_audit(args) -> int:
         except ValueError as exc:
             logger.warning("core audit skipped: %s", exc)
     fuzz = []
-    if args.fuzz_trials > 0:
-        fuzz = _fuzz(instance, args.fuzz_algorithm, args.fuzz_trials, args.seed)
+    if args.fuzz_trials != 0:  # negative counts fail in the fuzzer
+        fuzz = strategyproofness_fuzz(instance, args.fuzz_algorithm, args.fuzz_trials, args.seed)
     print(json.dumps({
         "welfare": report.welfare,
         "residuals": [float(v) for v in report.balance_residual],
@@ -256,16 +237,13 @@ def cmd_audit(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        edges = _edges_from_args(args)
-        rhos = tuple(float(v) for v in args.rho.split(","))
-        modes = tuple(args.modes.split(","))
-        rows = run_experiment(
-            edges, args.replicates, modes=modes, rhos=rhos, seed=args.seed,
-            n_agents=args.agents, radius=args.radius, max_iters=args.max_iters,
-        )
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    edges = _edges_from_args(args)
+    rhos = _parse(lambda text: tuple(float(v) for v in text.split(",")), args.rho, "--rho")
+    modes = tuple(args.modes.split(","))
+    rows = run_experiment(
+        edges, args.replicates, modes=modes, rhos=rhos, seed=args.seed,
+        n_agents=args.agents, radius=args.radius, max_iters=args.max_iters,
+    )
     csv_text = rows_to_csv(rows)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv_text)
@@ -378,15 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except SystemExit as exc:  # argparse or guarded failures
+    except SystemExit as exc:  # argparse: a bad option or --help
         code = exc.code
         return code if isinstance(code, int) else EXIT_BAD_INPUT
     except AssertionError as exc:  # regret bound, width, 2n+1 columns
         logger.debug("invariant violated", exc_info=True)
         return _fail(f"invariant violated: {_one_line(exc)}", EXIT_INVARIANT)
+    except (ValueError, OSError) as exc:  # bad option or model, unreadable or unwritable file
+        logger.debug("bad input", exc_info=True)
+        return _fail(_one_line(exc))
     except Exception as exc:
         logger.debug("solver failure", exc_info=True)
         return _fail(f"solver failure: {type(exc).__name__}: {_one_line(exc)}", EXIT_SOLVER)

@@ -108,6 +108,8 @@ def run_experiment(edges: tuple[tuple[int, int], ...], replicates: int,
                    seed: int = 0, n_agents: int = 20, radius: int = 8,
                    max_iters: int = 240) -> list[ExperimentRow]:
     """Full sweep: replicate x correlation mode x rho, three method rows each."""
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     rows: list[ExperimentRow] = []
     for mode_id, mode in enumerate(modes):
         for rho in rhos:

@@ -354,6 +354,8 @@ def strategyproofness_fuzz(instance: Instance, algorithm: str, trials: int,
     }
     if algorithm not in runners:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if trials < 0:
+        raise ValueError(f"fuzz trials must be >= 0, got {trials}")
     run = runners[algorithm]
     truthful = evaluate(instance, run(instance)).per_agent_utility
     rng = np.random.default_rng(seed)

@@ -430,9 +430,12 @@ def test_uncaught_exception_exits_with_one_line(tmp_path, capsys, monkeypatch, e
     (["gen", "--kind", "core-gap", "--n", "3"], "core-gap construction needs n >= 6"),
     (["gen", "--kind", "x3c", "--m", "1", "--k", "3", "--yes"], "need at least k sets"),
     (["gen", "--kind", "x3c", "--m", "3", "--k", "1"], "no-instances need k >= 2"),
-    (["experiment", "--rho", "abc"], "could not convert string to float: 'abc'"),
+    (["experiment", "--rho", "abc"], "bad --rho: could not convert string to float: 'abc'"),
     (["oracle", "--agent", "0", "--q", "[1,2]"], "--q must be a JSON object"),
     (["oracle", "--agent", "0", "--q", "3"], "--q must be a JSON object"),
+    (["experiment", "--grid", "12"], "--grid must be WxH, got '12'"),
+    (["experiment", "--replicates", "0"], "replicates must be >= 1, got 0"),
+    (["gen", "--kind", "road", "--grid", "abc"], "--grid must be WxH, got 'abc'"),
 ])
 def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
     if argv[0] == "oracle":
@@ -444,3 +447,36 @@ def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == "" and not (tmp_path / "out").exists()
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # an output path in a missing directory
+    (["gen", "--kind", "random", "--n", "4", "--out", "{nodir}"], "No such file or directory"),
+    (["solve", "{inst}", "--oracle", "knapsack", "--max-iters", "50", "--out", "{nodir}",
+      "--report", "{tmp}/r.json"], "No such file or directory"),
+    (["exact", "{inst}", "--out", "{nodir}"], "No such file or directory"),
+    (["stability", "{inst}", "--out", "{nodir}"], "No such file or directory"),
+    # an audited solution that receives from a sender the instance does not permit
+    (["audit", "{inst}", "{alien}"], "senders [{j}] are not permitted for agent {i}"),
+    # negative counts
+    (["fuzz", "{inst}", "--trials", "-3"], "fuzz trials must be >= 0, got -3"),
+    (["audit", "{inst}", "{sol}", "--fuzz-trials", "-1"], "fuzz trials must be >= 0, got -1"),
+    (["audit", "{inst}", "{sol}", "--coalitions", "-1"], "--coalitions must be >= 0, got -1"),
+])
+def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
+    from datex import ExchangeSolution
+
+    inst, sol, alien = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "alien.json"
+    assert run(["gen", "--kind", "random", "--n", "4", "--senders", "2", "--seed", "3",
+                "--out", str(inst)], capsys)[0] == 0
+    instance = dio.load_instance(str(inst))
+    i, j = min((i, j) for i in range(4) for j in range(4)
+               if i != j and (i, j) not in instance.allowed)
+    dio.dump_solution(ExchangeSolution.empty(4), str(sol))
+    dio.dump_solution(ExchangeSolution(n=4, columns={i: {frozenset({j}): 0.5}}), str(alien))
+    names = {"inst": inst, "sol": sol, "alien": alien, "tmp": tmp_path,
+             "nodir": tmp_path / "nodir" / "out.json", "i": i, "j": j}
+    code, out, err = run([arg.format(**names) for arg in argv], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert message.format(**names) in err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -437,6 +438,28 @@ def test_instance_json_roundtrip_all_models(two_agent_symmetric):
         for i in range(inst.n):
             full = inst.full_set(i)
             assert utility(back, i, full) == pytest.approx(utility(inst, i, full), abs=1e-12)
+
+
+def test_json_roundtrip_on_all_five_models():
+    from datex import MwuConfig, exact_welfare_lp, get_oracle, solve_welfare
+    from datex.mwu import practical_eta
+
+    for inst in five_model_instances():
+        obj = json.loads(json.dumps(dio.instance_to_json(inst)))
+        back = dio.instance_from_json(obj)
+        assert dio.instance_to_json(back) == obj
+        assert (back.sharing, back.epsilon, back.seed) == (inst.sharing, inst.epsilon, inst.seed)
+        solutions = [exact_welfare_lp(inst)[0]]
+        if inst.utility.kind == "continuous_concave":  # the continuous oracle adds FracColumns
+            normalized, _ = normalize_instance(inst)
+            config = MwuConfig(max_iters=60, eta_override=practical_eta(inst.n, 60))
+            solutions.append(solve_welfare(normalized, config, get_oracle("continuous"))[0])
+            assert any(isinstance(col, FracColumn) for _, col, _ in solutions[-1].iter_columns())
+        for sol in solutions:
+            assert sol.column_count() > 0
+            text = json.dumps(dio.solution_to_json(sol))
+            again = dio.solution_from_json(json.loads(text))
+            assert again.n == sol.n and again.columns == sol.columns  # same columns and weights
 
 
 def test_instance_json_rejects_unknown_fields(two_agent_symmetric):

@@ -423,8 +423,8 @@ def test_sparsify_merges_duplicates(two_agent_symmetric):
     assert np.max(np.abs(rep_out.balance_residual)) <= inst.epsilon + 1e-9
 
 
-def test_sparsify_keeps_basic_support(two_agent_symmetric, monkeypatch):
-    inst, _ = normalize_instance(two_agent_symmetric)
+def test_sparsify_keeps_basic_support(monkeypatch):
+    inst, _ = normalize_instance(gen_random(5, 3, "symmetric", seed=2, epsilon=0.1))
     # raw 100-iterate average, no early certification; the run sparsifies it
     # itself, so keep the average it built at its one check
     averaged, averages = mwu._averaged_solution, []
@@ -438,8 +438,9 @@ def test_sparsify_keeps_basic_support(two_agent_symmetric, monkeypatch):
     run = run_mwu(inst, 1.0, config, get_oracle("knapsack"))
     assert run.solution is not None and len(averages) == 1
     raw = averages[0]
+    assert raw.column_count() > 2 * inst.n + 1  # a support that sparsify has to shrink
     out = sparsify(inst, raw)
-    assert out.column_count() <= 2 * inst.n + 1 <= 5
+    assert out.column_count() <= 2 * inst.n + 1
     assert evaluate(inst, out).welfare >= evaluate(inst, raw).welfare - 1e-9
 
 
