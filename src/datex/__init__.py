@@ -44,7 +44,7 @@ from .mwu import (
     solve_welfare,
     sparsify,
 )
-from .exact import exact_core_audit, exact_welfare_lp
+from .exact import CoreAudit, exact_core_audit, exact_welfare_lp
 from .stability import (
     Misreport,
     apply_misreport,

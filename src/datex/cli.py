@@ -210,10 +210,10 @@ def cmd_audit(args) -> int:
     instance, _scale = normalize_instance(instance)
     report = evaluate(instance, solution)
     blocking_pairs = check_2_stability(instance, solution)
-    coalitions = None  # stays None unless the core audit runs to the end
+    core = None  # stays None unless the core audit runs to the end
     if args.coalitions > 0:
         try:
-            coalitions = exact_core_audit(instance, solution, max_coalition=args.coalitions)
+            core = exact_core_audit(instance, solution, max_coalition=args.coalitions)
         except ValueError as exc:
             logger.warning("core audit skipped: %s", exc)
     fuzz = []
@@ -224,8 +224,10 @@ def cmd_audit(args) -> int:
         "residuals": [float(v) for v in report.balance_residual],
         "feasible": report.feasible,
         "blocking_pairs": [list(p) for p in blocking_pairs],
-        "core_audit": "skipped" if coalitions is None else "complete",
-        "blocking_coalitions": [[list(c), t] for c, t in coalitions or []],
+        "core_audit": "skipped" if core is None else "partial" if core.failed else "complete",
+        "core_audit_counts": None if core is None else {
+            key: getattr(core, key) for key in ("coalitions", "ruled_out", "lps", "failed")},
+        "blocking_coalitions": [] if core is None else [[list(c), t] for c, t in core.blocking],
         "fuzz_violations": [
             {"agent": v["agent"], "U_before": v["U_before"], "U_after": v["U_after"]}
             for v in fuzz

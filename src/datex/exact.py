@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .model import ExchangeSolution, Instance, evaluate
+from .model import ExchangeSolution, Instance, evaluate, utility
 from .sharing import column_lp, column_matrices, lp_solution
 
 logger = logging.getLogger(__name__)
@@ -31,8 +32,10 @@ def exact_welfare_lp(instance: Instance, relax_eps: float = 0.0,
     """Maximize welfare over the fully enumerated column set by exact LP.
 
     relax_eps = 0 enforces exact balance; otherwise residuals are bounded by
-    relax_eps on both sides.
+    relax_eps on both sides. A negative or non-finite relax_eps is a ValueError.
     """
+    if not 0.0 <= relax_eps < float("inf"):  # also false for NaN
+        raise ValueError(f"relax_eps must be finite and >= 0, got {relax_eps}")
     n = instance.n
     for i in range(n):
         if len(instance.senders_of[i]) > MAX_LP_SENDERS:
@@ -40,7 +43,7 @@ def exact_welfare_lp(instance: Instance, relax_eps: float = 0.0,
     cols = [(i, s) for i in range(n) for s in _agent_columns(instance, i)]
     if not cols:
         return ExchangeSolution.empty(n), 0.0
-    bound = np.full(n, max(relax_eps, 0.0))
+    bound = np.full(n, relax_eps)
     res = column_lp(instance, cols, -bound, bound)
     if not res.success:
         raise RuntimeError(f"exact welfare LP failed: {res.message}")
@@ -77,10 +80,26 @@ def _coalition_best_margin(instance: Instance, coalition: tuple[int, ...],
     return float(res.x[-1])
 
 
+@dataclass(frozen=True)
+class CoreAudit:
+    """The blocking coalitions, sorted, and what the audit did to find them.
+
+    Every coalition is either ruled out without an LP or gets one LP
+    (ruled_out + lps == coalitions); a failed LP counts as non-blocking and
+    in ``failed``, so the audit is complete only when failed == 0.
+    """
+
+    blocking: list[tuple[tuple[int, ...], float]]
+    coalitions: int
+    ruled_out: int
+    lps: int
+    failed: int
+
+
 def exact_core_audit(instance: Instance, solution: ExchangeSolution,
                      max_coalition: int = 3, margin: float = 1e-7,
-                     factor: float = 1.0) -> list[tuple[tuple[int, ...], float]]:
-    """Enumerate coalitions up to max_coalition; return the blocking ones.
+                     factor: float = 1.0) -> CoreAudit:
+    """Enumerate coalitions up to max_coalition; report the blocking ones.
 
     A coalition blocks when a balanced sub-solution on it gives every member
     utility > factor * current + margin (factor 1 is the plain core test;
@@ -94,10 +113,20 @@ def exact_core_audit(instance: Instance, solution: ExchangeSolution,
     if total > MAX_COALITIONS:
         raise ValueError(f"{total} coalitions exceed the audit bound {MAX_COALITIONS}")
     blocking = []
+    ruled_out = failed = 0
     for size in range(2, max_coalition + 1):
         for coalition in itertools.combinations(range(n), size):
+            within = frozenset(coalition)
             targets = np.array([factor * current[i] for i in coalition])
+            # utilities are monotone and a member's weights sum to at most 1, so
+            # member i gains at most u_i(its senders in C): if that cannot beat
+            # its target by more than margin, C does not block and needs no LP
+            if any(utility(instance, i, within.intersection(instance.senders_of[i])) - t <= margin
+                   for i, t in zip(coalition, targets)):
+                ruled_out += 1
+                continue
             t_star = _coalition_best_margin(instance, coalition, targets)
+            failed += t_star == -float("inf")
             if t_star > margin:
                 blocking.append((coalition, t_star))
-    return sorted(blocking)
+    return CoreAudit(sorted(blocking), total, ruled_out, total - ruled_out, failed)

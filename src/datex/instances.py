@@ -209,6 +209,8 @@ def _random_allowed(n: int, senders_per_agent: int, rng: np.random.Generator,
 def gen_random(n: int, senders_per_agent: int, model_kind: str = "symmetric",
                seed: int = 0, epsilon: float = 0.1) -> Instance:
     """Random test instances: symmetric weighted or coverage-built tables."""
+    if senders_per_agent < 0:
+        raise ValueError(f"senders per agent must be >= 0, got {senders_per_agent}")
     rng = np.random.default_rng(seed)
     allowed = _random_allowed(n, senders_per_agent, rng)
     if model_kind == "symmetric":

@@ -253,13 +253,15 @@ def test_10_tradeoff_mixing_accounting():
         f2 = greedy_matching(inst)
         w1 = evaluate(inst, f1).welfare
         w2 = evaluate(inst, f2).welfare
-        blocking_f2 = {c for c, _ in exact_core_audit(inst, f2, max_coalition=3, margin=1e-9)}
+        audit_f2 = exact_core_audit(inst, f2, max_coalition=3, margin=1e-9)
+        blocking_f2 = {c for c, _ in audit_f2.blocking}
         for beta in (0.25, 0.5, 0.75):
             mixed = mix_solutions(f1, f2, beta)
             w_mix = evaluate(inst, mixed).welfare
             assert w_mix == pytest.approx(beta * w1 + (1 - beta) * w2, abs=1e-9)
             factor = 1.0 / (1.0 - beta)
-            blockers = exact_core_audit(inst, mixed, max_coalition=3, margin=1e-6, factor=factor)
+            blockers = exact_core_audit(inst, mixed, max_coalition=3, margin=1e-6,
+                                        factor=factor).blocking
             for coalition, _margin in blockers:
                 assert len(coalition) > 2, f"pair blocks the mix beyond 1/(1-beta): {coalition}"
                 assert coalition in blocking_f2, (

@@ -190,9 +190,45 @@ def test_audit_reports_core_audit_status(tmp_path, capsys):
          "--out", str(inst)], capsys)
     run(["stability", str(inst), "--algorithm", "greedy_match", "--out", str(sol)], capsys)
     code, out, _ = run(["audit", str(inst), str(sol), "--coalitions", "2"], capsys)
-    assert code == 0 and json.loads(out.strip().splitlines()[-1])["core_audit"] == "complete"
+    payload = json.loads(out.strip().splitlines()[-1])
+    counts = payload["core_audit_counts"]
+    assert code == 0 and payload["core_audit"] == "complete"
+    assert counts["coalitions"] == 10 and counts["failed"] == 0
+    assert counts["ruled_out"] + counts["lps"] == counts["coalitions"]
     code, out, _ = run(["audit", str(inst), str(sol)], capsys)
-    assert code == 0 and json.loads(out.strip().splitlines()[-1])["core_audit"] == "skipped"
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert code == 0 and payload["core_audit"] == "skipped"
+    assert payload["core_audit_counts"] is None
+
+
+def test_audit_with_failed_coalition_lps_says_partial(tmp_path, capsys, monkeypatch):
+    from scipy.optimize import OptimizeResult
+
+    from datex import ExchangeSolution, exact
+
+    # the empty solution leaves every coalition with a positive pair worth an LP
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    run(["gen", "--kind", "random", "--n", "5", "--senders", "3", "--seed", "4",
+         "--out", str(inst)], capsys)
+    dio.dump_solution(ExchangeSolution.empty(5), str(sol))
+    calls = []
+    real_linprog = exact.linprog
+
+    def every_other_lp_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) % 2:
+            return OptimizeResult(success=False, status=4, message="injected failure")
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "linprog", every_other_lp_fails)
+    code, out, _ = run(["audit", str(inst), str(sol), "--coalitions", "3"], capsys)
+    payload = json.loads(out.strip().splitlines()[-1])
+    counts = payload["core_audit_counts"]
+    assert code == 0 and payload["core_audit"] == "partial"
+    assert counts["lps"] == len(calls) > 1
+    assert counts["failed"] == (len(calls) + 1) // 2
+    assert counts["ruled_out"] + counts["lps"] == counts["coalitions"] == 20
 
 
 def test_audit_over_coalition_bound_says_skipped(tmp_path, capsys):
@@ -207,6 +243,7 @@ def test_audit_over_coalition_bound_says_skipped(tmp_path, capsys):
     payload = json.loads(out.strip().splitlines()[-1])
     assert code == 0
     assert payload["core_audit"] == "skipped" and payload["blocking_coalitions"] == []
+    assert payload["core_audit_counts"] is None
 
 
 def test_fuzz_without_misreport_model_exits_2(tmp_path, capsys):
@@ -436,6 +473,7 @@ def test_uncaught_exception_exits_with_one_line(tmp_path, capsys, monkeypatch, e
     (["experiment", "--grid", "12"], "--grid must be WxH, got '12'"),
     (["experiment", "--replicates", "0"], "replicates must be >= 1, got 0"),
     (["gen", "--kind", "road", "--grid", "abc"], "--grid must be WxH, got 'abc'"),
+    (["gen", "--kind", "random", "--senders", "-1"], "senders per agent must be >= 0, got -1"),
 ])
 def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
     if argv[0] == "oracle":
@@ -462,6 +500,9 @@ def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
     (["fuzz", "{inst}", "--trials", "-3"], "fuzz trials must be >= 0, got -3"),
     (["audit", "{inst}", "{sol}", "--fuzz-trials", "-1"], "fuzz trials must be >= 0, got -1"),
     (["audit", "{inst}", "{sol}", "--coalitions", "-1"], "--coalitions must be >= 0, got -1"),
+    # a negative or non-finite balance slack is rejected, not clamped to 0
+    (["exact", "{inst}", "--relax-eps", "-1"], "relax_eps must be finite and >= 0, got -1.0"),
+    (["exact", "{inst}", "--relax-eps", "nan"], "relax_eps must be finite and >= 0, got nan"),
 ])
 def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     from datex import ExchangeSolution

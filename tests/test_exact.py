@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -94,21 +96,58 @@ def test_x3c_no_instance_strictly_below():
 
 def test_welfare_optimal_two_agent_has_no_blocking(two_agent_unit):
     sol, _ = exact_welfare_lp(two_agent_unit, relax_eps=0.0)
-    assert exact_core_audit(two_agent_unit, sol, max_coalition=2) == []
+    assert exact_core_audit(two_agent_unit, sol, max_coalition=2).blocking == []
 
 
 def test_empty_solution_blocked_by_positive_pair(two_agent_unit):
-    blocking = exact_core_audit(two_agent_unit, ExchangeSolution.empty(2), max_coalition=2)
+    blocking = exact_core_audit(two_agent_unit, ExchangeSolution.empty(2),
+                                max_coalition=2).blocking
     assert [c for c, _ in blocking] == [(0, 1)]
 
 
 def test_core_gap_long_cycle_blocked_by_heavy_pair():
     inst = gen_core_gap(6)
-    blocking = exact_core_audit(inst, core_gap_long_cycle(inst), max_coalition=2)
+    blocking = exact_core_audit(inst, core_gap_long_cycle(inst), max_coalition=2).blocking
     assert ((0, 5) in [c for c, _ in blocking])
     # each of {0, n-1} can reach sqrt(M) = sqrt(3) vs 1 in the cycle
     margin = dict(blocking)[(0, 5)]
     assert margin == pytest.approx(np.sqrt(3.0) - 1.0, abs=1e-6)
+
+
+def _unfiltered_core_audit(instance, solution, max_coalition, margin, factor):
+    # every coalition gets its LP: the reference the filtered audit must match
+    from datex.exact import _coalition_best_margin
+
+    current = evaluate(instance, solution).per_agent_utility
+    blocking = []
+    for size in range(2, max_coalition + 1):
+        for coalition in itertools.combinations(range(instance.n), size):
+            targets = np.array([factor * current[i] for i in coalition])
+            t_star = _coalition_best_margin(instance, coalition, targets)
+            if t_star > margin:
+                blocking.append((coalition, t_star))
+    return sorted(blocking)
+
+
+def test_ruled_out_coalitions_never_block():
+    from datex import greedy_matching, mix_solutions
+
+    ruled_out = blocking = 0
+    for seed in range(12):  # every (n, model) pair twice
+        n = 4 + seed % 3
+        inst = gen_random(n, 3, ("symmetric", "table")[seed % 2], seed=70_000 + seed)
+        lp_sol, _ = exact_welfare_lp(inst, relax_eps=inst.epsilon)
+        matching = greedy_matching(inst)
+        for sol in (ExchangeSolution.empty(n), matching, mix_solutions(lp_sol, matching, 0.5)):
+            for factor in (1.0, 1.25):
+                audit = exact_core_audit(inst, sol, max_coalition=3, factor=factor)
+                reference = _unfiltered_core_audit(inst, sol, 3, 1e-7, factor)
+                assert audit.blocking == reference, (seed, factor)
+                assert audit.ruled_out + audit.lps == audit.coalitions
+                assert audit.failed == 0
+                ruled_out += audit.ruled_out
+                blocking += len(audit.blocking)
+    assert ruled_out > 0 and blocking > 0
 
 
 def test_coalition_cap():
