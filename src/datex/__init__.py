@@ -27,7 +27,6 @@ from .sharing import (
 )
 from .oracles import (
     ConvexCost,
-    DualPrices,
     OracleResult,
     get_oracle,
     oracle_bruteforce,

@@ -5,9 +5,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from . import io
 from .exact import exact_core_audit, exact_welfare_lp
@@ -24,8 +27,8 @@ from .instances import (
     make_x3c_yes,
 )
 from .model import SharingRuleSpec, evaluate, normalize_instance
-from .mwu import MwuConfig, practical_eta, solve_welfare
-from .oracles import ORACLES, DualPrices, get_oracle
+from .mwu import MwuConfig, solve_welfare
+from .oracles import ORACLES, get_oracle
 from .stability import (
     check_2_stability,
     greedy_cycle_canceling,
@@ -111,10 +114,7 @@ def cmd_solve(args) -> int:
             args.sharing, args.sharing_m, args.seed))
     instance, scale = normalize_instance(instance)
     oracle = get_oracle(args.oracle, eps=args.oracle_eps)
-    eta = args.eta
-    if eta is None and args.max_iters <= 20000:
-        eta = practical_eta(instance.n, args.max_iters)
-    config = MwuConfig(delta=args.delta, max_iters=args.max_iters, eta_override=eta)
+    config = MwuConfig(delta=args.delta, max_iters=args.max_iters, eta_override=args.eta)
     solution, report = solve_welfare(instance, config, oracle)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -145,15 +145,19 @@ def cmd_oracle(args) -> int:
     if not 0 <= args.agent < instance.n:
         raise ValueError(
             f"--agent {args.agent} is not an agent of this instance (0..{instance.n - 1})")
-    q_obj = json.loads(args.q)
+    q_obj = json.loads(args.q, parse_int=float)
     if not isinstance(q_obj, dict):
         raise ValueError(f"--q must be a JSON object of sender prices, got {args.q!r}")
-    q_map = {int(j): float(v) for j, v in q_obj.items()}
-    prices = DualPrices.from_pairs(instance.n, {
-        (args.agent, j): q_map.get(j, 0.0) for j in instance.senders_of[args.agent]
-    })
+    senders = {str(j): j for j in instance.senders_of[args.agent]}
+    q = np.zeros(instance.n)  # unlisted senders get 0
+    for key, v in q_obj.items():
+        if key not in senders:
+            raise ValueError(f"--q key {key!r} is not a sender of agent {args.agent}")
+        if type(v) is not float or not math.isfinite(v):
+            raise ValueError(f"--q price of sender {key} must be a finite JSON number, got {v!r}")
+        q[senders[key]] = v
     oracle = get_oracle(args.oracle, eps=args.oracle_eps)
-    result = oracle(instance, args.agent, prices)
+    result = oracle(instance, args.agent, q)
     print(json.dumps({
         "chosen": sorted(result.chosen),
         "value": result.value,
@@ -306,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--agent", type=int, required=True)
     p.add_argument("--q", required=True,
-                   help='JSON map sender -> price, e.g. \'{"1": 0.5}\'; unlisted senders get 0')
+                   help='agent\'s price row as a JSON object sender -> price, e.g. \'{"1": 0.5}\'; '
+                        'keys must be senders of --agent and prices finite numbers; '
+                        'unlisted senders get 0')
     p.add_argument("--oracle", choices=list(ORACLES), default="bruteforce")
     p.add_argument("--oracle-eps", type=float, default=0.1)
     p.set_defaults(fn=cmd_oracle)

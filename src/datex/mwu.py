@@ -17,7 +17,7 @@ from .model import (
     evaluate,
     utility,
 )
-from .oracles import ConvexCost, DualPrices, OracleResult, OracleSpec, oracle_imbalance
+from .oracles import ConvexCost, OracleResult, OracleSpec, oracle_imbalance
 from .sharing import column_lp, column_matrices, lp_solution
 
 logger = logging.getLogger(__name__)
@@ -46,7 +46,8 @@ class MwuConfig:
 
     delta is the welfare-grid ratio (<= 1/3); max_iters caps the theoretical
     iteration count T = 32 n^2 alpha^2 ln(n) / eps^2; eta_override replaces
-    the theoretical learning rate eps / (4 n alpha).
+    the default learning rate: the theoretical eps / (4 n alpha) when all T
+    iterations run, else practical_eta(n, max_iters).
     """
 
     delta: float = 1.0 / 3.0
@@ -79,12 +80,13 @@ def width(instance: Instance, eps: float, imbalance: ImbalanceSpec | None = None
 
 
 def assemble_prices(instance: Instance, w: np.ndarray, B: float, alpha: float,
-                    eps: float) -> tuple[np.ndarray, DualPrices, float]:
+                    eps: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Normalize row weights and reduce p^T A to per-pair prices.
 
     Q_ij = p0 + (p+_i - p-_i) - (p+_j - p-_j), where p0 weights the welfare
-    row and p+/p- the two balance rows; threshold is p.b / alpha.  Q is dense:
-    entries off the allowed pairs are never read.
+    row and p+/p- the two balance rows; threshold is p.b / alpha.  Q is a
+    dense n x n array whose row i is agent i's oracle price row; entries off
+    the allowed pairs are never read.
     """
     if np.any(w <= 0):
         raise ValueError("row weights must stay positive")
@@ -92,7 +94,7 @@ def assemble_prices(instance: Instance, w: np.ndarray, B: float, alpha: float,
     p = w / w.sum()
     net = p[1 : n + 1] - p[n + 1 : 2 * n + 1]
     threshold = (p[0] * B - eps * (p[1:].sum())) / alpha
-    return p, DualPrices(Q=p[0] + net[:, None] - net[None, :]), float(threshold)
+    return p, p[0] + net[:, None] - net[None, :], float(threshold)
 
 
 @dataclass
@@ -134,7 +136,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
     t_theory = math.ceil(32.0 * n * n * alpha * alpha * log_n / (eps * eps))
     iters = min(t_theory, config.max_iters)
     if eta is None:
-        eta = eps / (4.0 * n * alpha)
+        eta = eps / (4.0 * n * alpha) if iters == t_theory else practical_eta(n, iters)
     if not (0.0 < eta <= 0.5):
         raise ValueError("eta must lie in (0, 1/2]")
     # regret constant: 2 ln n only dominates ln(2n+1) for n >= 3; use the
@@ -155,12 +157,12 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
     t_done = 0
 
     for t in range(1, iters + 1):
-        p, prices, threshold = assemble_prices(instance, w, B, alpha, eps)
+        p, Q, threshold = assemble_prices(instance, w, B, alpha, eps)
 
         oracle_total = 0.0
         chosen_cols: list[tuple[int, object]] = []
         for i in range(n):
-            res: OracleResult = oracle(instance, i, prices)
+            res: OracleResult = oracle(instance, i, Q[i])
             if res.value <= 0.0 or not res.chosen:
                 continue
             col: object
@@ -293,22 +295,11 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
     grid_len = max(1, 1 + math.ceil(math.log(max(rho / eps, 1.0)) / math.log(1.0 + config.delta)))
     grid = [eps * (1.0 + config.delta) ** k for k in range(grid_len)]
 
-    total_iters = 0
-    probes = 0
-    trace: list[dict] = []
-    best: tuple[float, MwuRun] | None = None
+    runs: dict[int, MwuRun] = {}  # grid index -> its run, in probe order
 
     def probe(k: int) -> bool:
-        nonlocal total_iters, probes, best
-        run = run_mwu(instance, grid[k], config, oracle)
-        total_iters += run.iterations
-        probes += 1
-        trace.extend(run.trace)
-        if run.feasible and run.solution is not None:
-            if best is None or grid[k] > best[0]:
-                best = (grid[k], run)
-            return True
-        return False
+        run = runs[k] = run_mwu(instance, grid[k], config, oracle)
+        return run.solution is not None
 
     # The grid top bounds any welfare (it is >= rho), so a feasible top is the
     # answer. Otherwise search below it from B = eps: exponential probing on
@@ -330,20 +321,22 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if probe(mid) else (lo, mid)
-        search = f"B search: grid top infeasible; searched below it ({probes} probes)"
+        search = f"B search: grid top infeasible; searched below it ({len(runs)} probes)"
 
-    if best is None:
-        report = evaluate(instance, ExchangeSolution.empty(n), iterations=total_iters)
+    iterations = sum(run.iterations for run in runs.values())
+    trace = [row for run in runs.values() for row in run.trace]
+    best_k = max((k for k, run in runs.items() if run.solution is not None), default=None)
+    if best_k is None:
+        report = evaluate(instance, ExchangeSolution.empty(n), iterations=iterations)
         report.trace = trace
         report.caveats += [
             "MWU declared every welfare target infeasible (one-sided test); no solution",
             search,
         ]
         return ExchangeSolution.empty(n), report
-    best_b, best_run = best
+    best_b, best_run = grid[best_k], runs[best_k]
     solution = best_run.solution
-    assert solution is not None
-    report = evaluate(instance, solution, iterations=total_iters, best_B=best_b)
+    report = evaluate(instance, solution, iterations=iterations, best_B=best_b)
     report.guarantee = best_b / (2.0 * alpha * (1.0 + 3.0 * config.delta))
     report.trace = trace
     if not best_run.certified:

@@ -1,4 +1,8 @@
-"""Approximate maximizers of the per-agent dual subproblem max_S sum_j Q_ij h_ij(S)."""
+"""Approximate maximizers of the per-agent dual subproblem max_S sum_j Q_ij h_ij(S).
+
+Every oracle is fn(instance, i, q, eps), where q is agent i's length-n price
+row Q_i as a float array; only the entries of i's senders are read.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -24,27 +28,6 @@ logger = logging.getLogger(__name__)
 SIZE_FIXED_POINT = 10**6  # knapsack sizes in units of 1e-6, or finer for smaller sizes
 
 
-@dataclass(frozen=True)
-class DualPrices:
-    """Per-ordered-pair weights Q_ij assembled from the MWU row weights.
-
-    Q is a dense n x n array; oracles read only the entries of allowed pairs.
-    """
-
-    Q: np.ndarray
-
-    @staticmethod
-    def from_pairs(n: int, mapping: Mapping[tuple[int, int], float]) -> DualPrices:
-        """Prices given per (receiver, sender) pair; unlisted pairs get 0."""
-        Q = np.zeros((n, n))
-        for (i, j), v in mapping.items():
-            Q[i, j] = v
-        return DualPrices(Q=Q)
-
-    def q(self, i: int, j: int) -> float:
-        return float(self.Q[i, j])
-
-
 @dataclass
 class OracleResult:
     chosen: frozenset[int]
@@ -53,15 +36,15 @@ class OracleResult:
     guesses: int = 0
 
 
-def oracle_value(instance: Instance, i: int, prices: DualPrices, subset: frozenset[int]) -> float:
-    """Recompute sum_j Q_ij h_ij(subset)."""
-    return sum(prices.q(i, j) * h for j, h in shares(instance, i, subset).items())
+def oracle_value(instance: Instance, i: int, q: np.ndarray, subset: frozenset[int]) -> float:
+    """Recompute sum_j q_j h_ij(subset)."""
+    return sum(float(q[j]) * h for j, h in shares(instance, i, subset).items())
 
 
 _EMPTY = frozenset()
 
 
-def oracle_bruteforce(instance: Instance, i: int, prices: DualPrices, eps: float = 0.1) -> OracleResult:
+def oracle_bruteforce(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1) -> OracleResult:
     """Exact argmax over all subsets of permitted senders (exactness baseline).
 
     eps is taken only so every oracle has one signature; the argmax is exact.
@@ -72,7 +55,7 @@ def oracle_bruteforce(instance: Instance, i: int, prices: DualPrices, eps: float
     best_set, best_val = _EMPTY, 0.0
     for mask in range(1, 1 << len(senders)):
         subset = frozenset(senders[b] for b in range(len(senders)) if mask & (1 << b))
-        val = oracle_value(instance, i, prices, subset)
+        val = oracle_value(instance, i, q, subset)
         if val > best_val:
             best_set, best_val = subset, val
     return OracleResult(chosen=best_set, value=best_val, guesses=1 << len(senders))
@@ -97,7 +80,7 @@ def _bucket_edges(n: int, eps: float) -> tuple[int, np.ndarray]:
     return count, edges
 
 
-def oracle_bucketing(instance: Instance, i: int, prices: DualPrices, eps: float = 0.1) -> OracleResult:
+def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1) -> OracleResult:
     """Bucket senders by price level and return the best whole bucket.
 
     Sweeps guesses of the oracle optimum in descending powers of (1+eps),
@@ -115,14 +98,17 @@ def oracle_bucketing(instance: Instance, i: int, prices: DualPrices, eps: float 
         logger.debug("bucketing with sampled Shapley: cross-monotonicity only approximate")
     n = instance.n
     senders = np.array(instance.senders_of[i], dtype=np.intp)
-    q = prices.Q[i][senders]
+    q_s = q[senders]
     u = instance.singleton_utility[i][senders]
-    qu = q * u
+    qu = q_s * u
     single_val = float(qu.max(initial=0.0))
     if single_val <= 0.0:
         return OracleResult(chosen=_EMPTY, value=0.0, guesses=0)
+    guess = n * single_val
+    if not math.isfinite(guess):
+        raise ValueError(f"bucketing oracle needs a finite first guess n * max_j q_j u_ij; got {guess!r}")
     best_single = frozenset({int(senders[qu.argmax()])})  # first maximum in sender order
-    q_row = prices.Q[i].tolist()
+    q_row = q.tolist()
     sender_list = senders.tolist()
 
     alpha_hat = bucketing_alpha(n, eps)
@@ -131,14 +117,13 @@ def oracle_bucketing(instance: Instance, i: int, prices: DualPrices, eps: float 
 
     best_set, best_val = _EMPTY, 0.0
     guesses = 0
-    guess = n * single_val
     lo = single_val / (1.0 + eps)
     while guess >= lo:
         guesses += 1
         u0 = eps * guess / n
         # c - 1 is the bucket k with u0 e^k < q <= u0 e^(k+1); c = 0 holds q <= u0
         # and the senders whose utility or value is negligible at this guess
-        c = (u0 * edges).searchsorted(q)
+        c = (u0 * edges).searchsorted(q_s)
         c[~useful | (qu < u0)] = 0
         buckets: dict[int, list[int]] = {}
         for j, cj in zip(sender_list, c.tolist()):
@@ -201,7 +186,7 @@ def _knapsack_table(profits: list[float], weights_int: list[int],
     return caps, answers
 
 
-def oracle_knapsack(instance: Instance, i: int, prices: DualPrices, eps: float = 0.1) -> OracleResult:
+def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1) -> OracleResult:
     """Guess the optimal data volume and solve a knapsack per guess.
 
     For symmetric weighted utilities with proportional sharing (w = s) the
@@ -217,11 +202,8 @@ def oracle_knapsack(instance: Instance, i: int, prices: DualPrices, eps: float =
         raise ValueError("knapsack oracle needs proportional sharing with w = s")
     check_oracle_eps("knapsack", eps)
     f = model.f[i]
-    items = [
-        (j, prices.q(i, j), model.sizes.get((i, j), 0.0))
-        for j in instance.senders_of[i]
-    ]
-    items = [(j, q, s) for j, q, s in items if q > 0.0 and s > 0.0]
+    items = [(j, float(q[j]), model.sizes.get((i, j), 0.0)) for j in instance.senders_of[i]]
+    items = [(j, qj, s) for j, qj, s in items if qj > 0.0 and s > 0.0]
     if not items:
         return OracleResult(chosen=_EMPTY, value=0.0, guesses=0)
 
@@ -231,7 +213,7 @@ def oracle_knapsack(instance: Instance, i: int, prices: DualPrices, eps: float =
     while s_min * unit < 1.0:
         unit *= 10
     weights_int = [round(s * unit) for _, _, s in items]
-    profits = [q * s for _, q, s in items]
+    profits = [qj * s for _, qj, s in items]
     total_int = sum(weights_int)
     grid_int = set(weights_int) | {total_int}
     phi = float(min(weights_int))
@@ -261,11 +243,11 @@ def oracle_knapsack(instance: Instance, i: int, prices: DualPrices, eps: float =
 
     if not best_set:
         return OracleResult(chosen=_EMPTY, value=0.0, guesses=len(grid_int))
-    value = oracle_value(instance, i, prices, best_set)
+    value = oracle_value(instance, i, q, best_set)
     return OracleResult(chosen=best_set, value=value, guesses=len(grid_int))
 
 
-def oracle_continuous(instance: Instance, i: int, prices: DualPrices, eps: float = 0.1) -> OracleResult:
+def oracle_continuous(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1) -> OracleResult:
     """Fractional oracle for continuous concave utilities with proportional sharing.
 
     Guesses the per-unit value level V = f(D)/D in powers of (1+eps); each
@@ -279,12 +261,8 @@ def oracle_continuous(instance: Instance, i: int, prices: DualPrices, eps: float
         raise ValueError("continuous oracle needs proportional sharing with w = s")
     check_oracle_eps("continuous", eps)
     f = model.f[i]
-    items = [
-        (j, prices.q(i, j), model.sizes.get((i, j), 0.0))
-        for j in instance.senders_of[i]
-    ]
-    items = [(j, q, s) for j, q, s in items if s > 0.0]
-    pos = [(j, q, s) for j, q, s in items if q > 0.0]
+    items = [(j, float(q[j]), model.sizes.get((i, j), 0.0)) for j in instance.senders_of[i]]
+    pos = [(j, qj, s) for j, qj, s in items if qj > 0.0 and s > 0.0]
     if not pos:
         return OracleResult(chosen=_EMPTY, value=0.0, y={}, guesses=0)
 
@@ -298,7 +276,7 @@ def oracle_continuous(instance: Instance, i: int, prices: DualPrices, eps: float
     def fill(cap: float) -> tuple[dict[int, float], float, float]:
         y: dict[int, float] = {}
         w = used = 0.0
-        for j, q, s in pos_sorted:
+        for j, qj, s in pos_sorted:
             if cap - used <= 0.0:
                 break
             frac = min(1.0, (cap - used) / s)
@@ -306,7 +284,7 @@ def oracle_continuous(instance: Instance, i: int, prices: DualPrices, eps: float
                 break
             y[j] = frac
             used += s * frac
-            w += q * s * frac
+            w += qj * s * frac
         return y, w, used
 
     best_y: dict[int, float] = {}
@@ -337,7 +315,7 @@ def oracle_continuous(instance: Instance, i: int, prices: DualPrices, eps: float
     if not best_y:
         return OracleResult(chosen=_EMPTY, value=0.0, y={}, guesses=guesses)
     d = sum(model.sizes[(i, j)] * yj for j, yj in best_y.items())
-    w = sum(prices.q(i, j) * model.sizes[(i, j)] * yj for j, yj in best_y.items())
+    w = sum(float(q[j]) * model.sizes[(i, j)] * yj for j, yj in best_y.items())
     value = w * f(d) / d if d > 0 else 0.0
     return OracleResult(chosen=frozenset(best_y), value=value, y=best_y, guesses=guesses)
 
@@ -444,8 +422,8 @@ class OracleSpec:
     def alpha(self, instance: Instance) -> float:
         return ORACLES[self.name].alpha(instance.n, self.eps)
 
-    def __call__(self, instance: Instance, i: int, prices: DualPrices) -> OracleResult:
-        return self.fn(instance, i, prices, self.eps)  # type: ignore[operator]
+    def __call__(self, instance: Instance, i: int, q: np.ndarray) -> OracleResult:
+        return self.fn(instance, i, q, self.eps)  # type: ignore[operator]
 
 
 def get_oracle(name: str, eps: float = 0.1) -> OracleSpec:

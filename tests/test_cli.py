@@ -474,6 +474,16 @@ def test_uncaught_exception_exits_with_one_line(tmp_path, capsys, monkeypatch, e
     (["experiment", "--replicates", "0"], "replicates must be >= 1, got 0"),
     (["gen", "--kind", "road", "--grid", "abc"], "--grid must be WxH, got 'abc'"),
     (["gen", "--kind", "random", "--senders", "-1"], "senders per agent must be >= 0, got -1"),
+    # prices that are not finite JSON numbers, keys that name no sender of agent 0
+    (["oracle", "--agent", "0", "--q", '{"1": NaN}'], "finite JSON number, got nan"),
+    (["oracle", "--agent", "0", "--q", '{"1": Infinity}'], "finite JSON number, got inf"),
+    (["oracle", "--agent", "0", "--q", '{"1": -Infinity}', "--oracle", "bucketing"],
+     "finite JSON number, got -inf"),
+    (["oracle", "--agent", "0", "--q", '{"1": 1e400}'], "finite JSON number, got inf"),
+    (["oracle", "--agent", "0", "--q", '{"1": true}'], "finite JSON number, got True"),
+    (["oracle", "--agent", "0", "--q", '{"1": "0.5"}'], "finite JSON number, got '0.5'"),
+    (["oracle", "--agent", "0", "--q", '{"99": 1.0}'], "'99' is not a sender of agent 0"),
+    (["oracle", "--agent", "0", "--q", '{"0": 5.0}'], "'0' is not a sender of agent 0"),
 ])
 def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
     if argv[0] == "oracle":
@@ -482,7 +492,8 @@ def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
         argv = ["oracle", str(inst), *argv[1:]]
     else:
         argv = [*argv, "--out", str(tmp_path / "out")]
-    code, out, err = run(argv, capsys)
+    with time_limit(10):
+        code, out, err = run(argv, capsys)
     assert code == 2 and out == "" and not (tmp_path / "out").exists()
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ") and message in err
 
@@ -503,6 +514,11 @@ def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
     # a negative or non-finite balance slack is rejected, not clamped to 0
     (["exact", "{inst}", "--relax-eps", "-1"], "relax_eps must be finite and >= 0, got -1.0"),
     (["exact", "{inst}", "--relax-eps", "nan"], "relax_eps must be finite and >= 0, got nan"),
+    # prices the bucketing oracle's guess grid cannot start from; both used to hang
+    (["oracle", "{table}", "--agent", "0", "--q", '{{"1": Infinity}}', "--oracle", "bucketing"],
+     "finite JSON number, got inf"),
+    (["oracle", "{table}", "--agent", "0", "--q", '{{"1": 1e308, "3": 1e308, "5": 1e308}}',
+      "--oracle", "bucketing"], "finite first guess"),
 ])
 def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     from datex import ExchangeSolution
@@ -510,14 +526,18 @@ def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     inst, sol, alien = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "alien.json"
     assert run(["gen", "--kind", "random", "--n", "4", "--senders", "2", "--seed", "3",
                 "--out", str(inst)], capsys)[0] == 0
+    table = tmp_path / "table.json"
+    assert run(["gen", "--kind", "random", "--n", "6", "--model", "table", "--seed", "3",
+                "--out", str(table)], capsys)[0] == 0
     instance = dio.load_instance(str(inst))
     i, j = min((i, j) for i in range(4) for j in range(4)
                if i != j and (i, j) not in instance.allowed)
     dio.dump_solution(ExchangeSolution.empty(4), str(sol))
     dio.dump_solution(ExchangeSolution(n=4, columns={i: {frozenset({j}): 0.5}}), str(alien))
-    names = {"inst": inst, "sol": sol, "alien": alien, "tmp": tmp_path,
+    names = {"inst": inst, "sol": sol, "alien": alien, "table": table, "tmp": tmp_path,
              "nodir": tmp_path / "nodir" / "out.json", "i": i, "j": j}
-    code, out, err = run([arg.format(**names) for arg in argv], capsys)
+    with time_limit(10):
+        code, out, err = run([arg.format(**names) for arg in argv], capsys)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert message.format(**names) in err

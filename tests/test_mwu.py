@@ -42,22 +42,22 @@ def small_config(n, iters=400):
 
 def test_assemble_prices_uniform_two_agents(two_agent_symmetric):
     w = np.ones(5)
-    p, prices, threshold = assemble_prices(two_agent_symmetric, w, B=1.0, alpha=1.0, eps=0.1)
+    p, Q, threshold = assemble_prices(two_agent_symmetric, w, B=1.0, alpha=1.0, eps=0.1)
     np.testing.assert_allclose(p, 0.2)
-    assert prices.q(0, 1) == pytest.approx(0.2) and prices.q(1, 0) == pytest.approx(0.2)
+    assert Q[0, 1] == pytest.approx(0.2) and Q[1, 0] == pytest.approx(0.2)
     assert threshold == pytest.approx(0.2 * 1.0 - 0.1 * 0.8)
 
 
 def test_assemble_prices_welfare_row_dominant(two_agent_symmetric):
     w = np.array([1e9, 1.0, 1.0, 1.0, 1.0])
-    _, prices, _ = assemble_prices(two_agent_symmetric, w, B=1.0, alpha=1.0, eps=0.1)
-    assert prices.q(0, 1) == pytest.approx(1.0, abs=1e-6)
+    _, Q, _ = assemble_prices(two_agent_symmetric, w, B=1.0, alpha=1.0, eps=0.1)
+    assert Q[0, 1] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_assemble_prices_zero_balance_rows(two_agent_symmetric):
     w = np.array([2.0, 1e-12, 1e-12, 1e-12, 1e-12])
-    p, prices, _ = assemble_prices(two_agent_symmetric, w, B=1.0, alpha=1.0, eps=0.1)
-    assert prices.q(0, 1) == pytest.approx(p[0], abs=1e-9)
+    p, Q, _ = assemble_prices(two_agent_symmetric, w, B=1.0, alpha=1.0, eps=0.1)
+    assert Q[0, 1] == pytest.approx(p[0], abs=1e-9)
 
 
 def test_price_reduction_matches_explicit_row_expansion():
@@ -66,7 +66,7 @@ def test_price_reduction_matches_explicit_row_expansion():
     rng = np.random.default_rng(0)
     n = inst.n
     w = rng.uniform(0.2, 3.0, size=2 * n + 1)
-    p, prices, _ = assemble_prices(inst, w, B=0.7, alpha=2.0, eps=0.05)
+    p, Q, _ = assemble_prices(inst, w, B=0.7, alpha=2.0, eps=0.05)
     for i in range(n):
         senders = inst.senders_of[i]
         for size in range(1, len(senders) + 1):
@@ -78,7 +78,7 @@ def test_price_reduction_matches_explicit_row_expansion():
                 for a in range(n):
                     row_plus = (u if a == i else 0.0) - h.get(a, 0.0)
                     coef += p[1 + a] * row_plus - p[1 + n + a] * row_plus
-                q_form = sum(prices.q(i, j) * hv for j, hv in h.items())
+                q_form = sum(Q[i, j] * hv for j, hv in h.items())
                 assert coef == pytest.approx(q_form, abs=1e-12)
 
 
@@ -89,12 +89,12 @@ def test_dense_prices_match_pairwise_formula_bit_for_bit():
         n = int(rng.integers(2, 12))
         inst = gen_random(n, min(n - 1, 4), "table", seed=700 + trial)
         w = rng.uniform(1e-6, 5.0, size=2 * n + 1) * 10.0 ** rng.uniform(-3, 3, size=2 * n + 1)
-        p, prices, _ = assemble_prices(inst, w, B=0.5, alpha=3.0, eps=0.05)
+        p, Q, _ = assemble_prices(inst, w, B=0.5, alpha=3.0, eps=0.05)
         net = p[1 : n + 1] - p[n + 1 : 2 * n + 1]
-        assert prices.Q.shape == (n, n)
+        assert Q.shape == (n, n)
         for i, j in inst.allowed:
             old = float(p[0] + net[i] - net[j])
-            assert prices.q(i, j) == old and prices.Q[i, j] == old
+            assert Q[i, j] == old
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,34 @@ def test_single_agent_infeasible():
     )
     run = run_mwu(inst, 0.05, MwuConfig(max_iters=50), get_oracle("bruteforce"))
     assert not run.feasible
+
+
+def _same_run(a, b):
+    # repr, so the NaN residual of an infeasible last row compares equal
+    return repr((a.iterations, a.regret_lhs, a.regret_rhs_min, a.trace)) == repr(
+        (b.iterations, b.regret_lhs, b.regret_rhs_min, b.trace))
+
+
+def test_default_rate_is_practical_eta_when_the_cap_binds(two_agent_symmetric):
+    # knapsack alpha 1.21 and eps 0.1 give T of about 13,000, so 200 iterations cap the run
+    inst, _ = normalize_instance(two_agent_symmetric)
+    oracle = get_oracle("knapsack")
+    default = run_mwu(inst, 1.0, MwuConfig(max_iters=200), oracle)
+    explicit = run_mwu(inst, 1.0, small_config(2, 200), oracle)
+    assert _same_run(default, explicit)
+    assert list(default.solution.iter_columns()) == list(explicit.solution.iter_columns())
+
+
+def test_default_rate_is_theoretical_when_all_t_iterations_run(two_agent_symmetric):
+    # 2 agents, bruteforce (alpha 1), eps 0.5: T = ceil(128 ln 2 / 0.25) = 355
+    inst, _ = normalize_instance(replace(two_agent_symmetric, epsilon=0.5))
+    oracle = get_oracle("bruteforce")
+    assert math.ceil(32 * 4 * math.log(2) / 0.25) == 355
+    default = run_mwu(inst, 2.5, MwuConfig(max_iters=400), oracle)
+    theory = run_mwu(inst, 2.5, MwuConfig(max_iters=400, eta_override=0.5 / (4 * 2)), oracle)
+    practical = run_mwu(inst, 2.5, MwuConfig(max_iters=400, eta_override=practical_eta(2, 355)),
+                        oracle)
+    assert _same_run(default, theory) and not _same_run(default, practical)
 
 
 def test_width_audit_and_regret_fields(two_agent_symmetric):
@@ -331,6 +359,7 @@ def test_one_column_lp_per_certification_check(monkeypatch, case):
     feasible = [(B, run) for B, run in runs if run.feasible]
     best_b, best = max(feasible, key=lambda item: item[0])
     assert rep.best_B == best_b and sol is best.solution
+    assert rep.iterations == sum(run.iterations for _, run in runs)
     assert all(run.solution is None for _, run in runs if not run.feasible)
     assert 0 < sol.column_count() <= 2 * inst.n + 1
     assert rep.feasible and sol.is_balanced(rep.balance_residual, inst.epsilon)

@@ -11,7 +11,6 @@ from datex import (
     ConcaveSpec,
     ContinuousConcave,
     ConvexCost,
-    DualPrices,
     Instance,
     SharingRuleSpec,
     SymmetricWeighted,
@@ -30,9 +29,11 @@ from conftest import table_instance
 
 
 def prices_for(instance, i, values):
-    return DualPrices.from_pairs(
-        instance.n, {(i, j): values.get(j, 0.0) for j in instance.senders_of[i]}
-    )
+    """Agent i's price row; senders missing from values get 0."""
+    q = np.zeros(instance.n)
+    for j in instance.senders_of[i]:
+        q[j] = values.get(j, 0.0)
+    return q
 
 
 def sqrt_instance(sizes_by_sender, n=None, continuous=False):
@@ -123,7 +124,7 @@ def _bucketing_per_sender_loop(instance, i, prices, eps):
     the utility model and bucket k found by floor(log) plus two corrections."""
     n = instance.n
     senders = instance.senders_of[i]
-    q_of = {j: prices.q(i, j) for j in senders}
+    q_of = {j: float(prices[j]) for j in senders}
     u_of = {j: utility(instance, i, frozenset({j})) for j in senders}
     pos = [j for j in senders if q_of[j] > 0.0]
     best_single, single_val = frozenset(), 0.0
@@ -187,7 +188,7 @@ def test_bucketing_matches_per_sender_loop_bit_for_bit():
         # prices around an MWU-like positive level, at scales from 1e-3 to 3
         scale = 10.0 ** rng.uniform(-3.0, 0.5)
         Q = rng.normal(loc=scale * rng.choice([0.0, 1.0]), scale=scale, size=(inst.n, inst.n))
-        prices = DualPrices(Q=Q)
+        prices = Q[i]
         for eps in (0.1, 0.3):
             res = oracle_bucketing(inst, i, prices, eps=eps)
             assert (res.chosen, res.value, res.guesses) == _bucketing_per_sender_loop(
@@ -196,6 +197,24 @@ def test_bucketing_matches_per_sender_loop_bit_for_bit():
             assert all(type(j) is int for j in res.chosen)
         draws += 1
     assert draws >= 200
+
+
+def test_bucketing_rejects_a_price_row_that_overflows_the_first_guess():
+    # n * max_j q_j u_ij = inf made the guess loop divide inf forever
+    inst = gen_random(6, 3, "table", seed=3)
+    q = prices_for(inst, 0, {j: 1e308 for j in inst.senders_of[0]})
+
+    def timeout(signum, frame):
+        raise TimeoutError("bucketing oracle did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match="finite first guess"):
+            oracle_bucketing(inst, 0, q)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_bucketing_ties_on_bucket_edges_match_per_sender_loop():
@@ -208,13 +227,14 @@ def test_bucketing_ties_on_bucket_edges_match_per_sender_loop():
     u0 = eps * (n * (1.0 * 0.5)) / n  # the first guess is n times the best singleton
     edge3 = u0 * math.e**3
     assert 1.0 < edge3 and edge3 * 0.3 < 0.5 and (u0 * 8.0) * 0.125 == u0
-    prices = DualPrices.from_pairs(n, {(0, 1): 1.0, (0, 2): edge3, (0, 3): u0 * 8.0,
-                                       (5, 0): 1.0, (5, 1): 1.0})
+    Q = np.zeros((n, n))
+    for (i, j), v in {(0, 1): 1.0, (0, 2): edge3, (0, 3): u0 * 8.0, (5, 0): 1.0, (5, 1): 1.0}.items():
+        Q[i, j] = v
     expected = {0: frozenset({1, 2, 3}), 5: frozenset({0})}
     for i, chosen in expected.items():
-        res = oracle_bucketing(inst, i, prices, eps=eps)
+        res = oracle_bucketing(inst, i, Q[i], eps=eps)
         assert res.chosen == chosen
-        assert (res.chosen, res.value, res.guesses) == _bucketing_per_sender_loop(inst, i, prices, eps)
+        assert (res.chosen, res.value, res.guesses) == _bucketing_per_sender_loop(inst, i, Q[i], eps)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +306,7 @@ def _per_guess_knapsack(instance, i, prices, eps):
     """Reference: one DP per capacity guess on the 1e-6 size grid."""
     model = instance.utility
     f = model.f[i]
-    items = [(j, prices.q(i, j), model.sizes.get((i, j), 0.0)) for j in instance.senders_of[i]]
+    items = [(j, float(prices[j]), model.sizes.get((i, j), 0.0)) for j in instance.senders_of[i]]
     items = [(j, q, s) for j, q, s in items if q > 0.0 and s > 0.0]
     if not items:
         return frozenset(), 0.0, 0
