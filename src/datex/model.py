@@ -231,13 +231,14 @@ class PathVariance:
         u = np.sum(sig / float(self.z[i])) - np.sum(sig / (float(self.z[i]) + added))
         return float(u) / self.scale
 
-    def prefix_values(self, i: int, order: Sequence[int]) -> np.ndarray:
-        """Utilities of the prefixes of `order` (one permutation pass)."""
+    def prefix_values(self, i: int, orders: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Utilities of the prefixes of each order, shaped like `orders`: one
+        order, or an (m, |S|) array of m permutation passes in one cumsum."""
         sig, donors = self._receiver_arrays(i)
-        cum = np.cumsum(donors[list(order)], axis=0)
+        cum = np.cumsum(donors[np.asarray(orders, dtype=np.intp)], axis=-2)
         v0 = np.sum(sig / float(self.z[i]))
-        vals = v0 - np.sum(sig / (float(self.z[i]) + cum), axis=1)
-        return np.asarray(vals) / self.scale
+        vals = v0 - np.sum(sig / (float(self.z[i]) + cum), axis=-1)
+        return vals / self.scale
 
     def rescaled(self, divisor: float) -> PathVariance:
         return PathVariance(

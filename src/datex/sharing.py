@@ -29,7 +29,8 @@ MAX_EXACT_SHAPLEY = 12
 # agent's LP weights may exceed 1 by this much and are scaled back onto it
 LP_MASS_TOL = 1e-6
 
-# shares are pure per (instance, agent, subset); memoized for the solver loops
+# shares, and column_split's (utility, shares), are pure per (instance, agent,
+# subset); memoized for the solver loops
 _share_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -57,10 +58,16 @@ def shares(instance: Instance, i: int, subset: frozenset[int]) -> dict[int, floa
 
 def column_split(instance: Instance, i: int, col: frozenset[int] | FracColumn,
                  ) -> tuple[float, dict[int, float]]:
-    """Utility of a solution column to i and its shares; fractional columns
-    need the continuous model and split proportionally to volume."""
+    """Utility of a solution column to i and its shares, memoized for set
+    columns; fractional columns need the continuous model and split
+    proportionally to volume."""
     if not isinstance(col, FracColumn):
-        return utility(instance, i, col), shares(instance, i, col)
+        cache = _share_cache.setdefault(instance, {})
+        key = ("split", i, col)  # beside shares' (i, subset) keys
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = (utility(instance, i, col), shares(instance, i, col))
+        return hit
     model = instance.utility
     if not isinstance(model, ContinuousConcave):
         raise ValueError("fractional columns need the continuous model")
@@ -222,24 +229,25 @@ def shapley_sampled(instance: Instance, i: int, subset: frozenset[int],
         raise ValueError("permutation count m must be >= 1")
     members = sorted(subset)
     rng = _permutation_rng(seed, i, members)
-    out = {j: 0.0 for j in members}
+    perms = np.array([rng.permutation(len(members)) for _ in range(m)])
     model = instance.utility
-    for _ in range(m):
-        order = [members[t] for t in rng.permutation(len(members))]
-        if isinstance(model, PathVariance):
-            prefix = model.prefix_values(i, order)
-            prev = 0.0
-            for j, val in zip(order, prefix):
-                out[j] += float(val) - prev
-                prev = float(val)
-        else:
-            prev = 0.0
-            chosen: set[int] = set()
-            for j in order:
-                chosen.add(j)
-                val = utility(instance, i, frozenset(chosen))
-                out[j] += val - prev
-                prev = val
+    if isinstance(model, PathVariance):
+        # all m prefix passes in one array; each member's marginals are then
+        # added in permutation order, as the per-permutation loop adds them
+        marg = np.diff(model.prefix_values(i, np.array(members)[perms]), axis=1, prepend=0.0)
+        acc = np.zeros(len(members))
+        for p in range(m):
+            acc[perms[p]] += marg[p]
+        return dict(zip(members, (acc / m).tolist()))
+    out = {j: 0.0 for j in members}
+    for perm in perms:
+        prev = 0.0
+        chosen: set[int] = set()
+        for j in (members[t] for t in perm):
+            chosen.add(j)
+            val = utility(instance, i, frozenset(chosen))
+            out[j] += val - prev
+            prev = val
     return {j: v / m for j, v in out.items()}
 
 

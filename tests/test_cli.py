@@ -519,6 +519,11 @@ def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
      "finite JSON number, got inf"),
     (["oracle", "{table}", "--agent", "0", "--q", '{{"1": 1e308, "3": 1e308, "5": 1e308}}',
       "--oracle", "bucketing"], "finite first guess"),
+    # finite prices whose sums overflow: printed "value": Infinity, or a saturated set
+    (["oracle", "{rand}", "--agent", "0", "--q", '{{"1": 1.7e308, "2": 1.7e308, "3": 1.7e308}}',
+      "--oracle", "bruteforce"], "bruteforce oracle needs a finite first guess"),
+    (["oracle", "{rand}", "--agent", "0", "--q", '{{"1": 1.7e308, "2": 1.7e308, "3": 1.7e308}}',
+      "--oracle", "knapsack"], "knapsack oracle needs a finite first guess"),
 ])
 def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     from datex import ExchangeSolution
@@ -529,13 +534,16 @@ def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     table = tmp_path / "table.json"
     assert run(["gen", "--kind", "random", "--n", "6", "--model", "table", "--seed", "3",
                 "--out", str(table)], capsys)[0] == 0
+    rand = tmp_path / "rand.json"
+    assert run(["gen", "--kind", "random", "--n", "4", "--seed", "1", "--out", str(rand)],
+               capsys)[0] == 0
     instance = dio.load_instance(str(inst))
     i, j = min((i, j) for i in range(4) for j in range(4)
                if i != j and (i, j) not in instance.allowed)
     dio.dump_solution(ExchangeSolution.empty(4), str(sol))
     dio.dump_solution(ExchangeSolution(n=4, columns={i: {frozenset({j}): 0.5}}), str(alien))
-    names = {"inst": inst, "sol": sol, "alien": alien, "table": table, "tmp": tmp_path,
-             "nodir": tmp_path / "nodir" / "out.json", "i": i, "j": j}
+    names = {"inst": inst, "sol": sol, "alien": alien, "table": table, "rand": rand,
+             "tmp": tmp_path, "nodir": tmp_path / "nodir" / "out.json", "i": i, "j": j}
     with time_limit(10):
         code, out, err = run([arg.format(**names) for arg in argv], capsys)
     assert code == 2 and out == ""

@@ -425,21 +425,17 @@ def test_knapsack_size_below_fixed_point_unit_terminates():
 
 
 def grid_oracle_2d(instance, i, q, res=1e-3):
-    """Independent oracle: exhaustive grid over [0,1]^2."""
+    """Independent oracle: exhaustive grid over [0,1]^2 for f = sqrt."""
     model = instance.utility
+    assert model.f[i] == ConcaveSpec(kind="sqrt")
     js = sorted(instance.senders_of[i])
-    best = 0.0
     ys = np.arange(0.0, 1.0 + res, res)
+    y1, y2 = np.meshgrid(ys, ys, indexing="ij")
     s = [model.sizes[(i, j)] for j in js]
-    f = model.f[i]
-    for y1 in ys:
-        for y2 in ys:
-            d = s[0] * y1 + s[1] * y2
-            if d <= 0:
-                continue
-            w = q[js[0]] * s[0] * y1 + q[js[1]] * s[1] * y2
-            best = max(best, w * f(d) / d)
-    return best
+    d = s[0] * y1 + s[1] * y2
+    w = q[js[0]] * s[0] * y1 + q[js[1]] * s[1] * y2
+    pos = d > 0
+    return max(0.0, float(np.max(w[pos] * np.sqrt(d[pos]) / d[pos])))
 
 
 def test_continuous_all_negative():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -23,8 +25,9 @@ from datex import (
     shares,
     utility,
 )
-from datex.instances import gen_random
-from datex.sharing import column_split
+from datex import sharing
+from datex.instances import RoadSpec, gen_random, gen_road, grid_graph
+from datex.sharing import _permutation_rng, _share_cache, column_split
 
 from conftest import five_model_instances
 
@@ -296,3 +299,99 @@ def test_proportional_violates_cross_monotonicity_on_unique_data():
 
 def test_vacuous_audit_on_single_sender(two_agent_unit):
     assert cross_monotonicity_audit(two_agent_unit, 0, budget=50) == []
+
+
+# ---------------------------------------------------------------------------
+# Road's share layer: one-pass sampled Shapley and the column_split memo
+# ---------------------------------------------------------------------------
+
+
+def road_instances():
+    """Road instances with uncorrelated, randomly and locally correlated edges."""
+    edges = grid_graph(12, 12, seed=1)
+    return [gen_road(RoadSpec(edges=edges, correlation=corr, rho=rho, seed=seed))
+            for seed, corr, rho in ((40, "none", 0.0), (41, "random", 0.5), (42, "local", 0.25))]
+
+
+def loop_shapley_sampled(instance, i, subset, m, seed):
+    """Path-variance sampled Shapley as a loop: one prefix pass per permutation."""
+    model = instance.utility
+    sig, donors = model._receiver_arrays(i)
+    z = float(model.z[i])
+    members = sorted(subset)
+    rng = _permutation_rng(seed, i, members)
+    out = {j: 0.0 for j in members}
+    for _ in range(m):
+        order = [members[t] for t in rng.permutation(len(members))]
+        cum = np.cumsum(donors[order], axis=0)
+        prefix = (np.sum(sig / z) - np.sum(sig / (z + cum), axis=1)) / model.scale
+        prev = 0.0
+        for j, val in zip(order, prefix):
+            out[j] += float(val) - prev
+            prev = float(val)
+    return {j: v / m for j, v in out.items()}
+
+
+def test_one_pass_sampled_shapley_is_bit_identical_to_the_permutation_loop():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for inst in road_instances():
+        for i in range(inst.n):
+            senders = inst.senders_of[i]
+            if not senders:
+                continue
+            sizes = {1, len(senders), int(rng.integers(1, len(senders) + 1))}
+            for size in sorted(sizes):
+                S = frozenset(int(j) for j in rng.choice(senders, size=size, replace=False))
+                for m in (1, 10, 37):
+                    got = shapley_sampled(inst, i, S, m, seed=inst.sharing.seed)
+                    ref = loop_shapley_sampled(inst, i, S, m, inst.sharing.seed)
+                    assert list(got.items()) == list(ref.items())
+                    checked += 1
+    assert checked >= 100
+
+
+def test_column_split_memo_matches_a_fresh_instance_and_skips_utility(monkeypatch):
+    calls = []
+    real_utility = sharing.utility
+
+    def counting_utility(instance, i, subset):
+        calls.append((i, subset))
+        return real_utility(instance, i, subset)
+
+    monkeypatch.setattr(sharing, "utility", counting_utility)
+    inst, fresh = road_instances()[1], road_instances()[1]
+    cols = [(i, frozenset(inst.senders_of[i][:k])) for i in range(inst.n)
+            for k in (1, len(inst.senders_of[i])) if inst.senders_of[i]]
+    first = [column_split(inst, i, col) for i, col in cols]
+    assert len(calls) == len(cols)
+    again = [column_split(inst, i, col) for i, col in cols]
+    assert len(calls) == len(cols)  # every second call is a memo hit
+    assert again == first
+    assert [column_split(fresh, i, col) for i, col in cols] == first
+    assert first == [(utility(inst, i, col), shares(inst, i, col)) for i, col in cols]
+
+    gc.collect()
+    before, ref = len(_share_cache), weakref.ref(inst)
+    assert inst in _share_cache
+    del inst, first, again
+    gc.collect()
+    assert ref() is None  # the memo holds no strong reference
+    assert len(_share_cache) == before - 1
+
+
+def test_frac_columns_still_split_by_volume():
+    sym = gen_random(5, 3, "symmetric", seed=5)
+    inst = Instance(n=sym.n, allowed=sym.allowed,
+                    utility=ContinuousConcave(sizes=dict(sym.utility.sizes), f=sym.utility.f),
+                    sharing=SharingRuleSpec(kind="proportional", weights="size"))
+    i = next(a for a in range(inst.n) if len(inst.senders_of[a]) >= 2)
+    y = {j: 0.25 + 0.5 * t for t, j in enumerate(inst.senders_of[i][:2])}
+    col = FracColumn(y=tuple(sorted(y.items())))
+    u, h = column_split(inst, i, col)
+    assert u == inst.utility.value_fractional(i, y)
+    volume = {j: inst.utility.sizes[(i, j)] * frac for j, frac in y.items()}
+    total = sum(volume.values())
+    assert h == {j: v / total * u for j, v in volume.items()}
+    assert column_split(inst, i, col) == (u, h)
+    assert not any(col in key for key in _share_cache.get(inst, {}))
