@@ -473,8 +473,13 @@ class Instance:
         them here instead of re-evaluating the utility model.
         """
         table = np.zeros((self.n, self.n))
-        for i, j in self.allowed:
-            table[i, j] = self.utility.value(i, frozenset({j}))
+        if isinstance(self.utility, PathVariance):  # one array pass per receiver
+            for i, senders in enumerate(self.senders_of):
+                js = np.array(senders, dtype=np.intp)
+                table[i, js] = self.utility.prefix_values(i, js[:, None])[:, 0]
+        else:
+            for i, j in self.allowed:
+                table[i, j] = self.utility.value(i, frozenset({j}))
         table.flags.writeable = False
         return table
 

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (
+    ConcaveSpec,
     ContinuousConcave,
     Instance,
     MAX_ENUMERABLE_SENDERS,
@@ -26,6 +27,7 @@ from .sharing import shares
 logger = logging.getLogger(__name__)
 
 SIZE_FIXED_POINT = 10**6  # knapsack sizes in units of 1e-6, or finer for smaller sizes
+KNAPSACK_MEMO_CELLS = 1 << 13  # DP cells the knapsack memo keeps at most, over all its tables
 
 
 @dataclass
@@ -161,44 +163,116 @@ def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1
     return OracleResult(chosen=best_set, value=best_val, guesses=guesses)
 
 
-def _knapsack_table(profits: list[float], weights_int: list[int],
-                    eps: float) -> tuple[list[float], list[tuple[float, int]]]:
-    """Ibarra-Kim profit-scaled knapsack DP over one item set, answered per capacity.
+def _knapsack_dp(rp: tuple[int, ...], weights: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The weight structure of the Ibarra-Kim profit-scaled knapsack DP.
 
-    Cell t holds the least weight min_w[t] reaching scaled profit t, the
-    bitmask of its items and their true profit, summed in item order.  A
-    capacity admits the cells with min_w[t] <= cap; its answer is the first t
+    Cell t holds the least weight min_w[t] reaching scaled profit t and the
+    items that reach it.  Items are added in order, each extending the cells
+    reached before it and replacing a cell only by a strictly lighter one.
+    Returns the reachable cells sorted by (min_w[t], t): their weights, and
+    per cell (t, its item indices in ascending order).
+    """
+    cells: dict[int, tuple[float, int]] = {0: (0.0, 0)}  # t -> (min_w[t], item bitmask)
+    for idx, (w, r) in enumerate(zip(weights, rp)):
+        if r == 0:
+            continue  # reaches no new cell and, as w >= 1, lightens none
+        for t, (w_t, pick) in list(cells.items()):
+            cand = w_t + w
+            old = cells.get(t + r)
+            if old is None or cand < old[0]:
+                cells[t + r] = (cand, pick | (1 << idx))
+    order = sorted((w_t, t) for t, (w_t, _) in cells.items())
+    return (tuple(w_t for w_t, _ in order),
+            tuple((t, tuple(b for b in range(len(rp)) if cells[t][1] >> b & 1)) for _, t in order))
+
+
+class _DpMemo:
+    """_knapsack_dp results by (rp, weights), at most KNAPSACK_MEMO_CELLS cells in all.
+
+    A table that would push the stored cells past the bound clears the memo
+    first; a table larger than the bound on its own is not stored.
+    """
+
+    def __init__(self) -> None:
+        self.tables: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
+        self.cells = 0
+
+    def get(self, rp: tuple[int, ...], weights: tuple[int, ...]) -> tuple:
+        table = self.tables.get((rp, weights))
+        if table is None:
+            table = _knapsack_dp(rp, weights)
+            size = len(table[0])
+            if self.cells + size > KNAPSACK_MEMO_CELLS:
+                self.tables.clear()
+                self.cells = 0
+            if size <= KNAPSACK_MEMO_CELLS:
+                self.tables[rp, weights] = table
+                self.cells += size
+        return table
+
+
+_dp_memo = _DpMemo()
+
+
+def _knapsack_table(profits: list[float], weights_int: tuple[int, ...],
+                    eps: float) -> tuple[tuple[float, ...], list[tuple[float, tuple[int, ...]]]]:
+    """The profit-scaled knapsack DP over one item set, answered per capacity.
+
+    A capacity admits the cells with min_w[t] <= cap; its answer is the first t
     with the largest true profit among them.  Returns the admitted weights in
-    ascending order and, per prefix, that answer as (profit, mask), so one
-    bisect_right finds the answer for any capacity.
+    ascending order and, per prefix, that answer as (profit, items), so one
+    bisect_right finds the answer for any capacity.  The weights and item sets
+    depend on prices only through the scaled profits rp, so they come from
+    _dp_memo; each cell's true profit is re-added here from 0 in ascending item
+    order, the additions the DP itself makes, so the sums are bit-identical.
     """
     m = len(profits)
     p_max = max(profits)
     scale = eps * p_max / m if p_max > 0 else 1.0
-    rp = [int(p // scale) for p in profits]
-    total = sum(rp)
-    INF = float("inf")
-    min_w: list[float] = [0.0] + [INF] * total
-    pick: list[int] = [0] * (total + 1)
-    actual: list[float] = [0] * (total + 1)
-    for idx in range(m):
-        w, r, p = weights_int[idx], rp[idx], profits[idx]
-        for t in range(total, r - 1, -1):
-            cand = min_w[t - r] + w
-            if cand < min_w[t]:
-                min_w[t] = cand
-                pick[t] = pick[t - r] | (1 << idx)
-                actual[t] = actual[t - r] + p
-    cells = sorted((min_w[t], t) for t in range(total + 1) if min_w[t] < INF)
-    caps: list[float] = []
-    answers: list[tuple[float, int]] = []
-    top_p, top_t = -1.0, -1
-    for w, t in cells:
-        if actual[t] > top_p or (actual[t] == top_p and t < top_t):
-            top_p, top_t = actual[t], t
-        caps.append(w)
-        answers.append((top_p, pick[top_t]))
+    caps, cells = _dp_memo.get(tuple([int(p // scale) for p in profits]), weights_int)
+    answers: list[tuple[float, tuple[int, ...]]] = []
+    top_p, top_t, top_items = -1.0, -1, ()
+    for t, items in cells:
+        p = 0
+        for idx in items:
+            p += profits[idx]
+        if p > top_p or (p == top_p and t < top_t):
+            top_p, top_t, top_items = p, t, items
+        answers.append((top_p, top_items))
     return caps, answers
+
+
+@lru_cache(maxsize=256)
+def _knapsack_plan(f: ConcaveSpec, sizes: tuple[float, ...], eps: float) -> tuple[int, tuple]:
+    """The part of a knapsack oracle call that does not depend on prices.
+
+    Returns the number of capacity guesses and, per distinct set of fitting
+    items in ascending capacity order, (item indices, their integer weights,
+    its guesses as (cap_int, phi, f(phi))).
+    """
+    # sizes live on a decimal fixed-point grid so capacity comparisons are
+    # exact; the smallest size is at least one unit, so every guess is positive
+    s_min, unit = min(sizes), SIZE_FIXED_POINT
+    while s_min * unit < 1.0:
+        unit *= 10
+    weights_int = [round(s * unit) for s in sizes]
+    total_int = sum(weights_int)
+    grid_int = set(weights_int) | {total_int}
+    phi = float(min(weights_int))
+    while phi < total_int:
+        grid_int.add(round(phi))
+        phi *= 1.0 + eps
+
+    sorted_w = sorted(weights_int)
+    groups: list[tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, float, float]]]] = []
+    for cap_int in sorted(grid_int):
+        if not groups or bisect_right(sorted_w, cap_int) != len(groups[-1][0]):
+            # fitting sets are nested, so their size names them
+            fit = tuple(idx for idx, w in enumerate(weights_int) if w <= cap_int)
+            groups.append((fit, tuple(weights_int[idx] for idx in fit), []))
+        phi = cap_int / unit
+        groups[-1][2].append((cap_int, phi, f(phi)))
+    return len(grid_int), tuple((fit, w, tuple(guesses)) for fit, w, guesses in groups)
 
 
 def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1) -> OracleResult:
@@ -209,6 +283,11 @@ def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1)
     lets a (1+eps) grid on D plus an FPTAS knapsack give a (1+eps)^2 factor.
     The DP of a guess depends on it only through the items that fit, and
     those sets are nested, so one table per distinct set answers every guess.
+    What does not depend on prices is cached: the guess grid per (f_i, sizes
+    of the positive-price items, eps), and each DP's cell weights and item
+    sets per (scaled profits, weights), in a memo of at most
+    KNAPSACK_MEMO_CELLS cells that is cleared when a new table would overflow
+    it.  Results are bit-identical to building both afresh on every call.
     """
     model = instance.utility
     if not isinstance(model, SymmetricWeighted):
@@ -217,50 +296,34 @@ def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1)
         raise ValueError("knapsack oracle needs proportional sharing with w = s")
     check_oracle_eps("knapsack", eps)
     _singleton_products("knapsack", instance, i, q)
-    f = model.f[i]
     items = [(j, float(q[j]), model.sizes.get((i, j), 0.0)) for j in instance.senders_of[i]]
     items = [(j, qj, s) for j, qj, s in items if qj > 0.0 and s > 0.0]
     if not items:
         return OracleResult(chosen=_EMPTY, value=0.0, guesses=0)
-
-    # sizes live on a decimal fixed-point grid so capacity comparisons are
-    # exact; the smallest size is at least one unit, so every guess is positive
-    s_min, unit = min(s for _, _, s in items), SIZE_FIXED_POINT
-    while s_min * unit < 1.0:
-        unit *= 10
-    weights_int = [round(s * unit) for _, _, s in items]
     profits = [qj * s for _, qj, s in items]
-    total_int = sum(weights_int)
-    grid_int = set(weights_int) | {total_int}
-    phi = float(min(weights_int))
-    while phi < total_int:
-        grid_int.add(round(phi))
-        phi *= 1.0 + eps
+    total_profit = sum(profits)
+    if not math.isfinite(total_profit):
+        raise ValueError(f"knapsack oracle needs a finite total profit sum_j q_j s_ij; "
+                         f"got {total_profit!r}")
 
-    sorted_w = sorted(weights_int)
-    n_fit = 0
-    best_set, best_score = _EMPTY, 0.0
-    for cap_int in sorted(grid_int):
-        k = bisect_right(sorted_w, cap_int)
-        if k != n_fit:  # fitting sets are nested, so their size names them
-            n_fit = k
-            fit = [idx for idx in range(len(items)) if weights_int[idx] <= cap_int]
-            caps, answers = _knapsack_table(
-                [profits[idx] for idx in fit], [weights_int[idx] for idx in fit], eps
-            )
-        v_phi, mask = answers[bisect_right(caps, cap_int) - 1]
-        if not mask:
-            continue
-        phi = cap_int / unit
-        score = v_phi * f(phi) / phi
-        if score > best_score:
-            best_set = frozenset(items[fit[b]][0] for b in range(len(fit)) if mask >> b & 1)
-            best_score = score
+    guesses, groups = _knapsack_plan(model.f[i], tuple(s for _, _, s in items), eps)
+    best, best_score = None, 0.0
+    for fit, fit_w, fit_guesses in groups:
+        caps, answers = _knapsack_table([profits[idx] for idx in fit], fit_w, eps)
+        for cap_int, phi, f_phi in fit_guesses:
+            v_phi, chosen = answers[bisect_right(caps, cap_int) - 1]
+            if not chosen:
+                continue
+            score = v_phi * f_phi / phi
+            if score > best_score:
+                best, best_score = (fit, chosen), score
 
-    if not best_set:
-        return OracleResult(chosen=_EMPTY, value=0.0, guesses=len(grid_int))
+    if best is None:
+        return OracleResult(chosen=_EMPTY, value=0.0, guesses=guesses)
+    fit, chosen = best
+    best_set = frozenset(items[fit[b]][0] for b in chosen)
     value = oracle_value(instance, i, q, best_set)
-    return OracleResult(chosen=best_set, value=value, guesses=len(grid_int))
+    return OracleResult(chosen=best_set, value=value, guesses=guesses)
 
 
 def oracle_continuous(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1) -> OracleResult:

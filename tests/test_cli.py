@@ -8,7 +8,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from datex import MwuConfig, get_oracle, normalize_instance
+from datex import (ConcaveSpec, Instance, MwuConfig, SharingRuleSpec, SymmetricWeighted,
+                   get_oracle, normalize_instance)
 from datex import mwu
 from datex import cli
 from datex.cli import main
@@ -524,6 +525,9 @@ def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
       "--oracle", "bruteforce"], "bruteforce oracle needs a finite first guess"),
     (["oracle", "{rand}", "--agent", "0", "--q", '{{"1": 1.7e308, "2": 1.7e308, "3": 1.7e308}}',
       "--oracle", "knapsack"], "knapsack oracle needs a finite first guess"),
+    # a finite first guess q_j u_ij over an infinite DP profit q_j s_ij (cap 1e-3, s_01 = 2)
+    (["oracle", "{capped}", "--agent", "0", "--q", '{{"1": 1e308}}', "--oracle", "knapsack"],
+     "knapsack oracle needs a finite total profit"),
 ])
 def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     from datex import ExchangeSolution
@@ -537,13 +541,21 @@ def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     rand = tmp_path / "rand.json"
     assert run(["gen", "--kind", "random", "--n", "4", "--seed", "1", "--out", str(rand)],
                capsys)[0] == 0
+    capped = tmp_path / "capped.json"
+    pairs = frozenset((a, b) for a in range(3) for b in range(3) if a != b)
+    dio.dump_instance(Instance(
+        n=3, allowed=pairs, sharing=SharingRuleSpec(kind="proportional", weights="size"),
+        utility=SymmetricWeighted(sizes={pair: 1.0 for pair in pairs} | {(0, 1): 2.0},
+                                  f=(ConcaveSpec(kind="capped_linear", cap=1e-3),) * 3),
+    ), str(capped))
     instance = dio.load_instance(str(inst))
     i, j = min((i, j) for i in range(4) for j in range(4)
                if i != j and (i, j) not in instance.allowed)
     dio.dump_solution(ExchangeSolution.empty(4), str(sol))
     dio.dump_solution(ExchangeSolution(n=4, columns={i: {frozenset({j}): 0.5}}), str(alien))
     names = {"inst": inst, "sol": sol, "alien": alien, "table": table, "rand": rand,
-             "tmp": tmp_path, "nodir": tmp_path / "nodir" / "out.json", "i": i, "j": j}
+             "capped": capped, "tmp": tmp_path, "nodir": tmp_path / "nodir" / "out.json",
+             "i": i, "j": j}
     with time_limit(10):
         code, out, err = run([arg.format(**names) for arg in argv], capsys)
     assert code == 2 and out == ""

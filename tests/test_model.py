@@ -510,6 +510,22 @@ def test_singleton_utility_table_matches_model_on_all_five_models():
                     assert table[i, j] == 0.0
 
 
+@pytest.mark.parametrize("correlation, rho", [("random", 0.5), ("local", 0.25)])
+def test_road_singleton_table_equals_per_pair_values_bit_for_bit(correlation, rho):
+    """The path-variance table is one prefix_values pass per receiver; on a
+    correlated, normalized road instance it equals value(i, {j}) bit for bit."""
+    from datex.instances import RoadSpec, gen_road, grid_graph
+
+    raw = gen_road(RoadSpec(edges=grid_graph(12, 12, seed=0), radius=8, n_agents=20,
+                            correlation=correlation, rho=rho, seed=31))
+    inst, scale = normalize_instance(raw)
+    assert scale != 1.0 and len(set(inst.utility.classes.tolist())) < len(inst.utility.edges)
+    expected = np.zeros((inst.n, inst.n))
+    for i, j in inst.allowed:
+        expected[i, j] = inst.utility.value(i, frozenset({j}))
+    assert inst.singleton_utility.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("field", ["paths", "z", "sigma2", "classes"])
 def test_path_variance_lengths_must_match_agents_and_edges(field):
     from dataclasses import replace

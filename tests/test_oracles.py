@@ -20,6 +20,7 @@ from datex import (
     oracle_imbalance,
     oracle_knapsack,
 )
+from datex import oracles
 from datex.oracles import _knapsack_table, bucketing_alpha, oracle_value
 from datex.instances import RoadSpec, gen_random, gen_road, grid_graph
 from datex.model import normalize_instance, utility
@@ -388,10 +389,135 @@ def test_knapsack_table_answers_every_capacity_like_per_guess_dp():
         profits = [float(rng.integers(1, 17)) / 16 for _ in range(m)]
         weights = [int(rng.integers(1, 9)) for _ in range(m)]
         eps = float(rng.choice([0.05, 0.1, 0.25, 0.4, 0.5]))
-        caps, answers = _knapsack_table(profits, weights, eps)
+        caps, answers = _knapsack_table(profits, tuple(weights), eps)
         for cap in range(sum(weights) + 1):
-            _, mask = answers[bisect_right(caps, cap) - 1]
+            _, items = answers[bisect_right(caps, cap) - 1]
+            mask = sum(1 << b for b in items)
             assert mask == _per_guess_fptas(profits, weights, cap, eps), (trial, cap)
+
+
+def _dense_knapsack_table(profits, weights_int, eps):
+    """Reference: the dense DP over every scaled profit 0..sum(rp), carrying each
+    cell's true profit as actual[t - r] + p; answers as (profit, bitmask)."""
+    m = len(profits)
+    p_max = max(profits)
+    scale = eps * p_max / m if p_max > 0 else 1.0
+    rp = [int(p // scale) for p in profits]
+    total = sum(rp)
+    min_w = [0.0] + [float("inf")] * total
+    pick, actual = [0] * (total + 1), [0] * (total + 1)
+    for idx in range(m):
+        w, r, p = weights_int[idx], rp[idx], profits[idx]
+        for t in range(total, r - 1, -1):
+            cand = min_w[t - r] + w
+            if cand < min_w[t]:
+                min_w[t] = cand
+                pick[t] = pick[t - r] | (1 << idx)
+                actual[t] = actual[t - r] + p
+    caps, answers = [], []
+    top_p, top_t = -1.0, -1
+    for w, t in sorted((min_w[t], t) for t in range(total + 1) if min_w[t] < float("inf")):
+        if actual[t] > top_p or (actual[t] == top_p and t < top_t):
+            top_p, top_t = actual[t], t
+        caps.append(w)
+        answers.append((top_p, pick[top_t]))
+    return caps, answers
+
+
+def test_knapsack_table_equals_the_dense_dp_bit_for_bit():
+    """Memoized cells plus re-added profits give the dense DP's weights, answers
+    and profit sums bit for bit, on non-dyadic profits whose sums depend on the
+    order of the additions; every row is asked twice, so the second is a hit."""
+    rng = np.random.default_rng(49)
+    for trial in range(300):
+        m = int(rng.integers(1, 8))
+        profits = [float(rng.uniform(0.01, 1.0)) for _ in range(m)]
+        weights = tuple(int(rng.integers(1, 40)) for _ in range(m))
+        eps = float(rng.choice([0.05, 0.1, 0.25, 0.5]))
+        caps, answers = _dense_knapsack_table(profits, weights, eps)
+        for _ in range(2):
+            got_caps, got = _knapsack_table(profits, weights, eps)
+            assert list(got_caps) == caps, trial
+            assert [(p, sum(1 << b for b in items)) for p, items in got] == answers, trial
+
+
+def _counting_dp(monkeypatch):
+    """A fresh DP memo, and the list of (rp, weights, cells) of every table it builds."""
+    monkeypatch.setattr(oracles, "_dp_memo", oracles._DpMemo())
+    built, dp = [], oracles._knapsack_dp
+
+    def counting(rp, weights):
+        table = dp(rp, weights)
+        built.append((rp, weights, len(table[0])))
+        return table
+
+    monkeypatch.setattr(oracles, "_knapsack_dp", counting)
+    return built
+
+
+def test_knapsack_memo_hits_match_per_guess_dp(monkeypatch):
+    """Calls served by cached grid plans and DP tables answer like the per-guess
+    DP: 40 small perturbations of one price row, whose scaled profits repeat and
+    change; the base row at several eps; and two instances with the same sizes
+    but another f or another scale."""
+    built = _counting_dp(monkeypatch)
+    rng = np.random.default_rng(47)
+    inst = gen_random(7, 6, "symmetric", seed=4700)
+    i = 0
+    base = {j: float(rng.uniform(0.2, 2.0)) for j in inst.senders_of[i]}
+    rows = [prices_for(inst, i, {j: v * (1.0 + 1e-3 * rng.normal()) for j, v in base.items()})
+            for _ in range(40)]
+    variants = [
+        Instance(n=inst.n, allowed=inst.allowed, sharing=inst.sharing,
+                 utility=SymmetricWeighted(sizes=inst.utility.sizes, f=f))
+        for f in (tuple(fi.rescaled(3.0) for fi in inst.utility.f),
+                  (ConcaveSpec(kind="capped_linear", cap=0.8),) * inst.n)
+    ]
+    calls = [(inst, q, 0.1) for q in rows]
+    calls += [(inst, prices_for(inst, i, base), eps) for eps in (0.05, 0.1, 0.3, 0.5)]
+    calls += [(other, q, 0.1) for other in variants for q in rows[:10]]
+    for k, (instance, q, eps) in enumerate(calls):
+        res = oracle_knapsack(instance, i, q, eps=eps)
+        assert (res.chosen, res.value, res.guesses) == _per_guess_knapsack(instance, i, q, eps), k
+    keys = [(rp, weights) for rp, weights, _ in built]
+    assert len(set(keys)) == len(keys) > 1  # every table built once: all repeats were hits
+    assert len(keys) < len(calls)
+
+
+def test_knapsack_memo_stays_within_its_cell_bound(monkeypatch):
+    """Distinct rows at a small eps build more cells than the memo may keep: it
+    never holds more than KNAPSACK_MEMO_CELLS, does not keep a table larger than
+    the bound, and the answers still equal the per-guess DP's."""
+    rng = np.random.default_rng(48)
+    inst = gen_random(9, 8, "symmetric", seed=4800)
+    i, eps = 0, 0.05
+    rows = [prices_for(inst, i, {j: float(rng.uniform(0.1, 1.0)) for j in inst.senders_of[i]})
+            for _ in range(40)]
+    expected = [_per_guess_knapsack(inst, i, q, eps) for q in rows]
+    for bound in (oracles.KNAPSACK_MEMO_CELLS, 100):
+        monkeypatch.setattr(oracles, "KNAPSACK_MEMO_CELLS", bound)
+        built = _counting_dp(monkeypatch)
+        memo = oracles._dp_memo
+        for k, (q, want) in enumerate(zip(rows, expected)):
+            res = oracle_knapsack(inst, i, q, eps=eps)
+            assert (res.chosen, res.value, res.guesses) == want, (bound, k)
+            assert memo.cells == sum(len(caps) for caps, _ in memo.tables.values()) <= bound
+        assert sum(cells for _, _, cells in built) > bound  # so the memo had to clear
+    assert max(cells for _, _, cells in built) > 100  # and one table was too large to keep
+
+
+@pytest.mark.parametrize("q", [{1: 1e308}, {1: 8e307, 2: 1.7e308}])
+def test_knapsack_rejects_profits_that_overflow(q):
+    """The first guess bounds q_j u_ij, but the DP adds the profits q_j s_ij: with
+    f capped at 1e-3 and s_01 = 2, a finite guess can hide an infinite profit,
+    or finite profits whose sum overflows."""
+    allowed = frozenset((a, b) for a in range(3) for b in range(3) if a != b)
+    sizes = {pair: 1.0 for pair in allowed} | {(0, 1): 2.0}
+    f = (ConcaveSpec(kind="capped_linear", cap=1e-3),) * 3
+    inst = Instance(n=3, allowed=allowed, utility=SymmetricWeighted(sizes=sizes, f=f),
+                    sharing=SharingRuleSpec(kind="proportional", weights="size"))
+    with pytest.raises(ValueError, match="knapsack oracle needs a finite total profit"):
+        oracle_knapsack(inst, 0, prices_for(inst, 0, q))
 
 
 def test_knapsack_size_below_fixed_point_unit_terminates():
