@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +107,10 @@ def exact_core_audit(instance: Instance, solution: ExchangeSolution,
     factor 1/(1-beta) checks the mixing tradeoff accounting).
     """
     n = instance.n
-    current = evaluate(instance, solution).per_agent_utility
-    total = sum(
-        1 for size in range(2, max_coalition + 1) for _ in itertools.combinations(range(n), size)
-    )
+    total = sum(math.comb(n, size) for size in range(2, min(max_coalition, n) + 1))
     if total > MAX_COALITIONS:
         raise ValueError(f"{total} coalitions exceed the audit bound {MAX_COALITIONS}")
+    current = evaluate(instance, solution).per_agent_utility
     blocking = []
     ruled_out = failed = 0
     for size in range(2, max_coalition + 1):

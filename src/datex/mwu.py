@@ -302,31 +302,19 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
         return run.solution is not None
 
     # The grid top bounds any welfare (it is >= rho), so a feasible top is the
-    # answer. Otherwise search below it from B = eps: exponential probing on
-    # grid indices, then bisection between the last feasible and the first
-    # infeasible index. No index is probed twice.
-    top = grid_len - 1
-    if probe(top):
-        search = "B search: grid top feasible (1 probe)"
-    else:
-        lo, hi, step = 0, top, 1
-        if top > 0 and not probe(0):
-            hi = 0  # every target infeasible
-        while lo + step < hi:
-            if not probe(lo + step):
-                hi = lo + step
-                break
-            lo += step
-            step *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if probe(mid) else (lo, mid)
-        search = f"B search: grid top infeasible; searched below it ({len(runs)} probes)"
+    # answer. Otherwise bisect below it: lo is the largest index found feasible
+    # (-1: none yet), hence the best run, and hi the smallest found infeasible
+    # (grid_len: past the top). No index is probed twice.
+    lo, hi, k = -1, grid_len, grid_len - 1
+    while hi - lo > 1:
+        lo, hi = (k, hi) if probe(k) else (lo, k)
+        k = (lo + hi) // 2
+    search = ("B search: grid top feasible (1 probe)" if lo == grid_len - 1
+              else f"B search: grid top infeasible; searched below it ({len(runs)} probes)")
 
     iterations = sum(run.iterations for run in runs.values())
     trace = [row for run in runs.values() for row in run.trace]
-    best_k = max((k for k, run in runs.items() if run.solution is not None), default=None)
-    if best_k is None:
+    if lo < 0:
         report = evaluate(instance, ExchangeSolution.empty(n), iterations=iterations)
         report.trace = trace
         report.caveats += [
@@ -334,7 +322,7 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
             search,
         ]
         return ExchangeSolution.empty(n), report
-    best_b, best_run = grid[best_k], runs[best_k]
+    best_b, best_run = grid[lo], runs[lo]
     solution = best_run.solution
     report = evaluate(instance, solution, iterations=iterations, best_B=best_b)
     report.guarantee = best_b / (2.0 * alpha * (1.0 + 3.0 * config.delta))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -228,8 +229,15 @@ def _knapsack_table(profits: list[float], weights_int: tuple[int, ...],
     """
     m = len(profits)
     p_max = max(profits)
+    lifted = profits
+    if 0.0 < p_max and eps * p_max / m < sys.float_info.min:
+        # a subnormal scale loses the profits' ratios, and a zero one divides by
+        # 0: scale by an exact power of two first (answers keep the true profits)
+        shift = -math.frexp(p_max)[1]
+        lifted = [math.ldexp(p, shift) for p in profits]
+        p_max = math.ldexp(p_max, shift)
     scale = eps * p_max / m if p_max > 0 else 1.0
-    caps, cells = _dp_memo.get(tuple([int(p // scale) for p in profits]), weights_int)
+    caps, cells = _dp_memo.get(tuple([int(p // scale) for p in lifted]), weights_int)
     answers: list[tuple[float, tuple[int, ...]]] = []
     top_p, top_t, top_items = -1.0, -1, ()
     for t, items in cells:

@@ -247,6 +247,24 @@ def test_audit_over_coalition_bound_says_skipped(tmp_path, capsys):
     assert payload["core_audit_counts"] is None
 
 
+def test_audit_bound_on_forty_agents_counts_without_enumerating(tmp_path, capsys):
+    from datex import ExchangeSolution
+    from datex.exact import exact_core_audit
+
+    # all 2^40 - 41 coalitions of 40 agents: counting them one by one never ends
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    run(["gen", "--kind", "random", "--n", "40", "--senders", "2", "--out", str(inst)], capsys)
+    dio.dump_solution(ExchangeSolution.empty(40), str(sol))
+    instance = dio.load_instance(str(inst))
+    with time_limit(10):
+        with pytest.raises(ValueError, match=r"^1099511627735 coalitions exceed the audit bound"):
+            exact_core_audit(instance, ExchangeSolution.empty(40), max_coalition=40)
+        code, out, _ = run(["audit", str(inst), str(sol), "--coalitions", "40"], capsys)
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert code == 0 and payload["core_audit"] == "skipped"
+
+
 def test_fuzz_without_misreport_model_exits_2(tmp_path, capsys):
     # road instances (path_variance) have no misreport model
     inst = tmp_path / "road.json"
@@ -497,6 +515,29 @@ def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
         code, out, err = run(argv, capsys)
     assert code == 2 and out == "" and not (tmp_path / "out").exists()
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("q, extra, chosen", [
+    ('{"1": 1e-322, "2": 3e-324}', [], []),
+    ('{"1": 1e-320}', ["--oracle-eps", "0.0001"], [1]),
+])
+def test_knapsack_oracle_on_subnormal_profits_matches_bruteforce(tmp_path, capsys, q, extra,
+                                                                 chosen):
+    # the DP's profit scale eps * p_max / m used to underflow to 0 on these rows
+    capped = tmp_path / "capped.json"
+    sizes = {(0, 1): 2.0, (0, 2): 1.0, (1, 0): 1.0, (2, 0): 1.0}
+    dio.dump_instance(Instance(
+        n=3, allowed=frozenset(sizes), sharing=SharingRuleSpec(kind="proportional", weights="size"),
+        utility=SymmetricWeighted(sizes=sizes, f=(ConcaveSpec(kind="capped_linear", cap=1e-3),) * 3),
+    ), str(capped))
+    answers = {}
+    for oracle in ("knapsack", "bruteforce"):
+        code, out, err = run(["oracle", str(capped), "--agent", "0", "--q", q,
+                              "--oracle", oracle, *extra], capsys)
+        assert code == 0 and err == "", err
+        answers[oracle] = json.loads(out)
+    assert answers["knapsack"]["chosen"] == answers["bruteforce"]["chosen"] == chosen
+    assert answers["knapsack"]["value"] == answers["bruteforce"]["value"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -166,17 +166,23 @@ def test_width_audit_and_regret_fields(two_agent_symmetric):
 
 
 def test_infeasible_first_probe_trace_ends_in_break_row(two_agent_symmetric):
-    # an oracle that never finds value makes every probe infeasible: the grid
-    # top is probed first, then B = eps, and the search stops
+    # an oracle that never finds value makes every probe infeasible: the
+    # bisection probes the grid top first, then halves down to B = eps
     inst, _ = normalize_instance(two_agent_symmetric)
     never = OracleSpec(name="bruteforce",
                        fn=lambda instance, i, prices, eps: OracleResult(frozenset(), 0.0))
-    sol, rep = solve_welfare(inst, small_config(2, 200), never)
+    config = small_config(2, 200)
+    sol, rep = solve_welfare(inst, config, never)
+    grid = _grid(inst, config)
+    expected, k = [], len(grid) - 1
+    while k >= 0:
+        expected.append(grid[k])
+        k = (k - 1) // 2
+    assert len(grid) == 12 and len(expected) == 4 <= _max_probes(len(grid))
     assert sol.column_count() == 0 and "every welfare target infeasible" in rep.caveats[0]
-    assert rep.caveats[1] == "B search: grid top infeasible; searched below it (2 probes)"
-    rho = sum(utility(inst, i, inst.full_set(i)) for i in range(inst.n))
+    assert rep.caveats[1] == "B search: grid top infeasible; searched below it (4 probes)"
     blocks = [(b, list(rows)) for b, rows in itertools.groupby(rep.trace, key=lambda r: r["B"])]
-    assert len(blocks) == 2 and blocks[0][0] >= rho and blocks[1][0] == inst.epsilon
+    assert [b for b, _ in blocks] == expected and expected[-1] == inst.epsilon
     for _, rows in blocks:
         assert [row["t"] for row in rows] == list(range(1, len(rows) + 1))
         assert math.isnan(rows[-1]["max_residual"])
@@ -205,14 +211,25 @@ def test_one_point_grid_is_probed_once(probed):
     assert "every welfare target infeasible" in rep.caveats[0]
 
 
+def _grid(inst, config):
+    """solve_welfare's welfare grid: eps (1+delta)^k up to the first target >= rho."""
+    eps = inst.epsilon
+    rho = sum(utility(inst, i, inst.full_set(i)) for i in range(inst.n))
+    grid_len = max(1, 1 + math.ceil(math.log(max(rho / eps, 1.0)) / math.log(1.0 + config.delta)))
+    return [eps * (1.0 + config.delta) ** k for k in range(grid_len)]
+
+
+def _max_probes(grid_len):
+    """The bisection's probe bound on a grid of grid_len targets."""
+    return 1 + math.ceil(math.log2(grid_len))
+
+
 def _climbing_search(inst, config, oracle, run_mwu=run_mwu):
     """The B search that climbs from B = eps without probing the top first:
     exponential probing on grid indices, then bisection. Returns the chosen B,
     the best run's solution, its welfare and the probed targets in order."""
-    eps = inst.epsilon
-    rho = sum(utility(inst, i, inst.full_set(i)) for i in range(inst.n))
-    grid_len = max(1, 1 + math.ceil(math.log(max(rho / eps, 1.0)) / math.log(1.0 + config.delta)))
-    grid = [eps * (1.0 + config.delta) ** k for k in range(grid_len)]
+    grid = _grid(inst, config)
+    grid_len = len(grid)
     probed, best = [], None
 
     def probe(k):
@@ -251,7 +268,8 @@ def _climbing_search(inst, config, oracle, run_mwu=run_mwu):
 
 
 @pytest.mark.parametrize("oracle_name,model,seed,iters", [
-    # seed 1 has a feasible top (1 probe); seed 3 an infeasible one (8 probes)
+    # seed 1 has a feasible top (1 probe); seed 3 an infeasible one (5 probes,
+    # where the climbing search makes 8)
     ("knapsack", "symmetric", 1, 80), ("knapsack", "symmetric", 3, 80),
     ("knapsack", "symmetric", 0, 200), ("knapsack", "symmetric", 2, 400),
     ("bruteforce", "symmetric", 7, 80), ("bruteforce", "symmetric", 2, 200),
@@ -261,18 +279,18 @@ def test_top_first_search_matches_climbing_search(probed, oracle_name, model, se
     inst, _ = normalize_instance(gen_random(4, 3, model, seed=seed))
     config = small_config(inst.n, iters)
     oracle = get_oracle(oracle_name, eps=0.1)
-    old_b, old_sol, old_welfare, old_probed = _climbing_search(inst, config, oracle)
+    old_b, old_sol, old_welfare, _ = _climbing_search(inst, config, oracle)
     sol, rep = solve_welfare(inst, config, oracle)
-    top = max(old_probed + probed)
-    assert probed[0] == top and len(set(probed)) == len(probed)
+    grid = _grid(inst, config)
+    top = grid[-1]
+    assert probed[0] == top and len(set(probed)) == len(probed) <= _max_probes(len(grid))
     assert rep.iterations == sum(not math.isnan(row["max_residual"]) for row in rep.trace)
-    assert set(probed) <= set(old_probed) | {top}
     assert rep.best_B == old_b and rep.welfare == old_welfare
     assert list(sol.iter_columns()) == list(old_sol.iter_columns())
     if rep.best_B == top:
         assert probed == [top] and rep.caveats[-1] == "B search: grid top feasible (1 probe)"
     else:
-        assert set(probed) == set(old_probed) | {top}
+        assert grid[grid.index(rep.best_B) + 1] in probed
         assert rep.caveats[-1] == (
             f"B search: grid top infeasible; searched below it ({len(probed)} probes)"
         )
@@ -281,17 +299,16 @@ def test_top_first_search_matches_climbing_search(probed, oracle_name, model, se
 @pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.7])  # grids of 12, 8 and 4 targets
 def test_top_first_search_decisions_match_climbing_search_on_feasibility_patterns(
         monkeypatch, two_agent_symmetric, epsilon):
-    # Real solves are feasible up to near the top, so they never reach the
-    # search's early exits. A stand-in run_mwu declares each grid index
+    # Real solves are feasible up to near the top, so they rarely reach the
+    # search's lower branches. A stand-in run_mwu declares each grid index
     # feasible or not from a pattern: every pattern on the short grids, and
     # every monotone threshold plus random (also non-monotone) patterns on
     # the long one.
     inst, _ = normalize_instance(replace(two_agent_symmetric, epsilon=epsilon))
     config, oracle = small_config(2), get_oracle("bruteforce")
-    grid = [inst.epsilon * (1.0 + config.delta) ** k for k in range(64)]
+    grid = _grid(inst, config)
+    grid_len, top = len(grid), grid[-1]
     index = {b: k for k, b in enumerate(grid)}
-    rho = sum(utility(inst, i, inst.full_set(i)) for i in range(inst.n))
-    grid_len = 1 + next(k for k, b in enumerate(grid) if b >= rho)
     if grid_len <= 8:
         patterns = [list(p) for p in itertools.product([False, True], repeat=grid_len)]
     else:
@@ -304,19 +321,28 @@ def test_top_first_search_decisions_match_climbing_search_on_feasibility_pattern
             return mwu.MwuRun(feasible, ExchangeSolution.empty(instance.n) if feasible else None,
                               True, 1, 0.0, 0.0, [{"B": B}])
 
-        old_b, _, _, old_probed = _climbing_search(inst, config, oracle, pattern_run_mwu)
+        old_b, _, _, _ = _climbing_search(inst, config, oracle, pattern_run_mwu)
         monkeypatch.setattr(mwu, "run_mwu", pattern_run_mwu)
         _, rep = solve_welfare(inst, config, oracle)
         monkeypatch.undo()
         probed = [row["B"] for row in rep.trace]
-        top = grid[grid_len - 1]
         assert probed[0] == top and len(set(probed)) == len(probed) == rep.iterations
+        assert len(probed) <= _max_probes(grid_len)
+        none_feasible = "every welfare target infeasible" in rep.caveats[0]
+        if none_feasible:
+            # every probe failed, down to the grid bottom
+            assert rep.best_B == 0.0 and grid[0] in probed
+            assert not any(pattern[index[b]] for b in probed)
+        else:
+            chosen = index[rep.best_B]
+            assert pattern[chosen]
+            assert chosen == grid_len - 1 or (grid[chosen + 1] in probed
+                                              and not pattern[chosen + 1])
         if pattern[-1]:
             assert probed == [top] and rep.best_B == top
-        else:
-            assert probed[1:] == [b for b in old_probed if b != top]
+        if pattern == sorted(pattern, reverse=True):  # monotone: feasible up to a threshold
             assert rep.best_B == (0.0 if old_b is None else old_b)
-            assert ("every welfare target infeasible" in rep.caveats[0]) == (old_b is None)
+            assert none_feasible == (old_b is None)
 
 
 def _checks_run(run, check_every):
