@@ -556,16 +556,17 @@ class ExchangeSolution:
                 raise ValueError(f"column for unknown agent {i}")
             mass = 0.0
             for col, x in dist.items():
-                if x < -EQ_TOL or x > 1.0 + EQ_TOL:
-                    raise ValueError(f"weight x[{i}] outside [0, 1]")
+                if not -EQ_TOL <= x <= 1.0 + EQ_TOL:  # also true for NaN
+                    raise ValueError(f"weight x[{i}] outside [0, 1]: {x!r}")
                 if i in column_senders(col):
                     raise ValueError(f"agent {i} cannot receive from itself")
                 mass += x
             if mass > 1.0 + 1e-9:
                 raise ValueError(f"agent {i} subset weights sum to {mass} > 1")
         for vec in (self.deltas, self.gammas):
-            if vec is not None and (len(vec) != self.n or np.any(np.asarray(vec) < -EQ_TOL)):
-                raise ValueError("imbalance slacks must be non-negative, one per agent")
+            if vec is not None and (len(vec) != self.n or not np.all(
+                    np.isfinite(vec) & (np.asarray(vec) >= -EQ_TOL))):
+                raise ValueError("imbalance slacks must be finite and non-negative, one per agent")
 
     @staticmethod
     def empty(n: int) -> ExchangeSolution:

@@ -47,22 +47,25 @@ def oracle_value(instance: Instance, i: int, q: np.ndarray, subset: frozenset[in
 _EMPTY = frozenset()
 
 
-def _singleton_products(name: str, instance: Instance, i: int,
-                        q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """i's senders, q_j u_ij for each and their best value (0 if none is positive).
+def _best_singleton(name: str, instance: Instance, i: int, q: np.ndarray) -> float:
+    """max(0, max_j q_j u_ij) over i's senders; NaN if any product is NaN.
 
-    n times the best value is the oracle's first guess of its optimum.  Under a
+    n times this value is the oracle's first guess of its optimum.  Under a
     cross-monotone rule every share h_ij(S) is at most u_ij, so a finite guess
     bounds the oracle's sums; a row whose guess is not finite (they would
-    overflow) raises ValueError.
+    overflow) raises ValueError.  On rows of a few senders this loop costs
+    less than the same reduction in numpy.
     """
-    senders = np.array(instance.senders_of[i], dtype=np.intp)
-    qu = q[senders] * instance.singleton_utility[i][senders]
-    single_val = float(qu.max(initial=0.0))
+    u = instance.singleton_utility[i]
+    single_val = 0.0
+    for j in instance.senders_of[i]:
+        v = q.item(j) * u.item(j)
+        if v > single_val or v != v:  # a NaN then stays, as in numpy's max
+            single_val = v
     guess = instance.n * single_val
     if not math.isfinite(guess):
         raise ValueError(f"{name} oracle needs a finite first guess n * max_j q_j u_ij; got {guess!r}")
-    return senders, qu, single_val
+    return single_val
 
 
 def oracle_bruteforce(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1) -> OracleResult:
@@ -73,7 +76,7 @@ def oracle_bruteforce(instance: Instance, i: int, q: np.ndarray, eps: float = 0.
     senders = instance.senders_of[i]
     if len(senders) > MAX_ENUMERABLE_SENDERS:
         raise ValueError(f"{len(senders)} senders too many for brute force")
-    _singleton_products("bruteforce", instance, i, q)
+    _best_singleton("bruteforce", instance, i, q)
     best_set, best_val = _EMPTY, 0.0
     for mask in range(1, 1 << len(senders)):
         subset = frozenset(senders[b] for b in range(len(senders)) if mask & (1 << b))
@@ -119,12 +122,14 @@ def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1
     if instance.sharing.kind == "shapley_sampled":
         logger.debug("bucketing with sampled Shapley: cross-monotonicity only approximate")
     n = instance.n
-    senders, qu, single_val = _singleton_products("bucketing", instance, i, q)
+    single_val = _best_singleton("bucketing", instance, i, q)
     if single_val <= 0.0:
         return OracleResult(chosen=_EMPTY, value=0.0, guesses=0)
     guess = n * single_val
+    senders = np.array(instance.senders_of[i], dtype=np.intp)
     q_s = q[senders]
     u = instance.singleton_utility[i][senders]
+    qu = q_s * u
     best_single = frozenset({int(senders[qu.argmax()])})  # first maximum in sender order
     q_row = q.tolist()
     sender_list = senders.tolist()
@@ -303,7 +308,7 @@ def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1)
     if instance.sharing.kind != "proportional" or instance.sharing.weights != "size":
         raise ValueError("knapsack oracle needs proportional sharing with w = s")
     check_oracle_eps("knapsack", eps)
-    _singleton_products("knapsack", instance, i, q)
+    _best_singleton("knapsack", instance, i, q)
     items = [(j, float(q[j]), model.sizes.get((i, j), 0.0)) for j in instance.senders_of[i]]
     items = [(j, qj, s) for j, qj, s in items if qj > 0.0 and s > 0.0]
     if not items:

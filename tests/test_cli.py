@@ -202,12 +202,12 @@ def test_audit_reports_core_audit_status(tmp_path, capsys):
     assert payload["core_audit_counts"] is None
 
 
-def test_audit_with_failed_coalition_lps_says_partial(tmp_path, capsys, monkeypatch):
+def _audit_with_injected_lp_failures(tmp_path, capsys, monkeypatch, fails):
     from scipy.optimize import OptimizeResult
 
     from datex import ExchangeSolution, exact
 
-    # the empty solution leaves every coalition with a positive pair worth an LP
+    # the empty solution leaves 16 of the 20 coalitions worth an LP
     inst = tmp_path / "inst.json"
     sol = tmp_path / "sol.json"
     run(["gen", "--kind", "random", "--n", "5", "--senders", "3", "--seed", "4",
@@ -216,19 +216,43 @@ def test_audit_with_failed_coalition_lps_says_partial(tmp_path, capsys, monkeypa
     calls = []
     real_linprog = exact.linprog
 
-    def every_other_lp_fails(*args, **kwargs):
+    def failing(*args, **kwargs):
         calls.append(1)
-        if len(calls) % 2:
+        if fails(len(calls)):
             return OptimizeResult(success=False, status=4, message="injected failure")
         return real_linprog(*args, **kwargs)
 
-    monkeypatch.setattr(exact, "linprog", every_other_lp_fails)
+    monkeypatch.setattr(exact, "linprog", failing)
     code, out, _ = run(["audit", str(inst), str(sol), "--coalitions", "3"], capsys)
+    monkeypatch.setattr(exact, "linprog", real_linprog)
     payload = json.loads(out.strip().splitlines()[-1])
+    code_ref, out_ref, _ = run(["audit", str(inst), str(sol), "--coalitions", "3"], capsys)
+    assert code == code_ref == 0
+    return payload, json.loads(out_ref.strip().splitlines()[-1]), len(calls)
+
+
+def test_audit_falls_back_to_one_lp_per_coalition_when_the_stacked_lp_fails(
+        tmp_path, capsys, monkeypatch):
+    payload, reference, calls = _audit_with_injected_lp_failures(
+        tmp_path, capsys, monkeypatch, lambda call: call == 1)
     counts = payload["core_audit_counts"]
-    assert code == 0 and payload["core_audit"] == "partial"
-    assert counts["lps"] == len(calls) > 1
-    assert counts["failed"] == (len(calls) + 1) // 2
+    assert payload["core_audit"] == reference["core_audit"] == "complete"
+    # one LP per coalition may differ from the stacked LP in the last bit of t*
+    assert [c for c, _ in payload["blocking_coalitions"]] == \
+        [c for c, _ in reference["blocking_coalitions"]]
+    for (_, t_star), (_, t_ref) in zip(payload["blocking_coalitions"],
+                                       reference["blocking_coalitions"]):
+        assert abs(t_star - t_ref) <= 1e-12
+    assert counts == reference["core_audit_counts"]
+    assert counts["failed"] == 0 and calls == 1 + counts["lps"] == 17
+
+
+def test_audit_with_failed_coalition_lps_says_partial(tmp_path, capsys, monkeypatch):
+    payload, _, calls = _audit_with_injected_lp_failures(
+        tmp_path, capsys, monkeypatch, lambda call: True)
+    counts = payload["core_audit_counts"]
+    assert payload["core_audit"] == "partial" and payload["blocking_coalitions"] == []
+    assert counts["failed"] == counts["lps"] == calls - 1 == 16
     assert counts["ruled_out"] + counts["lps"] == counts["coalitions"] == 20
 
 
@@ -569,6 +593,12 @@ def test_knapsack_oracle_on_subnormal_profits_matches_bruteforce(tmp_path, capsy
     # a finite first guess q_j u_ij over an infinite DP profit q_j s_ij (cap 1e-3, s_01 = 2)
     (["oracle", "{capped}", "--agent", "0", "--q", '{{"1": 1e308}}', "--oracle", "knapsack"],
      "knapsack oracle needs a finite total profit"),
+    # a solution file with a non-finite weight or slack; these used to exit 1
+    (["audit", "{inst}", "{nan_weight}", "--coalitions", "3"], "weight x[0] outside [0, 1]: nan"),
+    (["audit", "{inst}", "{nan_delta}", "--coalitions", "3"],
+     "imbalance slacks must be finite and non-negative"),
+    (["audit", "{inst}", "{inf_delta}", "--coalitions", "3"],
+     "imbalance slacks must be finite and non-negative"),
 ])
 def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     from datex import ExchangeSolution
@@ -597,6 +627,11 @@ def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     names = {"inst": inst, "sol": sol, "alien": alien, "table": table, "rand": rand,
              "capped": capped, "tmp": tmp_path, "nodir": tmp_path / "nodir" / "out.json",
              "i": i, "j": j}
+    for name, obj in {"nan_weight": {"n": 4, "columns": [[0, [instance.senders_of[0][0]], math.nan]]},
+                      "nan_delta": {"n": 4, "columns": [], "deltas": [math.nan, 0, 0, 0]},
+                      "inf_delta": {"n": 4, "columns": [], "deltas": [math.inf, 0, 0, 0]}}.items():
+        names[name] = tmp_path / f"{name}.json"
+        names[name].write_text(json.dumps(obj))
     with time_limit(10):
         code, out, err = run([arg.format(**names) for arg in argv], capsys)
     assert code == 2 and out == ""

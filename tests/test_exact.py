@@ -7,6 +7,8 @@ import pytest
 
 from datex import (
     ExchangeSolution,
+    Instance,
+    SymmetricWeighted,
     evaluate,
     exact_core_audit,
     exact_welfare_lp,
@@ -20,6 +22,7 @@ from datex.instances import (
     x3c_case1_solution,
 )
 from datex.instances import core_gap_long_cycle
+from datex import exact
 
 
 def test_two_agent_exact_balance_forces_two(two_agent_unit):
@@ -142,12 +145,95 @@ def test_ruled_out_coalitions_never_block():
             for factor in (1.0, 1.25):
                 audit = exact_core_audit(inst, sol, max_coalition=3, factor=factor)
                 reference = _unfiltered_core_audit(inst, sol, 3, 1e-7, factor)
-                assert audit.blocking == reference, (seed, factor)
+                # the stacked LP may move t* in the last bit; the margin is 1e-7
+                assert [c for c, _ in audit.blocking] == [c for c, _ in reference], (seed, factor)
+                for (_, t_star), (_, t_ref) in zip(audit.blocking, reference):
+                    assert abs(t_star - t_ref) <= 1e-12, (seed, factor)
                 assert audit.ruled_out + audit.lps == audit.coalitions
                 assert audit.failed == 0
                 ruled_out += audit.ruled_out
                 blocking += len(audit.blocking)
     assert ruled_out > 0 and blocking > 0
+
+
+def _audit_corpus():
+    from datex import greedy_matching, mix_solutions
+
+    for seed in range(12):
+        n = 4 + seed % 4
+        inst = gen_random(n, 3, ("symmetric", "table")[seed // 2 % 2], seed=81_000 + seed)
+        lp_sol, _ = exact_welfare_lp(inst, relax_eps=inst.epsilon)
+        matching = greedy_matching(inst)
+        for sol in (ExchangeSolution.empty(n), mix_solutions(lp_sol, matching, 0.5)):
+            yield inst, sol
+
+
+def _assert_matches_one_lp_per_coalition(audit, reference):
+    assert [c for c, _ in audit.blocking] == [c for c, _ in reference]
+    for (_, t_star), (_, t_ref) in zip(audit.blocking, reference):
+        assert abs(t_star - t_ref) <= 1e-12
+    assert audit.failed == 0 and audit.ruled_out + audit.lps == audit.coalitions
+
+
+@pytest.mark.parametrize("bound", [30, exact.MAX_STACKED_VARIABLES])
+def test_stacked_audit_matches_one_lp_per_coalition(monkeypatch, bound):
+    # a bound of 30 variables splits an audit with a few 3-member blocks into batches
+    stacked = []
+    real_block_margins = exact._block_margins
+
+    def recording(instance, blocks):
+        stacked.append(len(blocks))
+        return real_block_margins(instance, blocks)
+
+    monkeypatch.setattr(exact, "MAX_STACKED_VARIABLES", bound)
+    monkeypatch.setattr(exact, "_block_margins", recording)
+    for inst, sol in _audit_corpus():
+        del stacked[:]
+        audit = exact_core_audit(inst, sol, max_coalition=3)
+        assert sum(stacked) == audit.lps
+        if bound > 30:  # every audit of n <= 7 is one LP
+            assert len(stacked) == (audit.lps > 0)
+        elif audit.lps > 5:
+            assert len(stacked) > 1
+        _assert_matches_one_lp_per_coalition(audit, _unfiltered_core_audit(inst, sol, 3, 1e-7, 1.0))
+
+
+def test_stacked_audit_falls_back_to_one_lp_per_coalition(monkeypatch):
+    from scipy.optimize import OptimizeResult
+
+    real_linprog = exact.linprog
+    stacked = []
+
+    def stacked_lp_fails(*args, **kwargs):
+        # a coalition LP has one free variable, t; a stacked LP has one per block
+        free = int(np.isinf(kwargs["bounds"][:, 0]).sum())
+        if free > 1:
+            stacked.append(free)
+            return OptimizeResult(success=False, status=4, message="injected failure")
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "linprog", stacked_lp_fails)
+    for inst, sol in _audit_corpus():
+        audit = exact_core_audit(inst, sol, max_coalition=3)
+        monkeypatch.setattr(exact, "linprog", real_linprog)
+        _assert_matches_one_lp_per_coalition(audit, _unfiltered_core_audit(inst, sol, 3, 1e-7, 1.0))
+        monkeypatch.setattr(exact, "linprog", stacked_lp_fails)
+    assert stacked
+
+
+def test_block_without_columns_gets_minus_its_largest_target():
+    # agent 0 receives from nobody and sends to nobody: coalition (0, 1) has no column
+    inst = gen_random(4, 3, "symmetric", seed=5)
+    pairs = frozenset(p for p in inst.allowed if 0 not in p)
+    inst = Instance(n=4, allowed=pairs, utility=SymmetricWeighted(
+        sizes={p: s for p, s in inst.utility.sizes.items() if p in pairs}, f=inst.utility.f),
+        sharing=inst.sharing, epsilon=inst.epsilon)
+    blocks = [((0, 1), np.array([0.25, 0.5])), ((1, 2, 3), np.zeros(3)), ((0, 2), np.zeros(2))]
+    assert not any(exact._agent_columns(inst, i, frozenset(blocks[0][0])) for i in (0, 1))
+    margins = exact._block_margins(inst, blocks)
+    singles = [exact._coalition_best_margin(inst, c, targets) for c, targets in blocks]
+    assert margins[0] == singles[0] == -0.5 and margins[2] == singles[2] == 0.0
+    assert singles[1] > 0.0 and abs(margins[1] - singles[1]) <= 1e-12
 
 
 def test_coalition_cap():

@@ -218,6 +218,25 @@ def test_bucketing_rejects_a_price_row_that_overflows_the_first_guess():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_best_singleton_matches_the_numpy_reduction():
+    # the reference is the array form max(0, max_j q_j u_ij), whose NaN propagates
+    inst = gen_random(7, 4, "symmetric", seed=11)
+    rng = np.random.default_rng(5)
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308]
+    for trial in range(300):
+        i = trial % inst.n
+        q = rng.uniform(-1.0, 2.0, inst.n)
+        for j in rng.choice(inst.n, size=trial % 3, replace=False):
+            q[j] = specials[rng.integers(len(specials))]
+        senders = np.array(inst.senders_of[i], dtype=np.intp)
+        expected = float((q[senders] * inst.singleton_utility[i][senders]).max(initial=0.0))
+        if math.isfinite(inst.n * expected):
+            assert oracles._best_singleton("bucketing", inst, i, q) == expected
+        else:
+            with pytest.raises(ValueError, match=f"got {inst.n * expected!r}"):
+                oracles._best_singleton("bucketing", inst, i, q)
+
+
 def test_bucketing_ties_on_bucket_edges_match_per_sender_loop():
     # prices placed exactly on the rule's boundaries: a price equal to the edge
     # u0 e^3 stays in bucket 2, a value q u equal to u0 stays in, and among equal
