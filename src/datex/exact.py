@@ -66,7 +66,7 @@ def _block_margins(instance: Instance, blocks: Sequence[tuple[tuple[int, ...], n
     rows mass_i <= 1, t - gain_i <= -target_i and residual_i = 0 per member.
     The blocks share no variable, and each is feasible (weights 0, t = -max
     target) and bounded, so maximizing the sum of the t's maximizes each one.
-    The matrices are sparse, built from each block's triplets at its offsets.
+    The matrices are sparse, built from each block's lp_rows triplets at its offsets.
     """
     ub, eq, b_ub, t_cols = [], [], [], []
     col = row = 0  # the block's first variable and its first member row
@@ -75,15 +75,14 @@ def _block_margins(instance: Instance, blocks: Sequence[tuple[tuple[int, ...], n
         cols = [(i, s) for i in coalition for s in _agent_columns(instance, i, within)]
         mats = column_matrices(instance, cols, coalition)
         k, c = mats.k, len(mats.util)
-        xs = col + np.arange(c)
+        r, x, v = mats.lp_rows()
+        mass = r < k  # the rest are the residual rows k..2k-1
         # inequality rows 2*row..: k mass rows, then k rows t - gain_i <= -target_i
-        ub.append((np.concatenate([2 * row + mats.recv, 2 * row + k + mats.recv,
+        ub.append((np.concatenate([2 * row + r[mass], 2 * row + k + r[mass],
                                    2 * row + k + np.arange(k)]),
-                   np.concatenate([xs, xs, np.full(k, col + c)]),
-                   np.concatenate([np.ones(c), -mats.util, np.ones(k)])))
-        eq.append((np.concatenate([row + mats.recv, row + mats.share_row]),
-                   np.concatenate([xs, col + mats.share_col]),
-                   np.concatenate([mats.util, -mats.share])))
+                   np.concatenate([col + x[mass], col + x[mass], np.full(k, col + c)]),
+                   np.concatenate([v[mass], -mats.util[x[mass]], np.ones(k)])))
+        eq.append((row - k + r[~mass], col + x[~mass], v[~mass]))
         b_ub.extend([np.ones(k), -np.asarray(targets, dtype=float)])
         t_cols.append(col + c)
         col, row = col + c + 1, row + k

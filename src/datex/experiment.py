@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .instances import RoadSpec, gen_road
+from .instances import CORRELATIONS, RoadSpec, gen_road
 from .model import ExchangeSolution, Instance, PathVariance, normalize_instance
 from .mwu import MwuConfig, solve_welfare
 from .oracles import get_oracle
@@ -78,19 +78,16 @@ def road_mwu_config(n: int, max_iters: int = 240) -> MwuConfig:
     return MwuConfig(max_iters=max_iters, check_every=30)
 
 
-def run_replicate(spec: RoadSpec, oracle_name: str = "bucketing",
-                  config: MwuConfig | None = None) -> dict[str, float]:
-    """One replicate: returns raw total utility per method plus the baseline variance."""
+def run_replicate(spec: RoadSpec, config: MwuConfig) -> dict[str, float]:
+    """One replicate, solved with the bucketing oracle: returns raw total
+    utility per method plus the baseline variance."""
     raw = gen_road(spec)
     model = raw.utility
     assert isinstance(model, PathVariance)
     v0_total = sum(model.baseline_variance(i) for i in range(raw.n))
     norm, scale = normalize_instance(raw)
-    config = config or road_mwu_config(norm.n)
-    oracle = get_oracle(oracle_name)
-
     _, match_welfare = matching_benchmark(norm)
-    _, report = solve_welfare(norm, config, oracle)
+    _, report = solve_welfare(norm, config, get_oracle("bucketing"))
     return {
         "baseline": 0.0,
         "matching": match_welfare * scale,
@@ -107,6 +104,9 @@ def run_experiment(edges: tuple[tuple[int, int], ...], replicates: int,
     """Full sweep: replicate x correlation mode x rho, three method rows each."""
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    for mode in modes:  # rho = 0 runs never reach RoadSpec's own check
+        if mode not in CORRELATIONS:
+            raise ValueError(f"unknown correlation mode {mode!r}")
     rows: list[ExperimentRow] = []
     for mode_id, mode in enumerate(modes):
         for rho in rhos:
@@ -120,8 +120,7 @@ def run_experiment(edges: tuple[tuple[int, int], ...], replicates: int,
                     edges=edges, radius=radius, n_agents=n_agents,
                     correlation=mode if rho > 0 else "none", rho=rho, seed=rep_seed,
                 )
-                config = road_mwu_config(n_agents, max_iters)
-                result = run_replicate(spec, config=config)
+                result = run_replicate(spec, road_mwu_config(n_agents, max_iters))
                 for method in METHODS:
                     rows.append(ExperimentRow(
                         replicate=rep,

@@ -262,6 +262,9 @@ def gen_random(n: int, senders_per_agent: int, model_kind: str = "symmetric",
 # ---------------------------------------------------------------------------
 
 
+CORRELATIONS = ("none", "random", "local")
+
+
 @dataclass(frozen=True)
 class RoadSpec:
     """Sampling recipe for a road-network variance-trading instance."""
@@ -269,12 +272,12 @@ class RoadSpec:
     edges: tuple[tuple[int, int], ...]
     radius: int = 8
     n_agents: int = 20
-    correlation: str = "none"  # none | random | local
+    correlation: str = "none"  # one of CORRELATIONS
     rho: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.correlation not in ("none", "random", "local"):
+        if self.correlation not in CORRELATIONS:
             raise ValueError(f"unknown correlation mode {self.correlation!r}")
         if not (0.0 <= self.rho <= 1.0):
             raise ValueError("rho must lie in [0, 1]")

@@ -22,10 +22,6 @@ from .sharing import column_lp, column_matrices, lp_solution
 
 logger = logging.getLogger(__name__)
 
-# sparsify's column LP grows with the columns; larger averages are evaluated raw
-SPARSIFY_MAX_COLUMNS = 5000
-
-
 class RegretBoundError(AssertionError):
     """The logged multiplicative-weights regret inequality failed."""
 
@@ -61,6 +57,8 @@ class MwuConfig:
             raise ValueError("delta must lie in (0, 1/3]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.check_every < 1:
+            raise ValueError("check_every must be >= 1")
 
 
 def practical_eta(n: int, iters: int) -> float:
@@ -226,9 +224,8 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
         if t % config.check_every == 0 or t == iters:
             # the exact LP over the generated columns certifies the target long
             # before the raw average does at desk scale; its solution is the run's
-            solution = _averaged_solution(instance, counts, t, delta_sum, gamma_sum)
-            if solution.column_count() <= SPARSIFY_MAX_COLUMNS:
-                solution = sparsify(instance, solution)
+            average = _averaged_solution(instance, counts, t, delta_sum, gamma_sum)
+            solution = sparsify(instance, average)
             rep = evaluate(instance, solution)
             if rep.feasible and rep.welfare >= B / alpha - eps / (2.0 * alpha) - EQ_TOL:
                 certified = True
@@ -260,8 +257,6 @@ def sparsify(instance: Instance, solution: ExchangeSolution) -> ExchangeSolution
     (widened by the solution's fixed delta/gamma slacks).
     """
     cols = [(i, col) for i, col, _ in solution.iter_columns()]
-    if len(cols) > SPARSIFY_MAX_COLUMNS:
-        raise ValueError(f"{len(cols)} columns exceed the sparsify bound")
     if not cols:
         return solution
     lo, hi = solution.balance_bounds(instance.epsilon)

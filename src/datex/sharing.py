@@ -87,7 +87,8 @@ class ColumnMatrices:
     """(agent, column) pairs as the rows agents[0..k-1] of a column LP.
 
     Column c gives util[c] to row recv[c]; share s hands share[s] of column
-    share_col[s] to row share_row[s].
+    share_col[s] to row share_row[s]. lp_rows is the one place that lays these
+    out as LP rows.
     """
 
     k: int
@@ -97,17 +98,14 @@ class ColumnMatrices:
     share_col: np.ndarray
     share: np.ndarray
 
-    def mass(self) -> np.ndarray:
-        """k x C: 1 where the row receives the column (the x_i <= 1 rows)."""
-        out = np.zeros((self.k, len(self.util)))
-        out[self.recv, np.arange(len(self.util))] = 1.0
-        return out
-
-    def resid(self) -> np.ndarray:
-        """k x C: utility received minus shares sent, per unit column weight."""
-        out = self.mass() * self.util
-        out[self.share_row, self.share_col] -= self.share
-        return out
+    def lp_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, column, value) triplets of the k mass rows (1 where row
+        recv[c] receives column c: the x_i <= 1 rows), then of the k residual
+        rows k..2k-1 (utility received minus shares sent, per unit weight)."""
+        cols = np.arange(len(self.util))
+        return (np.concatenate([self.recv, self.k + self.recv, self.k + self.share_row]),
+                np.concatenate([cols, cols, self.share_col]),
+                np.concatenate([np.ones(len(cols)), self.util, -self.share]))
 
     # bincount adds its weights in input order, as a loop over the columns would
     def received(self, x: np.ndarray) -> np.ndarray:
@@ -141,8 +139,10 @@ def column_lp(instance: Instance, cols: Sequence[tuple[int, frozenset[int] | Fra
     mass_i <= 1 and lo_i <= residual_i <= hi_i (lo = hi = 0 is exact balance)."""
     n = instance.n
     mats = column_matrices(instance, cols, range(n))
-    resid = mats.resid()
-    a_ub = np.vstack([mats.mass(), resid, -resid])
+    rows, lp_cols, vals = mats.lp_rows()
+    a = np.zeros((2 * n, len(cols)))
+    np.add.at(a, (rows, lp_cols), vals)
+    a_ub = np.vstack([a, -a[n:]])
     b_ub = np.concatenate([np.ones(n), hi, -lo])
     return linprog(-mats.util, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
 

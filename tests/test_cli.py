@@ -527,6 +527,7 @@ def test_uncaught_exception_exits_with_one_line(tmp_path, capsys, monkeypatch, e
     (["oracle", "--agent", "0", "--q", '{"1": "0.5"}'], "finite JSON number, got '0.5'"),
     (["oracle", "--agent", "0", "--q", '{"99": 1.0}'], "'99' is not a sender of agent 0"),
     (["oracle", "--agent", "0", "--q", '{"0": 5.0}'], "'0' is not a sender of agent 0"),
+    (["experiment", "--modes", "bogus", "--rho", "0"], "unknown correlation mode 'bogus'"),
 ])
 def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
     if argv[0] == "oracle":

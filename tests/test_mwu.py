@@ -35,6 +35,13 @@ def small_config(n, iters=400):
     return MwuConfig(max_iters=iters, eta_override=practical_eta(n, iters))
 
 
+@pytest.mark.parametrize("check_every", [0, -5])
+def test_config_rejects_a_check_period_below_one(check_every):
+    # 0 used to divide by zero at the first check, and -5 to check every 5 iterations
+    with pytest.raises(ValueError, match="check_every must be >= 1"):
+        MwuConfig(check_every=check_every)
+
+
 # ---------------------------------------------------------------------------
 # Price assembly
 # ---------------------------------------------------------------------------
@@ -499,23 +506,34 @@ def test_sparsify_keeps_basic_support(monkeypatch):
     assert evaluate(inst, out).welfare >= evaluate(inst, raw).welfare - 1e-9
 
 
-def test_sparsify_column_cap():
+def test_sparsify_solves_more_than_5000_columns():
     import itertools as it
 
     from datex import ConcaveSpec, SymmetricWeighted
 
+    # agent 0 takes 6,006 subsets of its 13 senders; each sender is paid back
+    # by a singleton column from 0, so the input is balanced
     senders = tuple(range(1, 14))
-    sizes = {(0, j): 1.0 for j in senders}
+    sizes = {(0, j): 1.0 for j in senders} | {(j, 0): 1.0 for j in senders}
     inst = Instance(
         n=14, allowed=frozenset(sizes),
         utility=SymmetricWeighted(sizes=sizes, f=(ConcaveSpec(kind="sqrt"),) * 14),
         sharing=SharingRuleSpec(kind="proportional", weights="size"),
     )
     subsets = [frozenset(c) for size in (5, 6, 7, 8) for c in it.combinations(senders, size)]
-    assert len(subsets) > 5000
-    sol = ExchangeSolution(n=14, columns={0: {s: 1e-5 for s in subsets}})
-    with pytest.raises(ValueError, match="sparsify bound"):
-        sparsify(inst, sol)
+    sent = {j: sum(1e-5 * shares(inst, 0, s).get(j, 0.0) for s in subsets) for j in senders}
+    columns = {0: {s: 1e-5 for s in subsets}}
+    columns |= {j: {frozenset({0}): sent[j] / utility(inst, j, frozenset({0}))} for j in senders}
+    sol = ExchangeSolution(n=14, columns=columns)
+    assert sol.column_count() == 6019
+    rep_in = evaluate(inst, sol)
+    assert rep_in.feasible
+    out = sparsify(inst, sol)
+    rep_out = evaluate(inst, out)
+    assert out.column_count() <= 2 * inst.n + 1
+    assert rep_out.feasible
+    assert np.max(np.abs(rep_out.balance_residual)) <= inst.epsilon + 1e-9
+    assert rep_out.welfare >= rep_in.welfare - 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -395,3 +395,37 @@ def test_frac_columns_still_split_by_volume():
     assert h == {j: v / total * u for j, v in volume.items()}
     assert column_split(inst, i, col) == (u, h)
     assert not any(col in key for key in _share_cache.get(inst, {}))
+
+
+def _old_column_lp_rows(mats):
+    """The column LP's [mass; resid; -resid] rows as the dense builder made them."""
+    c = len(mats.util)
+    mass = np.zeros((mats.k, c))
+    mass[mats.recv, np.arange(c)] = 1.0
+    resid = mass * mats.util
+    resid[mats.share_row, mats.share_col] -= mats.share
+    return np.vstack([mass, resid, -resid])
+
+
+@pytest.mark.parametrize("model", range(5))
+def test_column_lp_rows_match_the_dense_builder_bit_for_bit(monkeypatch, model):
+    from conftest import five_model_instances
+
+    inst = five_model_instances()[model]
+    cols = [(i, frozenset(s)) for i in range(inst.n)
+            for size in (1, 2) for s in itertools.combinations(inst.senders_of[i][:4], size)]
+    if isinstance(inst.utility, ContinuousConcave):  # fractional columns split by volume
+        cols += [(i, FracColumn(y=tuple((j, 0.2 + 0.3 * t) for t, j in enumerate(senders))))
+                 for i in range(inst.n) if (senders := inst.senders_of[i][:3])]
+    seen = []
+
+    def recording_linprog(c, **kwargs):
+        seen.append(kwargs["A_ub"])
+        return linprog(c, **kwargs)
+
+    linprog = sharing.linprog
+    monkeypatch.setattr(sharing, "linprog", recording_linprog)
+    bound = np.full(inst.n, inst.epsilon)
+    assert sharing.column_lp(inst, cols, -bound, bound).success
+    old = _old_column_lp_rows(sharing.column_matrices(inst, cols, range(inst.n)))
+    assert seen[0].shape == old.shape and seen[0].tobytes() == old.tobytes()
