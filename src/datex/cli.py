@@ -44,9 +44,15 @@ EXIT_BAD_INPUT = 2
 EXIT_SOLVER = 3
 
 
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def _setup_logging() -> None:
-    level = os.environ.get("EXCHANGE_LOG", "error").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.ERROR))
+    """Log at the EXCHANGE_LOG level, a name from LOG_LEVELS in any case (default error)."""
+    level = os.environ.get("EXCHANGE_LOG") or "error"
+    if level.lower() not in LOG_LEVELS:
+        raise ValueError(f"EXCHANGE_LOG must be one of {', '.join(LOG_LEVELS)}; got {level!r}")
+    logging.basicConfig(level=level.upper())
 
 
 def _parse(parse, text: str, what: str):
@@ -363,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     try:
+        _setup_logging()
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:  # argparse: a bad option or --help

@@ -35,6 +35,15 @@ def _require_fields(obj: dict, required: set[str], optional: set[str], where: st
         raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
 
 
+def _int(value: Any, what: str) -> int:
+    """An integer field: an int, or a float with an integral value (not inf or
+    NaN); bools, strings and non-integral numbers raise SchemaError."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise SchemaError(f"{what} must be an integer; got {json.dumps(value)}")
+
+
 # ---------------------------------------------------------------------------
 # Concave specs
 # ---------------------------------------------------------------------------
@@ -111,11 +120,11 @@ def _utility_from_json(obj: dict):
     kind = obj.get("kind")
     if kind == "explicit_table":
         _require_fields(obj, {"kind", "tables"}, set(), "explicit_table")
-        tables = sorted(obj["tables"], key=lambda t: t["agent"])
-        for t in tables:
+        for t in obj["tables"]:
             _require_fields(t, {"agent", "senders", "values"}, set(), "table entry")
+        tables = sorted(obj["tables"], key=lambda t: _int(t["agent"], "table agent"))
         return ExplicitTable(
-            senders=tuple(tuple(t["senders"]) for t in tables),
+            senders=tuple(tuple(_int(j, "table sender") for j in t["senders"]) for t in tables),
             values=tuple(np.asarray(t["values"], dtype=float) for t in tables),
         )
     if kind in ("symmetric_weighted", "continuous_concave"):
@@ -124,7 +133,8 @@ def _utility_from_json(obj: dict):
         _require_fields(obj, {"kind", "sizes", "f"}, legacy, kind)
         cls = SymmetricWeighted if kind == "symmetric_weighted" else ContinuousConcave
         return cls(
-            sizes={(int(i), int(j)): float(s) for i, j, s in obj["sizes"]},
+            sizes={(_int(i, "size receiver"), _int(j, "size sender")): float(s)
+                   for i, j, s in obj["sizes"]},
             f=tuple(concave_from_json(fo) for fo in obj["f"]),
         )
     if kind == "path_variance":
@@ -133,20 +143,20 @@ def _utility_from_json(obj: dict):
             {"scale"}, "path_variance",
         )
         return PathVariance(
-            n_nodes=int(obj["n_nodes"]),
-            edges=tuple((int(a), int(b)) for a, b in obj["edges"]),
-            paths=tuple(tuple(int(e) for e in p) for p in obj["paths"]),
+            n_nodes=_int(obj["n_nodes"], "n_nodes"),
+            edges=tuple((_int(a, "edge node"), _int(b, "edge node")) for a, b in obj["edges"]),
+            paths=tuple(tuple(_int(e, "path edge") for e in p) for p in obj["paths"]),
             sigma2=np.asarray(obj["sigma2"], dtype=float),
-            z=np.asarray(obj["z"], dtype=int),
-            classes=np.asarray(obj["classes"], dtype=int),
+            z=np.array([_int(v, "sample count z") for v in obj["z"]], dtype=int),
+            classes=np.array([_int(v, "edge class") for v in obj["classes"]], dtype=int),
             scale=float(obj.get("scale", 1.0)),
         )
     if kind == "x3c_coverage":
         _require_fields(obj, {"kind", "m", "k", "sets"}, {"scale"}, "x3c_coverage")
         return X3CCoverage(
-            m=int(obj["m"]),
-            k=int(obj["k"]),
-            sets=tuple(frozenset(int(e) for e in s) for s in obj["sets"]),
+            m=_int(obj["m"], "x3c m"),
+            k=_int(obj["k"], "x3c k"),
+            sets=tuple(frozenset(_int(e, "set element") for e in s) for s in obj["sets"]),
             scale=float(obj.get("scale", 1.0)),
         )
     raise SchemaError(f"unknown utility kind {kind!r}")
@@ -169,9 +179,11 @@ def _sharing_from_json(obj: dict) -> SharingRuleSpec:
     _require_fields(obj, {"kind"}, {"m", "seed", "weights"}, "sharing rule")
     weights = obj.get("weights")
     if isinstance(weights, list):
-        weights = tuple((int(i), int(j), float(w)) for i, j, w in weights)
+        weights = tuple((_int(i, "weight receiver"), _int(j, "weight sender"), float(w))
+                        for i, j, w in weights)
     return SharingRuleSpec(
-        kind=obj["kind"], m=int(obj.get("m", 10)), seed=int(obj.get("seed", 0)),
+        kind=obj["kind"], m=_int(obj.get("m", 10), "sharing m"),
+        seed=_int(obj.get("seed", 0), "sharing seed"),
         weights=weights,
     )
 
@@ -198,12 +210,13 @@ def instance_from_json(obj: dict) -> Instance:
     _require_fields(obj, {"n", "allowed", "epsilon", "seed", "utility", "sharing"}, set(), "instance")
     try:
         return Instance(
-            n=int(obj["n"]),
-            allowed=frozenset((int(i), int(j)) for i, j in obj["allowed"]),
+            n=_int(obj["n"], "n"),
+            allowed=frozenset((_int(i, "allowed receiver"), _int(j, "allowed sender"))
+                              for i, j in obj["allowed"]),
             utility=_utility_from_json(obj["utility"]),
             sharing=_sharing_from_json(obj["sharing"]),
             epsilon=float(obj["epsilon"]),
-            seed=int(obj["seed"]),
+            seed=_int(obj["seed"], "seed"),
         )
     except (TypeError, KeyError, ValueError) as exc:
         if isinstance(exc, SchemaError):
@@ -251,14 +264,15 @@ def solution_from_json(obj: dict) -> ExchangeSolution:
         for i, col_spec, x in obj["columns"]:
             if isinstance(col_spec, dict):
                 _require_fields(col_spec, {"y"}, set(), "fractional column")
-                col = FracColumn(y=tuple((int(j), float(v)) for j, v in col_spec["y"]))
+                col = FracColumn(y=tuple((_int(j, "column sender"), float(v))
+                                         for j, v in col_spec["y"]))
             else:
-                col = frozenset(int(j) for j in col_spec)
-            cols.setdefault(int(i), {})[col] = float(x)
+                col = frozenset(_int(j, "column sender") for j in col_spec)
+            cols.setdefault(_int(i, "column agent"), {})[col] = float(x)
         deltas = obj.get("deltas")
         gammas = obj.get("gammas")
         return ExchangeSolution(
-            n=int(obj["n"]),
+            n=_int(obj["n"], "n"),
             columns=cols,
             deltas=None if deltas is None else np.asarray(deltas, dtype=float),
             gammas=None if gammas is None else np.asarray(gammas, dtype=float),

@@ -214,12 +214,18 @@ class PathVariance:
                 counts[j, int(self.classes[e])] += float(self.z[j])
         return counts
 
+    @cached_property
+    def _receivers(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        return {}
+
     def _receiver_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        # (sigma2 along path, donor matrix [agent, path-edge])
-        path = np.asarray(self.paths[i], dtype=int)
-        sig = self.sigma2[path]
-        donors = self._class_counts[:, self.classes[path]]
-        return sig, donors
+        # (sigma2 along path, donor matrix [agent, path-edge]), memoized per receiver
+        hit = self._receivers.get(i)
+        if hit is None:
+            path = np.asarray(self.paths[i], dtype=int)
+            hit = self._receivers[i] = (self.sigma2[path],
+                                        self._class_counts[:, self.classes[path]])
+        return hit
 
     def baseline_variance(self, i: int) -> float:
         sig, _ = self._receiver_arrays(i)
@@ -460,6 +466,15 @@ class Instance:
         for i, j in self.allowed:
             by_sender[j].append(i)
         return tuple(tuple(sorted(it)) for it in by_sender)
+
+    @cached_property
+    def sender_mask(self) -> np.ndarray:
+        """Read-only n x n table: True where i may receive from j."""
+        mask = np.zeros((self.n, self.n), dtype=bool)
+        for i, j in self.allowed:
+            mask[i, j] = True
+        mask.flags.writeable = False
+        return mask
 
     def full_set(self, i: int) -> frozenset[int]:
         return frozenset(self.senders_of[i])

@@ -17,8 +17,8 @@ from .model import (
     evaluate,
     utility,
 )
-from .oracles import ConvexCost, OracleResult, OracleSpec, oracle_imbalance
-from .sharing import column_lp, column_matrices, lp_solution
+from .oracles import ConvexCost, OracleSpec, oracle_imbalance
+from .sharing import column_lp, column_split, lp_solution
 
 logger = logging.getLogger(__name__)
 
@@ -159,8 +159,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
 
         oracle_total = 0.0
         chosen_cols: list[tuple[int, object]] = []
-        for i in range(n):
-            res: OracleResult = oracle(instance, i, Q[i])
+        for i, res in enumerate(oracle.all_agents(instance, Q)):
             if res.value <= 0.0 or not res.chosen:
                 continue
             col: object
@@ -170,10 +169,15 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
                 col = res.chosen
             chosen_cols.append((i, col))
             oracle_total += res.value
-        mats = column_matrices(instance, chosen_cols, range(n))
-        ones = np.ones(len(chosen_cols))
-        received = mats.received(ones)
-        sent = mats.sent(ones)
+        # each column's memoized (utility, shares), added in column order from 0.0
+        # as ColumnMatrices' bincounts add them
+        received, sent = [0.0] * n, [0.0] * n
+        for i, col in chosen_cols:
+            u, split = column_split(instance, i, col)
+            received[i] += u
+            for j, h in split.items():
+                sent[j] += h
+        received, sent = np.array(received), np.array(sent)
 
         delta = gamma = None
         if config.imbalance is not None:

@@ -9,10 +9,11 @@ from __future__ import annotations
 import logging
 import math
 import sys
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,8 +65,12 @@ def _best_singleton(name: str, instance: Instance, i: int, q: np.ndarray) -> flo
             single_val = v
     guess = instance.n * single_val
     if not math.isfinite(guess):
-        raise ValueError(f"{name} oracle needs a finite first guess n * max_j q_j u_ij; got {guess!r}")
+        raise _first_guess_error(name, guess)
     return single_val
+
+
+def _first_guess_error(name: str, guess: float) -> ValueError:
+    return ValueError(f"{name} oracle needs a finite first guess n * max_j q_j u_ij; got {guess!r}")
 
 
 def oracle_bruteforce(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1) -> OracleResult:
@@ -105,7 +110,64 @@ def _bucket_edges(n: int, eps: float) -> tuple[int, np.ndarray]:
     return count, edges
 
 
-def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1) -> OracleResult:
+class FirstGuess(NamedTuple):
+    """One agent's first bucketing guess n * single, from bucketing_first_guesses."""
+
+    single: float  # max(0, max_j q_j u_ij) over the agent's senders
+    best: int  # the first sender, in sender order, whose q_j u_ij is the maximum
+    buckets: dict[int, list[int]]  # bucket index c -> its senders, in sender order
+
+
+# instances whose bucketing calls have already logged the sampled-Shapley note
+_noted: weakref.WeakSet = weakref.WeakSet()
+
+
+def _check_bucketing(instance: Instance, eps: float) -> None:
+    check_oracle_eps("bucketing", eps)
+    if instance.sharing.kind == "proportional":
+        raise ValueError("bucketing oracle needs a cross-monotone sharing rule")
+    if instance.sharing.kind == "shapley_sampled" and instance not in _noted:
+        _noted.add(instance)
+        logger.debug("bucketing with sampled Shapley: cross-monotonicity only approximate")
+
+
+def bucketing_first_guesses(instance: Instance, agents: Sequence[int], q: np.ndarray,
+                            eps: float) -> list[FirstGuess]:
+    """The bucketing oracle's first guess for every agent in agents, whose price
+    row is the matching row of q, in one array pass over all rows.
+
+    Raises the oracle's ValueError for the first row whose guess n * single is
+    not finite, before any further arithmetic on the rows.
+    """
+    _check_bucketing(instance, eps)
+    n = instance.n
+    rows = np.asarray(agents, dtype=np.intp)
+    mask = instance.sender_mask[rows]
+    u = instance.singleton_utility[rows]
+    qu = np.full(q.shape, -np.inf)  # -inf off the senders: never a maximum
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(q, u, out=qu, where=mask)
+        single = qu.max(axis=1, initial=0.0)  # a NaN product stays, as in _best_singleton
+        guess = n * single
+    finite = np.isfinite(guess)
+    if not finite.all():
+        raise _first_guess_error("bucketing", float(guess[finite.argmin()]))
+    n_buckets, edges = _bucket_edges(n, eps)
+    u0 = eps * guess / n
+    # c - 1 is the bucket k with u0 e^k < q <= u0 e^(k+1): the count of edges
+    # strictly below q, as searchsorted counts them; c = 0 holds q <= u0, the
+    # senders whose utility or value is negligible at this guess, and the others
+    c = np.count_nonzero(u0[:, None, None] * edges < q[:, :, None], axis=2)
+    c[~mask | (u < eps * eps / (n * n)) | (qu < u0[:, None]) | (c > n_buckets)] = 0
+    buckets: list[dict[int, list[int]]] = [{} for _ in range(len(rows))]
+    r_idx, j_idx = np.nonzero(c)  # row-major, so senders come in ascending order
+    for r, j, cj in zip(r_idx.tolist(), j_idx.tolist(), c[r_idx, j_idx].tolist()):
+        buckets[r].setdefault(cj, []).append(j)
+    return [FirstGuess(*row) for row in zip(single.tolist(), qu.argmax(axis=1).tolist(), buckets)]
+
+
+def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1,
+                     first: FirstGuess | None = None) -> OracleResult:
     """Bucket senders by price level and return the best whole bucket.
 
     Sweeps guesses of the oracle optimum in descending powers of (1+eps),
@@ -114,44 +176,43 @@ def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1
     largest guess whose best bucket certifies value >= guess / alpha_hat.
     The best positive singleton is kept as a fallback candidate so the
     returned value is never below (max_j Q_ij u_ij), which at this scale
-    dominates 1/alpha_hat of the exact optimum.
+    dominates 1/alpha_hat of the exact optimum.  first is i's entry of
+    bucketing_first_guesses on q, which the solver computes for all agents
+    at once; without it the oracle computes it on its one row.
     """
-    check_oracle_eps("bucketing", eps)
-    if instance.sharing.kind == "proportional":
-        raise ValueError("bucketing oracle needs a cross-monotone sharing rule")
-    if instance.sharing.kind == "shapley_sampled":
-        logger.debug("bucketing with sampled Shapley: cross-monotonicity only approximate")
-    n = instance.n
-    single_val = _best_singleton("bucketing", instance, i, q)
+    if first is None:
+        (first,) = bucketing_first_guesses(instance, [i], q[None, :], eps)
+    single_val = first.single
     if single_val <= 0.0:
         return OracleResult(chosen=_EMPTY, value=0.0, guesses=0)
+    n = instance.n
     guess = n * single_val
-    senders = np.array(instance.senders_of[i], dtype=np.intp)
-    q_s = q[senders]
-    u = instance.singleton_utility[i][senders]
-    qu = q_s * u
-    best_single = frozenset({int(senders[qu.argmax()])})  # first maximum in sender order
     q_row = q.tolist()
-    sender_list = senders.tolist()
-
     alpha_hat = bucketing_alpha(n, eps)
     n_buckets, edges = _bucket_edges(n, eps)
-    useful = u >= eps * eps / (n * n)
 
     best_set, best_val = _EMPTY, 0.0
     guesses = 0
     lo = single_val / (1.0 + eps)
+    buckets = first.buckets
+    sweep = None  # i's sender arrays, built at the first guess below the first
     while guess >= lo:
         guesses += 1
-        u0 = eps * guess / n
-        # c - 1 is the bucket k with u0 e^k < q <= u0 e^(k+1); c = 0 holds q <= u0
-        # and the senders whose utility or value is negligible at this guess
-        c = (u0 * edges).searchsorted(q_s)
-        c[~useful | (qu < u0)] = 0
-        buckets: dict[int, list[int]] = {}
-        for j, cj in zip(sender_list, c.tolist()):
-            if 0 < cj <= n_buckets:
-                buckets.setdefault(cj, []).append(j)
+        if guesses > 1:
+            if sweep is None:
+                senders = np.array(instance.senders_of[i], dtype=np.intp)
+                q_s, u = q[senders], instance.singleton_utility[i][senders]
+                sweep = senders.tolist(), q_s, q_s * u, u >= eps * eps / (n * n)
+            sender_list, q_s, qu, useful = sweep
+            u0 = eps * guess / n
+            # c - 1 is the bucket k with u0 e^k < q <= u0 e^(k+1); c = 0 holds q <= u0
+            # and the senders whose utility or value is negligible at this guess
+            c = (u0 * edges).searchsorted(q_s)
+            c[~useful | (qu < u0)] = 0
+            buckets = {}
+            for j, cj in zip(sender_list, c.tolist()):
+                if 0 < cj <= n_buckets:
+                    buckets.setdefault(cj, []).append(j)
         cand_set, cand_val = _EMPTY, 0.0
         for k in sorted(buckets):
             b_set = frozenset(buckets[k])
@@ -165,7 +226,7 @@ def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1
         guess /= 1.0 + eps
 
     if single_val > best_val:
-        best_set, best_val = best_single, single_val
+        best_set, best_val = frozenset({first.best}), single_val
     return OracleResult(chosen=best_set, value=best_val, guesses=guesses)
 
 
@@ -516,6 +577,16 @@ class OracleSpec:
 
     def __call__(self, instance: Instance, i: int, q: np.ndarray) -> OracleResult:
         return self.fn(instance, i, q, self.eps)  # type: ignore[operator]
+
+    def all_agents(self, instance: Instance, q: np.ndarray) -> list[OracleResult]:
+        """Every agent's result on its row of the n x n price matrix q, in
+        agent order; the bucketing oracle's first guesses come from one array
+        pass over all rows."""
+        agents = range(instance.n)
+        if self.name != "bucketing":
+            return [self(instance, i, q[i]) for i in agents]
+        first = bucketing_first_guesses(instance, agents, q, self.eps)
+        return [self.fn(instance, i, q[i], self.eps, first[i]) for i in agents]  # type: ignore[operator]
 
 
 def get_oracle(name: str, eps: float = 0.1) -> OracleSpec:

@@ -228,16 +228,21 @@ def shapley_sampled(instance: Instance, i: int, subset: frozenset[int],
     if m < 1:
         raise ValueError("permutation count m must be >= 1")
     members = sorted(subset)
-    rng = _permutation_rng(seed, i, members)
-    perms = np.array([rng.permutation(len(members)) for _ in range(m)])
+    s = len(members)
+    if s == 1:
+        perms = np.zeros((m, 1), dtype=np.intp)  # the only permutation; nothing to draw
+    else:
+        # one call draws the m permutations that m rng.permutation(s) calls draw
+        perms = _permutation_rng(seed, i, members).permuted(
+            np.broadcast_to(np.arange(s), (m, s)), axis=1)
     model = instance.utility
     if isinstance(model, PathVariance):
-        # all m prefix passes in one array; each member's marginals are then
-        # added in permutation order, as the per-permutation loop adds them
-        marg = np.diff(model.prefix_values(i, np.array(members)[perms]), axis=1, prepend=0.0)
-        acc = np.zeros(len(members))
-        for p in range(m):
-            acc[perms[p]] += marg[p]
+        # all m prefix passes in one array; add.at then adds each member's
+        # marginals in permutation order, as the per-permutation loop adds them
+        marg = model.prefix_values(i, np.array(members)[perms])
+        np.subtract(marg[:, 1:], marg[:, :-1], out=marg[:, 1:])
+        acc = np.zeros(s)
+        np.add.at(acc, perms, marg)
         return dict(zip(members, (acc / m).tolist()))
     out = {j: 0.0 for j in members}
     for perm in perms:

@@ -600,6 +600,14 @@ def test_knapsack_oracle_on_subnormal_profits_matches_bruteforce(tmp_path, capsy
      "imbalance slacks must be finite and non-negative"),
     (["audit", "{inst}", "{inf_delta}", "--coalitions", "3"],
      "imbalance slacks must be finite and non-negative"),
+    # integer fields with a fraction, a bool or a string; these used to be truncated
+    (["exact", "{n_frac}"], "n must be an integer; got 5.9"),
+    (["exact", "{pair_frac}"], "allowed receiver must be an integer; got 0.7"),
+    (["audit", "{table}", "{column_frac}"], "column sender must be an integer; got 2.2"),
+    (["exact", "{m_frac}"], "sharing m must be an integer; got 2.5"),
+    (["exact", "{m_bool}"], "sharing m must be an integer; got true"),
+    (["exact", "{seed_frac}"], "sharing seed must be an integer; got 1.5"),
+    (["exact", "{n_text}"], 'n must be an integer; got "6"'),
 ])
 def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     from datex import ExchangeSolution
@@ -633,8 +641,32 @@ def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
                       "inf_delta": {"n": 4, "columns": [], "deltas": [math.inf, 0, 0, 0]}}.items():
         names[name] = tmp_path / f"{name}.json"
         names[name].write_text(json.dumps(obj))
+    table_obj = json.loads(table.read_text())
+    sampled = {"kind": "shapley_sampled", "m": 10, "seed": 0}
+    for name, patch in {"n_frac": {"n": 5.9}, "n_text": {"n": "6"},
+                        "pair_frac": {"allowed": [[0.7, 1]] + table_obj["allowed"][1:]},
+                        "m_frac": {"sharing": sampled | {"m": 2.5}},
+                        "m_bool": {"sharing": sampled | {"m": True}},
+                        "seed_frac": {"sharing": sampled | {"seed": 1.5}}}.items():
+        names[name] = tmp_path / f"{name}.json"
+        names[name].write_text(json.dumps(table_obj | patch))
+    names["column_frac"] = tmp_path / "column_frac.json"
+    names["column_frac"].write_text(json.dumps({"n": 6, "columns": [[0, [2.2], 0.5]]}))
     with time_limit(10):
         code, out, err = run([arg.format(**names) for arg in argv], capsys)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert message.format(**names) in err
+
+
+def test_exchange_log_takes_only_level_names(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "inst.json")
+    for level in ("basic_format", "root", "warn", "notset", "10"):
+        monkeypatch.setenv("EXCHANGE_LOG", level)
+        code, stdout, err = run(["gen", "--kind", "random", "--n", "4", "--out", out], capsys)
+        assert code == 2 and stdout == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith("error: EXCHANGE_LOG must be one of debug, info, warning, error, "
+                              f"critical; got '{level}'")
+    for level in ("DeBuG", "warning", "CRITICAL", ""):
+        monkeypatch.setenv("EXCHANGE_LOG", level)
+        assert run(["gen", "--kind", "random", "--n", "4", "--out", out], capsys)[0] == 0

@@ -257,6 +257,110 @@ def test_bucketing_ties_on_bucket_edges_match_per_sender_loop():
         assert (res.chosen, res.value, res.guesses) == _bucketing_per_sender_loop(inst, i, Q[i], eps)
 
 
+def _assert_first_guess_pass_matches(inst, Q, eps):
+    """Every agent's result from one first-guess pass over Q equals the
+    single-agent oracle and the per-sender loop on (chosen, value, guesses)."""
+    key = lambda res: (res.chosen, res.value, res.guesses)
+    results = oracles.get_oracle("bucketing", eps).all_agents(inst, Q)
+    first = oracles.bucketing_first_guesses(inst, range(inst.n), Q, eps)
+    for i, res in enumerate(results):
+        assert key(res) == key(oracle_bucketing(inst, i, Q[i], eps))
+        assert key(res) == key(oracle_bucketing(inst, i, Q[i], eps, first[i]))
+        assert key(res) == _bucketing_per_sender_loop(inst, i, Q[i], eps)
+    return results
+
+
+def test_first_guess_pass_replays_recorded_road_prices(monkeypatch):
+    from datex import mwu
+    from datex.mwu import MwuConfig, solve_welfare
+
+    recorded = []
+    real = mwu.assemble_prices
+
+    def recording(instance, *args):
+        p, Q, threshold = real(instance, *args)
+        recorded.append((instance, Q))
+        return p, Q, threshold
+
+    monkeypatch.setattr(mwu, "assemble_prices", recording)
+    edges = grid_graph(8, 8, seed=0)
+    for corr, rho, seed in (("none", 0.0, 60), ("random", 0.5, 61), ("local", 0.25, 62)):
+        inst = normalize_instance(gen_road(RoadSpec(edges=edges, radius=5, n_agents=12,
+                                                    correlation=corr, rho=rho, seed=seed)))[0]
+        solve_welfare(inst, MwuConfig(max_iters=12, check_every=12), oracles.get_oracle("bucketing"))
+    assert len(recorded) >= 30
+    guesses = []
+    for inst, Q in recorded:
+        for eps in (0.1, 0.3):
+            guesses += [res.guesses for res in _assert_first_guess_pass_matches(inst, Q, eps)]
+    assert 0 in guesses and 1 in guesses
+
+
+def test_first_guess_pass_on_hand_built_rows():
+    # agents 0 and 4: several buckets; agent 5: its best singletons lie below the
+    # utility floor eps^2/n^2, so its first guess is rejected; agents 1-3: no senders
+    n = 6
+    inst = table_instance(n, {(0, 1): 0.5, (0, 2): 0.3, (0, 3): 0.125, (0, 4): 0.45,
+                              (4, 0): 0.7, (4, 2): 0.6, (4, 5): 0.05,
+                              (5, 0): 2e-4, (5, 1): 2e-4, (5, 3): 0.2})
+    rng = np.random.default_rng(8)
+    seen = {"rejected": 0, "nonpositive": 0}
+    for trial in range(300):
+        Q = rng.normal(loc=rng.choice([0.0, 0.5]), scale=10.0 ** rng.uniform(-2, 0.5), size=(n, n))
+        Q[rng.random((n, n)) < 0.2] = 0.0
+        if trial % 3 == 0:
+            Q[5] = [1.0, 1.0, 0.0, 1e-4, 0.0, 0.0]
+        for eps in (0.1, 0.3):
+            results = _assert_first_guess_pass_matches(inst, Q, eps)
+            assert all(results[i].guesses == 0 and not results[i].chosen for i in (1, 2, 3))
+            seen["rejected"] += any(res.guesses > 1 for res in results)
+            seen["nonpositive"] += bool(np.any(Q[0, 1:5] <= 0.0))
+    assert all(count > 0 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("prices", [
+    [1e308, 1e308, 1e308],  # n * max_j q_j u_ij overflows
+    [np.inf],
+    [np.nan, 1.0],
+    [np.inf, np.nan],
+])
+def test_first_guess_pass_rejects_a_non_finite_guess_without_a_warning(prices):
+    import warnings
+
+    inst = gen_random(6, 3, "table", seed=3)
+    Q = np.ones((inst.n, inst.n))
+    Q[0] = prices_for(inst, 0, dict(zip(inst.senders_of[0], prices)))
+    Q[4] = np.nan  # a later non-finite row
+    with pytest.raises(ValueError) as single:
+        oracles._best_singleton("bucketing", inst, 0, Q[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as one_row:
+            oracle_bucketing(inst, 0, Q[0])
+        with pytest.raises(ValueError) as all_rows:
+            oracles.get_oracle("bucketing").all_agents(inst, Q)
+    # agent 0 is the first non-finite row, so all three name its guess
+    assert str(one_row.value) == str(all_rows.value) == str(single.value)
+
+
+def test_sampled_shapley_note_is_logged_once_per_instance(caplog):
+    from datex.mwu import MwuConfig, solve_welfare
+
+    note = "cross-monotonicity only approximate"
+    edges = grid_graph(6, 6, seed=0)
+    road = normalize_instance(gen_road(RoadSpec(edges=edges, radius=4, n_agents=8, seed=3)))[0]
+    assert road.sharing.kind == "shapley_sampled"
+    with caplog.at_level("DEBUG", logger="datex.oracles"):
+        solve_welfare(road, MwuConfig(max_iters=60), oracles.get_oracle("bucketing"))
+    assert sum(note in r.getMessage() for r in caplog.records) == 1
+    caplog.clear()
+    other = normalize_instance(gen_road(RoadSpec(edges=edges, radius=4, n_agents=8, seed=4)))[0]
+    i = next(i for i in range(other.n) if other.senders_of[i])
+    with caplog.at_level("DEBUG", logger="datex.oracles"):
+        oracle_bucketing(other, i, np.ones(other.n))
+    assert sum(note in r.getMessage() for r in caplog.records) == 1
+
+
 # ---------------------------------------------------------------------------
 # Knapsack oracle
 # ---------------------------------------------------------------------------

@@ -429,3 +429,58 @@ def test_column_lp_rows_match_the_dense_builder_bit_for_bit(monkeypatch, model):
     assert sharing.column_lp(inst, cols, -bound, bound).success
     old = _old_column_lp_rows(sharing.column_matrices(inst, cols, range(inst.n)))
     assert seen[0].shape == old.shape and seen[0].tobytes() == old.tobytes()
+
+
+def loop_shapley_sampled_any_model(instance, i, subset, m, seed):
+    """Sampled Shapley with one rng.permutation call per permutation and one
+    utility call per prefix."""
+    members = sorted(subset)
+    rng = _permutation_rng(seed, i, members)
+    out = {j: 0.0 for j in members}
+    for _ in range(m):
+        prev, chosen = 0.0, set()
+        for t in rng.permutation(len(members)):
+            chosen.add(members[t])
+            val = utility(instance, i, frozenset(chosen))
+            out[members[t]] += val - prev
+            prev = val
+    return {j: v / m for j, v in out.items()}
+
+
+def test_sampled_shapley_on_other_models_is_bit_identical_to_the_per_draw_loop():
+    rng = np.random.default_rng(77)
+    checked = 0
+    for kind in ("symmetric", "table"):
+        for seed in (5, 6):
+            inst = replace(gen_random(8, 6, kind, seed=seed),
+                           sharing=SharingRuleSpec(kind="shapley_sampled", m=10, seed=seed))
+            for i in range(inst.n):
+                senders = inst.senders_of[i]
+                if not senders:
+                    continue
+                for size in sorted({1, len(senders), int(rng.integers(1, len(senders) + 1))}):
+                    S = frozenset(int(j) for j in rng.choice(senders, size=size, replace=False))
+                    for m in (1, 10, 37):
+                        got = shapley_sampled(inst, i, S, m, seed=inst.sharing.seed)
+                        ref = loop_shapley_sampled_any_model(inst, i, S, m, inst.sharing.seed)
+                        assert list(got.items()) == list(ref.items())
+                        checked += 1
+    assert checked >= 100
+
+
+def test_one_member_sampled_shapley_draws_nothing_and_matches_the_loop(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a one-member subset drew permutations")
+
+    monkeypatch.setattr(sharing, "_permutation_rng", no_draw)  # the loops keep theirs
+    cases = [(inst, loop_shapley_sampled) for inst in road_instances()]
+    cases.append((gen_random(6, 4, "table", seed=9), loop_shapley_sampled_any_model))
+    checked = 0
+    for inst, loop in cases:
+        for i in range(inst.n):
+            for j in inst.senders_of[i][:3]:
+                for m in (1, 10, 37):
+                    got = shapley_sampled(inst, i, frozenset({j}), m, seed=4)
+                    assert list(got.items()) == list(loop(inst, i, frozenset({j}), m, 4).items())
+                    checked += 1
+    assert checked >= 100
