@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .instances import CORRELATIONS, RoadSpec, gen_road
+from .instances import CORRELATIONS, RoadSpec, check_rho, gen_road
 from .model import ExchangeSolution, Instance, PathVariance, normalize_instance
 from .mwu import MwuConfig, solve_welfare
 from .oracles import get_oracle
@@ -104,9 +104,12 @@ def run_experiment(edges: tuple[tuple[int, int], ...], replicates: int,
     """Full sweep: replicate x correlation mode x rho, three method rows each."""
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    for mode in modes:  # rho = 0 runs never reach RoadSpec's own check
+    # checked before any replicate runs; rho = 0 runs never reach RoadSpec's mode check
+    for mode in modes:
         if mode not in CORRELATIONS:
             raise ValueError(f"unknown correlation mode {mode!r}")
+    for rho in rhos:
+        check_rho(rho)
     rows: list[ExperimentRow] = []
     for mode_id, mode in enumerate(modes):
         for rho in rhos:

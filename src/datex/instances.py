@@ -279,8 +279,13 @@ class RoadSpec:
     def __post_init__(self) -> None:
         if self.correlation not in CORRELATIONS:
             raise ValueError(f"unknown correlation mode {self.correlation!r}")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ValueError("rho must lie in [0, 1]")
+        check_rho(self.rho)
+
+
+def check_rho(rho: float) -> None:
+    """Reject a correlation strength outside [0, 1], NaN included."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1]; got {rho!r}")
 
 
 def load_edge_csv(path: str) -> tuple[tuple[int, int], ...]:

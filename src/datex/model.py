@@ -648,14 +648,12 @@ def evaluate(instance: Instance, solution: ExchangeSolution,
     Feasible means |residual_i| <= epsilon, widened by the delta/gamma slacks
     when the solution carries them.
     """
-    from .sharing import column_matrices  # deferred: sharing depends on the model types
+    from .sharing import column_flows  # deferred: sharing depends on the model types
 
-    n = instance.n
     live = [(i, col, x) for i, col, x in solution.iter_columns() if x != 0.0]
-    mats = column_matrices(instance, [(i, col) for i, col, _ in live], range(n))
-    weights = np.array([x for _, _, x in live], dtype=float)
-    received = mats.received(weights)
-    residual = received - mats.sent(weights)
+    received, sent = column_flows(instance, [(i, col) for i, col, _ in live],
+                                  [x for _, _, x in live])
+    residual = received - sent
     return SolveReport(
         welfare=float(received.sum()),
         per_agent_utility=received,

@@ -18,7 +18,7 @@ from .model import (
     utility,
 )
 from .oracles import ConvexCost, OracleSpec, oracle_imbalance
-from .sharing import column_lp, column_split, lp_solution
+from .sharing import column_flows, column_lp, lp_solution
 
 logger = logging.getLogger(__name__)
 
@@ -169,15 +169,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
                 col = res.chosen
             chosen_cols.append((i, col))
             oracle_total += res.value
-        # each column's memoized (utility, shares), added in column order from 0.0
-        # as ColumnMatrices' bincounts add them
-        received, sent = [0.0] * n, [0.0] * n
-        for i, col in chosen_cols:
-            u, split = column_split(instance, i, col)
-            received[i] += u
-            for j, h in split.items():
-                sent[j] += h
-        received, sent = np.array(received), np.array(sent)
+        received, sent = column_flows(instance, chosen_cols, [1.0] * len(chosen_cols))
 
         delta = gamma = None
         if config.imbalance is not None:

@@ -97,8 +97,8 @@ def bucketing_alpha(n: int, eps: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _bucket_edges(n: int, eps: float) -> tuple[int, np.ndarray]:
-    """Bucket count and the edges e^k, k = 0..count, of the bucketing oracle.
+def _bucket_edges(n: int, eps: float) -> np.ndarray:
+    """The edges e^k, k = 0..count, of the bucketing oracle's count buckets.
 
     The edges are Python's (1 + delta) ** k, so bucket membership does not
     depend on numpy's pow; they increase, so u0 * edges is sorted.
@@ -107,7 +107,7 @@ def _bucket_edges(n: int, eps: float) -> tuple[int, np.ndarray]:
     count = 3 * math.ceil(math.log(n / eps) / math.log(1.0 + delta))
     edges = np.array([(1.0 + delta) ** k for k in range(count + 1)])
     edges.flags.writeable = False
-    return count, edges
+    return edges
 
 
 class FirstGuess(NamedTuple):
@@ -131,6 +131,27 @@ def _check_bucketing(instance: Instance, eps: float) -> None:
         logger.debug("bucketing with sampled Shapley: cross-monotonicity only approximate")
 
 
+def _buckets(instance: Instance, rows: np.ndarray, q: np.ndarray, guess: np.ndarray,
+             eps: float) -> list[dict[int, list[int]]]:
+    """Each row's bucket index c -> its senders, in sender order, at that row's
+    guess, q holding the rows' prices.  c - 1 is the bucket k with u0 e^k < q
+    <= u0 e^(k+1), the count of edges strictly below q; c = 0, no bucket, holds
+    q <= u0, the senders whose utility or value is negligible, and the others."""
+    n = instance.n
+    mask = instance.sender_mask[rows]
+    u = instance.singleton_utility[rows]
+    u0 = eps * guess / n
+    # c <= count at guess >= single, u0 normal: a kept q <= single n^2/eps^2 <= u0 e^count
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.count_nonzero(u0[:, None, None] * _bucket_edges(n, eps) < q[:, :, None], axis=2)
+        c[~mask | (u < eps * eps / (n * n)) | (q * u < u0[:, None])] = 0
+    buckets: list[dict[int, list[int]]] = [{} for _ in range(len(rows))]
+    r_idx, j_idx = np.nonzero(c)  # row-major, so senders come in ascending order
+    for r, j, cj in zip(r_idx.tolist(), j_idx.tolist(), c[r_idx, j_idx].tolist()):
+        buckets[r].setdefault(cj, []).append(j)
+    return buckets
+
+
 def bucketing_first_guesses(instance: Instance, agents: Sequence[int], q: np.ndarray,
                             eps: float) -> list[FirstGuess]:
     """The bucketing oracle's first guess for every agent in agents, whose price
@@ -140,29 +161,16 @@ def bucketing_first_guesses(instance: Instance, agents: Sequence[int], q: np.nda
     not finite, before any further arithmetic on the rows.
     """
     _check_bucketing(instance, eps)
-    n = instance.n
     rows = np.asarray(agents, dtype=np.intp)
-    mask = instance.sender_mask[rows]
-    u = instance.singleton_utility[rows]
     qu = np.full(q.shape, -np.inf)  # -inf off the senders: never a maximum
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(q, u, out=qu, where=mask)
+        np.multiply(q, instance.singleton_utility[rows], out=qu, where=instance.sender_mask[rows])
         single = qu.max(axis=1, initial=0.0)  # a NaN product stays, as in _best_singleton
-        guess = n * single
+        guess = instance.n * single
     finite = np.isfinite(guess)
     if not finite.all():
         raise _first_guess_error("bucketing", float(guess[finite.argmin()]))
-    n_buckets, edges = _bucket_edges(n, eps)
-    u0 = eps * guess / n
-    # c - 1 is the bucket k with u0 e^k < q <= u0 e^(k+1): the count of edges
-    # strictly below q, as searchsorted counts them; c = 0 holds q <= u0, the
-    # senders whose utility or value is negligible at this guess, and the others
-    c = np.count_nonzero(u0[:, None, None] * edges < q[:, :, None], axis=2)
-    c[~mask | (u < eps * eps / (n * n)) | (qu < u0[:, None]) | (c > n_buckets)] = 0
-    buckets: list[dict[int, list[int]]] = [{} for _ in range(len(rows))]
-    r_idx, j_idx = np.nonzero(c)  # row-major, so senders come in ascending order
-    for r, j, cj in zip(r_idx.tolist(), j_idx.tolist(), c[r_idx, j_idx].tolist()):
-        buckets[r].setdefault(cj, []).append(j)
+    buckets = _buckets(instance, rows, q, guess, eps)
     return [FirstGuess(*row) for row in zip(single.tolist(), qu.argmax(axis=1).tolist(), buckets)]
 
 
@@ -189,30 +197,15 @@ def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1
     guess = n * single_val
     q_row = q.tolist()
     alpha_hat = bucketing_alpha(n, eps)
-    n_buckets, edges = _bucket_edges(n, eps)
 
     best_set, best_val = _EMPTY, 0.0
     guesses = 0
     lo = single_val / (1.0 + eps)
     buckets = first.buckets
-    sweep = None  # i's sender arrays, built at the first guess below the first
     while guess >= lo:
         guesses += 1
         if guesses > 1:
-            if sweep is None:
-                senders = np.array(instance.senders_of[i], dtype=np.intp)
-                q_s, u = q[senders], instance.singleton_utility[i][senders]
-                sweep = senders.tolist(), q_s, q_s * u, u >= eps * eps / (n * n)
-            sender_list, q_s, qu, useful = sweep
-            u0 = eps * guess / n
-            # c - 1 is the bucket k with u0 e^k < q <= u0 e^(k+1); c = 0 holds q <= u0
-            # and the senders whose utility or value is negligible at this guess
-            c = (u0 * edges).searchsorted(q_s)
-            c[~useful | (qu < u0)] = 0
-            buckets = {}
-            for j, cj in zip(sender_list, c.tolist()):
-                if 0 < cj <= n_buckets:
-                    buckets.setdefault(cj, []).append(j)
+            (buckets,) = _buckets(instance, np.array([i]), q[None, :], np.array([guess]), eps)
         cand_set, cand_val = _EMPTY, 0.0
         for k in sorted(buckets):
             b_set = frozenset(buckets[k])

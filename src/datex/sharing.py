@@ -82,6 +82,19 @@ def column_split(instance: Instance, i: int, col: frozenset[int] | FracColumn,
     return u, {j: v / total * u for j, v in volume.items()}
 
 
+def column_flows(instance: Instance, cols: Sequence[tuple[int, frozenset[int] | FracColumn]],
+                 weights: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Utility each agent receives and sends over columns at weights: x * u and
+    x * h of each column's memoized split, added in column order from 0.0."""
+    received, sent = [0.0] * instance.n, [0.0] * instance.n
+    for (i, col), x in zip(cols, weights):
+        u, split = column_split(instance, i, col)
+        received[i] += x * u
+        for j, h in split.items():
+            sent[j] += x * h
+    return np.array(received), np.array(sent)
+
+
 @dataclass(frozen=True)
 class ColumnMatrices:
     """(agent, column) pairs as the rows agents[0..k-1] of a column LP.
@@ -106,14 +119,6 @@ class ColumnMatrices:
         return (np.concatenate([self.recv, self.k + self.recv, self.k + self.share_row]),
                 np.concatenate([cols, cols, self.share_col]),
                 np.concatenate([np.ones(len(cols)), self.util, -self.share]))
-
-    # bincount adds its weights in input order, as a loop over the columns would
-    def received(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.recv, weights=x * self.util, minlength=self.k)
-
-    def sent(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.share_row, weights=x[self.share_col] * self.share,
-                           minlength=self.k)
 
 
 def column_matrices(instance: Instance, cols: Sequence[tuple[int, frozenset[int] | FracColumn]],

@@ -528,6 +528,10 @@ def test_uncaught_exception_exits_with_one_line(tmp_path, capsys, monkeypatch, e
     (["oracle", "--agent", "0", "--q", '{"99": 1.0}'], "'99' is not a sender of agent 0"),
     (["oracle", "--agent", "0", "--q", '{"0": 5.0}'], "'0' is not a sender of agent 0"),
     (["experiment", "--modes", "bogus", "--rho", "0"], "unknown correlation mode 'bogus'"),
+    # every rho is checked before the first replicate runs
+    (["experiment", "--rho", "0.5,inf", "--modes", "random"], "rho must lie in [0, 1]; got inf"),
+    (["experiment", "--rho", "nan"], "rho must lie in [0, 1]; got nan"),
+    (["experiment", "--rho", "0,2"], "rho must lie in [0, 1]; got 2.0"),
 ])
 def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
     if argv[0] == "oracle":

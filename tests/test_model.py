@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from datex import (
     ConcaveSpec,
+    ContinuousConcave,
     DegenerateInstanceError,
     ExchangeSolution,
     ExplicitTable,
@@ -352,6 +353,49 @@ def test_evaluate_matches_column_loop_bit_for_bit(n, kind, seed, pick):
     rep = evaluate(inst, sol)
     assert np.array_equal(rep.per_agent_utility, received)
     assert np.array_equal(rep.balance_residual, received - sent)
+
+
+def _bincount_flows(inst, sol):
+    """evaluate's (received, sent) as np.bincount over the column matrices added them."""
+    from datex.sharing import column_matrices
+
+    live = [(i, col, x) for i, col, x in sol.iter_columns() if x != 0.0]
+    mats = column_matrices(inst, [(i, col) for i, col, _ in live], range(inst.n))
+    x = np.array([x for _, _, x in live], dtype=float)
+    return (np.bincount(mats.recv, weights=x * mats.util, minlength=mats.k),
+            np.bincount(mats.share_row, weights=x[mats.share_col] * mats.share, minlength=mats.k))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_evaluate_matches_the_bincount_sums_on_all_five_models(seed):
+    rng = np.random.default_rng(seed)
+    kinds = set()
+    for inst in five_model_instances(seed):
+        cols = {}
+        for i in range(inst.n):
+            senders = inst.senders_of[i]
+            pool = [frozenset(rng.choice(senders, size=k, replace=False).tolist())
+                    for k in range(1, min(len(senders), 3) + 1)] if senders else []
+            if isinstance(inst.utility, ContinuousConcave) and senders:
+                pool += [FracColumn(y=tuple((j, float(rng.uniform(0.1, 1.0)))
+                                            for j in sorted(senders[:k]))) for k in (1, 2)]
+            if not pool:
+                continue
+            # a whole column with a zero-weight one beside it, or fractions summing below 1
+            if rng.random() < 0.3:
+                weights = [1.0] + [0.0] * (len(pool) - 1)
+            else:
+                weights = (rng.dirichlet(np.ones(len(pool))) * rng.uniform(0.2, 1.0)).tolist()
+                weights[int(rng.integers(len(pool)))] = 0.0
+            cols[i] = dict(zip(pool, weights))
+        sol = ExchangeSolution(n=inst.n, columns=cols)
+        kinds |= {type(col) for _, col, _ in sol.iter_columns()}
+        received, sent = _bincount_flows(inst, sol)
+        rep = evaluate(inst, sol)
+        assert np.array_equal(rep.per_agent_utility, received)
+        assert np.array_equal(rep.balance_residual, received - sent)
+        assert rep.welfare == float(received.sum())
+    assert kinds == {frozenset, FracColumn}
 
 
 @settings(max_examples=25, deadline=None)

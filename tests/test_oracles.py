@@ -343,6 +343,47 @@ def test_first_guess_pass_rejects_a_non_finite_guess_without_a_warning(prices):
     assert str(one_row.value) == str(all_rows.value) == str(single.value)
 
 
+def test_bucket_indices_stay_within_the_edges(monkeypatch):
+    # a kept sender has u >= eps^2/n^2 and q u <= single, so at a guess >= single
+    # its q <= u0 e^count: every bucket index c lies in 1..len(edges) - 1
+    rng = np.random.default_rng(17)
+    pairs = {(i, j): float(10.0 ** rng.uniform(-6.0, 0.0))
+             for i in range(8) for j in rng.choice(8, size=5, replace=False).tolist() if j != i}
+    cases = [table_instance(8, pairs), gen_random(3, 2, "table", seed=72),
+             normalize_instance(gen_road(RoadSpec(edges=grid_graph(8, 8, seed=0), radius=5,
+                                                  n_agents=12, seed=70)))[0]]
+    formed = []
+    real = oracles._buckets
+
+    def recording(instance, rows, q, guess, eps):
+        out = real(instance, rows, q, guess, eps)
+        formed.append((len(oracles._bucket_edges(instance.n, eps)) - 1, out))
+        return out
+
+    monkeypatch.setattr(oracles, "_buckets", recording)
+    swept = 0
+    for trial in range(90):
+        inst, eps = cases[trial % 3], (0.1, 0.3, 0.49)[trial // 3 % 3]
+        n = inst.n
+        Q = 10.0 ** rng.uniform(-300.0, 300.0, size=(n, n))
+        if trial % 2:  # every sender of a row worth the same, so the least u has the top q
+            level = 10.0 ** rng.uniform(-290.0, 290.0, size=(n, 1))
+            u = inst.singleton_utility
+            Q = level / np.where(u > 0.0, u, 1.0)
+        Q[rng.random((n, n)) < 0.1] *= -1.0
+        oracles.get_oracle("bucketing", eps).all_agents(inst, Q)
+        for i, first in enumerate(oracles.bucketing_first_guesses(inst, range(n), Q, eps)):
+            guess = n * first.single / (1.0 + eps)
+            while guess >= first.single > 0.0:
+                oracles._buckets(inst, np.array([i]), Q[i][None, :], np.array([guess]), eps)
+                guess /= 1.0 + eps
+                swept += 1
+    indices = [(c, top) for top, out in formed for row in out for c in row]
+    assert all(1 <= c <= top for c, top in indices)
+    assert swept > 1000 and len(indices) > 5000
+    assert any(c == top for c, top in indices)
+
+
 def test_sampled_shapley_note_is_logged_once_per_instance(caplog):
     from datex.mwu import MwuConfig, solve_welfare
 
