@@ -132,11 +132,13 @@ def _utility_from_json(obj: dict):
         legacy = {"floor"} if kind == "continuous_concave" else set()
         _require_fields(obj, {"kind", "sizes", "f"}, legacy, kind)
         cls = SymmetricWeighted if kind == "symmetric_weighted" else ContinuousConcave
-        return cls(
-            sizes={(_int(i, "size receiver"), _int(j, "size sender")): float(s)
-                   for i, j, s in obj["sizes"]},
-            f=tuple(concave_from_json(fo) for fo in obj["f"]),
-        )
+        sizes: dict[tuple[int, int], float] = {}
+        for i, j, s in obj["sizes"]:
+            pair = (_int(i, "size receiver"), _int(j, "size sender"))
+            if pair in sizes:  # a dict would keep only the last
+                raise SchemaError(f"sizes list pair {list(pair)} twice")
+            sizes[pair] = float(s)
+        return cls(sizes=sizes, f=tuple(concave_from_json(fo) for fo in obj["f"]))
     if kind == "path_variance":
         _require_fields(
             obj, {"kind", "n_nodes", "edges", "paths", "sigma2", "z", "classes"},
@@ -268,7 +270,11 @@ def solution_from_json(obj: dict) -> ExchangeSolution:
                                          for j, v in col_spec["y"]))
             else:
                 col = frozenset(_int(j, "column sender") for j in col_spec)
-            cols.setdefault(_int(i, "column agent"), {})[col] = float(x)
+            agent = _int(i, "column agent")
+            dist = cols.setdefault(agent, {})
+            if col in dist:  # a dict would keep only the last
+                raise SchemaError(f"columns list agent {agent}'s column {json.dumps(col_spec)} twice")
+            dist[col] = float(x)
         deltas = obj.get("deltas")
         gammas = obj.get("gammas")
         return ExchangeSolution(

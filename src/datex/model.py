@@ -546,7 +546,7 @@ def column_senders(col: frozenset[int] | FracColumn) -> frozenset[int]:
     return col.senders() if isinstance(col, FracColumn) else col
 
 
-def _column_sort_key(col: frozenset[int] | FracColumn):
+def column_sort_key(col: frozenset[int] | FracColumn):
     if isinstance(col, FracColumn):
         return (1, col.y)
     return (0, tuple(sorted(col)))
@@ -589,7 +589,7 @@ class ExchangeSolution:
 
     def iter_columns(self) -> Iterator[tuple[int, frozenset[int] | FracColumn, float]]:
         for i in sorted(self.columns):
-            for col in sorted(self.columns[i], key=_column_sort_key):
+            for col in sorted(self.columns[i], key=column_sort_key):
                 yield i, col, self.columns[i][col]
 
     def column_count(self) -> int:
@@ -632,16 +632,15 @@ class SolveReport:
     welfare: float
     per_agent_utility: np.ndarray
     balance_residual: np.ndarray  # received minus sent, per agent
-    iterations: int
     feasible: bool
-    best_B: float
+    iterations: int = 0  # MWU iterations over every probe, when a solver ran
+    best_B: float = 0.0  # the welfare target of the returned run
     guarantee: float = 0.0  # certified welfare lower bound, when a solver ran
     caveats: list[str] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)  # MWU rows of every probe, in probe order
 
 
-def evaluate(instance: Instance, solution: ExchangeSolution,
-             iterations: int = 0, best_B: float = 0.0) -> SolveReport:
+def evaluate(instance: Instance, solution: ExchangeSolution) -> SolveReport:
     """Evaluate welfare and the per-agent balance residuals of a solution.
 
     residual_i = (expected utility received by i) - (expected utility i sends).
@@ -658,7 +657,5 @@ def evaluate(instance: Instance, solution: ExchangeSolution,
         welfare=float(received.sum()),
         per_agent_utility=received,
         balance_residual=residual,
-        iterations=iterations,
         feasible=solution.is_balanced(residual, instance.epsilon),
-        best_B=best_B,
     )

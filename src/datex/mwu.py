@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -14,13 +13,12 @@ from .model import (
     FracColumn,
     Instance,
     SolveReport,
+    column_sort_key,
     evaluate,
     utility,
 )
 from .oracles import ConvexCost, OracleSpec, oracle_imbalance
 from .sharing import column_flows, column_lp, lp_solution
-
-logger = logging.getLogger(__name__)
 
 class RegretBoundError(AssertionError):
     """The logged multiplicative-weights regret inequality failed."""
@@ -97,24 +95,17 @@ def assemble_prices(instance: Instance, w: np.ndarray, B: float, alpha: float,
 
 @dataclass
 class MwuRun:
+    """One weight-update run at a welfare target. solution is the last check's
+    column-LP solution and report its evaluation; both None if infeasible."""
+
     feasible: bool
-    solution: ExchangeSolution | None  # the last check's column-LP solution; None if infeasible
+    solution: ExchangeSolution | None
+    report: SolveReport | None
     certified: bool
     iterations: int
     regret_lhs: float
     regret_rhs_min: float
     trace: list[dict] = field(default_factory=list)
-
-
-def _averaged_solution(instance: Instance, counts: dict, t: int,
-                       delta_sum: np.ndarray | None, gamma_sum: np.ndarray | None,
-                       ) -> ExchangeSolution:
-    cols: dict[int, dict] = {}
-    for (i, col), c in counts.items():
-        cols.setdefault(i, {})[col] = c / t
-    deltas = None if delta_sum is None else delta_sum / t
-    gammas = None if gamma_sum is None else gamma_sum / t
-    return ExchangeSolution(n=instance.n, columns=cols, deltas=deltas, gammas=gammas)
 
 
 def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec) -> MwuRun:
@@ -142,7 +133,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
     reg_const = max(2.0 * log_n, math.log(2 * n + 1))
 
     w = np.ones(2 * n + 1)
-    counts: dict[tuple[int, object], int] = {}
+    pool: set[tuple[int, object]] = set()  # every (agent, column) an oracle chose
     delta_sum = np.zeros(n) if config.imbalance else None
     gamma_sum = np.zeros(n) if config.imbalance else None
     lhs = 0.0
@@ -151,7 +142,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
     rows: list[dict] = []
     feasible = True
     certified = False
-    solution: ExchangeSolution | None = None
+    solution = report = None
     t_done = 0
 
     for t in range(1, iters + 1):
@@ -206,8 +197,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
         if np.any(w <= 0):
             raise AssertionError("row weight became non-positive")
 
-        for i, col in chosen_cols:
-            counts[(i, col)] = counts.get((i, col), 0) + 1
+        pool.update(chosen_cols)
         if delta is not None:
             delta_sum += delta
             gamma_sum += gamma
@@ -218,12 +208,13 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
                      "max_residual": float(np.max(np.abs(balance)))})
 
         if t % config.check_every == 0 or t == iters:
-            # the exact LP over the generated columns certifies the target long
-            # before the raw average does at desk scale; its solution is the run's
-            average = _averaged_solution(instance, counts, t, delta_sum, gamma_sum)
-            solution = sparsify(instance, average)
-            rep = evaluate(instance, solution)
-            if rep.feasible and rep.welfare >= B / alpha - eps / (2.0 * alpha) - EQ_TOL:
+            # the exact LP over the pool certifies the target long before the
+            # iterates' average does at desk scale; its solution is the run's
+            cols = sorted(pool, key=lambda c: (c[0], column_sort_key(c[1])))
+            solution = sparsify(instance, cols, None if delta_sum is None else delta_sum / t,
+                                None if gamma_sum is None else gamma_sum / t)
+            report = evaluate(instance, solution)
+            if report.feasible and report.welfare >= B / alpha - eps / (2.0 * alpha) - EQ_TOL:
                 certified = True
                 break
 
@@ -237,6 +228,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
     return MwuRun(
         feasible=feasible,
         solution=solution if feasible else None,
+        report=report if feasible else None,
         certified=certified,
         iterations=t_done,
         regret_lhs=lhs,
@@ -245,35 +237,37 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
     )
 
 
-def sparsify(instance: Instance, solution: ExchangeSolution) -> ExchangeSolution:
-    """Re-optimize weights over the solution's own columns by exact LP.
+def sparsify(instance: Instance, cols: list[tuple[int, frozenset[int] | FracColumn]],
+             deltas: np.ndarray | None = None, gammas: np.ndarray | None = None,
+             ) -> ExchangeSolution:
+    """Weights for the columns cols by exact LP: the restricted master problem.
 
-    Maximizes welfare subject to the probability and eps-balance rows, so the
-    output has at most 2n+1 active columns and residuals within epsilon
-    (widened by the solution's fixed delta/gamma slacks).
+    Maximizes welfare subject to the probability and eps-balance rows (widened
+    by the fixed delta/gamma slacks), so the output has at most 2n+1 active
+    columns and residuals within epsilon. A failed LP raises RuntimeError.
     """
-    cols = [(i, col) for i, col, _ in solution.iter_columns()]
+    slack = ExchangeSolution(n=instance.n, columns={}, deltas=deltas, gammas=gammas)
     if not cols:
-        return solution
-    lo, hi = solution.balance_bounds(instance.epsilon)
-    res = column_lp(instance, cols, lo, hi)
+        return slack
+    res = column_lp(instance, cols, *slack.balance_bounds(instance.epsilon))
     if not res.success:
-        logger.warning("sparsify LP failed (%s); returning input unchanged", res.message)
-        return solution
-    return lp_solution(instance.n, cols, res.x, solution.deltas, solution.gammas)
+        raise RuntimeError(f"column LP failed: {res.message}")
+    return lp_solution(instance.n, cols, res.x, deltas, gammas)
 
 
 def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
                   ) -> tuple[ExchangeSolution, SolveReport]:
     """Search welfare targets B on the (1+delta) grid and keep the largest feasible.
 
-    The returned solution is the best run's own: the column LP (sparsify) over
-    its generated columns that certified it, or its last check's when the
-    iteration cap came first.  Its residuals are within epsilon by construction.
+    The returned solution and report are the best run's own: the column LP
+    (sparsify) over its generated columns that certified it, or its last
+    check's when the iteration cap came first, and that check's evaluation.
+    Its residuals are within epsilon by construction.
     """
     n = instance.n
     eps = instance.epsilon
-    peak = max((utility(instance, i, instance.full_set(i)) for i in range(n)), default=0.0)
+    full = [utility(instance, i, instance.full_set(i)) for i in range(n)]
+    peak = max(full, default=0.0)
     if peak <= 0.0:
         report = evaluate(instance, ExchangeSolution.empty(n))
         report.caveats.append("no positive utilities; nothing to trade")
@@ -282,7 +276,7 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
         raise ValueError("solve_welfare needs a normalized instance (max utility 1)")
 
     alpha = oracle.alpha(instance)
-    rho = sum(utility(instance, i, instance.full_set(i)) for i in range(n))
+    rho = sum(full)
     grid_len = max(1, 1 + math.ceil(math.log(max(rho / eps, 1.0)) / math.log(1.0 + config.delta)))
     grid = [eps * (1.0 + config.delta) ** k for k in range(grid_len)]
 
@@ -303,24 +297,21 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
     search = ("B search: grid top feasible (1 probe)" if lo == grid_len - 1
               else f"B search: grid top infeasible; searched below it ({len(runs)} probes)")
 
-    iterations = sum(run.iterations for run in runs.values())
-    trace = [row for run in runs.values() for row in run.trace]
     if lo < 0:
-        report = evaluate(instance, ExchangeSolution.empty(n), iterations=iterations)
-        report.trace = trace
-        report.caveats += [
-            "MWU declared every welfare target infeasible (one-sided test); no solution",
-            search,
-        ]
-        return ExchangeSolution.empty(n), report
-    best_b, best_run = grid[lo], runs[lo]
-    solution = best_run.solution
-    report = evaluate(instance, solution, iterations=iterations, best_B=best_b)
-    report.guarantee = best_b / (2.0 * alpha * (1.0 + 3.0 * config.delta))
-    report.trace = trace
-    if not best_run.certified:
+        solution = ExchangeSolution.empty(n)
+        report = evaluate(instance, solution)
         report.caveats.append(
-            "iteration cap reached before the column LP certified the target"
-        )
-    report.caveats += ["MWU infeasibility is one-sided; B search treats it as 'too high'", search]
+            "MWU declared every welfare target infeasible (one-sided test); no solution")
+    else:
+        best_run = runs[lo]
+        solution, report = best_run.solution, best_run.report
+        report.best_B = grid[lo]
+        report.guarantee = grid[lo] / (2.0 * alpha * (1.0 + 3.0 * config.delta))
+        if not best_run.certified:
+            report.caveats.append(
+                "iteration cap reached before the column LP certified the target")
+        report.caveats.append("MWU infeasibility is one-sided; B search treats it as 'too high'")
+    report.iterations = sum(run.iterations for run in runs.values())
+    report.trace = [row for run in runs.values() for row in run.trace]
+    report.caveats.append(search)
     return solution, report

@@ -241,24 +241,17 @@ def shapley_sampled(instance: Instance, i: int, subset: frozenset[int],
         perms = _permutation_rng(seed, i, members).permuted(
             np.broadcast_to(np.arange(s), (m, s)), axis=1)
     model = instance.utility
-    if isinstance(model, PathVariance):
-        # all m prefix passes in one array; add.at then adds each member's
-        # marginals in permutation order, as the per-permutation loop adds them
+    if isinstance(model, PathVariance):  # all m prefix passes in one array
         marg = model.prefix_values(i, np.array(members)[perms])
-        np.subtract(marg[:, 1:], marg[:, :-1], out=marg[:, 1:])
-        acc = np.zeros(s)
-        np.add.at(acc, perms, marg)
-        return dict(zip(members, (acc / m).tolist()))
-    out = {j: 0.0 for j in members}
-    for perm in perms:
-        prev = 0.0
-        chosen: set[int] = set()
-        for j in (members[t] for t in perm):
-            chosen.add(j)
-            val = utility(instance, i, frozenset(chosen))
-            out[j] += val - prev
-            prev = val
-    return {j: v / m for j, v in out.items()}
+    else:
+        marg = np.array([[utility(instance, i, frozenset(members[t] for t in perm[:c]))
+                          for c in range(1, s + 1)] for perm in perms], dtype=float)
+    # prefix utilities to marginals; add.at then adds each member's marginals
+    # in permutation order, as a per-permutation loop adds them
+    np.subtract(marg[:, 1:], marg[:, :-1], out=marg[:, 1:])
+    acc = np.zeros(s)
+    np.add.at(acc, perms, marg)
+    return dict(zip(members, (acc / m).tolist()))
 
 
 def _proportional_weight(instance: Instance, i: int, j: int,

@@ -120,20 +120,13 @@ def _shortest_lex_cycle(nodes: set[int], edges: set[tuple[int, int]]) -> list[in
                     queue.append(w)
         return dist
 
-    best_len = None
-    best_start = None
-    starts = {}
+    length = best_start = None
     for s in sorted(nodes):
         dist = bfs(s, adj)
         back = [dist[a] + 1 for (a, b) in edges if b == s and a in dist]
-        if back:
-            length = min(back)
-            starts[s] = (length, dist)
-            if best_len is None or length < best_len:
-                best_len, best_start = length, s
-    assert best_len is not None and best_start is not None
-
-    length, _ = starts[best_start]
+        if back and (length is None or min(back) < length):
+            length, best_start = min(back), s
+    assert length is not None and best_start is not None
     dist_to_start = bfs(best_start, radj)  # distance v -> start along edges
 
     # DFS in ascending neighbor order, pruned by the remaining distance to

@@ -35,6 +35,11 @@ def table_instance(n, singleton_u, epsilon=0.01, sharing=None):
     )
 
 
+def columns_of(solution):
+    """A solution's (agent, column) pairs in its column order: sparsify's input."""
+    return [(i, col) for i, col, _ in solution.iter_columns()]
+
+
 def five_model_instances(seed=0):
     """One instance of each utility model, each with the generator's sharing rule."""
     from datex.instances import RoadSpec, gen_random, gen_road, gen_x3c, grid_graph, make_x3c_yes

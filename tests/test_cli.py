@@ -504,6 +504,18 @@ def test_uncaught_exception_exits_with_one_line(tmp_path, capsys, monkeypatch, e
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: " + message)
 
 
+def test_failed_column_lp_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    from scipy.optimize import OptimizeResult
+
+    inst = _instance_file(tmp_path, capsys, SYM)
+    monkeypatch.setattr(mwu, "column_lp", lambda *args: OptimizeResult(
+        success=False, status=4, message="injected failure"))
+    code, out, err = run(_cli_args(["solve", "--oracle", "knapsack", "--max-iters", "50"],
+                                   inst, tmp_path), capsys)
+    assert code == 3 and out == ""
+    assert err == "error: solver failure: RuntimeError: column LP failed: injected failure\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["gen", "--kind", "random", "--n", "0"], "need at least one agent"),
     (["gen", "--kind", "random", "--epsilon", "2"], "epsilon must lie in (0, 1)"),
@@ -612,6 +624,9 @@ def test_knapsack_oracle_on_subnormal_profits_matches_bruteforce(tmp_path, capsy
     (["exact", "{m_bool}"], "sharing m must be an integer; got true"),
     (["exact", "{seed_frac}"], "sharing seed must be an integer; got 1.5"),
     (["exact", "{n_text}"], 'n must be an integer; got "6"'),
+    # a key listed twice; a dict would keep only the last entry
+    (["audit", "{inst}", "{dup_column}"], "columns list agent 0's column [{s0}] twice"),
+    (["exact", "{dup_size}"], "sizes list pair {pair} twice"),
 ])
 def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     from datex import ExchangeSolution
@@ -656,6 +671,15 @@ def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
         names[name].write_text(json.dumps(table_obj | patch))
     names["column_frac"] = tmp_path / "column_frac.json"
     names["column_frac"].write_text(json.dumps({"n": 6, "columns": [[0, [2.2], 0.5]]}))
+    s0 = names["s0"] = instance.senders_of[0][0]
+    names["dup_column"] = tmp_path / "dup_column.json"
+    names["dup_column"].write_text(json.dumps({"n": 4, "columns": [[0, [s0], 0.3], [0, [s0], 0.9]]}))
+    inst_obj = json.loads(inst.read_text())
+    first = inst_obj["utility"]["sizes"][0]
+    names["pair"] = first[:2]
+    names["dup_size"] = tmp_path / "dup_size.json"
+    inst_obj["utility"]["sizes"].append(first[:2] + [2.0 * first[2]])
+    names["dup_size"].write_text(json.dumps(inst_obj))
     with time_limit(10):
         code, out, err = run([arg.format(**names) for arg in argv], capsys)
     assert code == 2 and out == ""

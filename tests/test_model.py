@@ -25,7 +25,7 @@ from datex import (
 )
 from datex import io as dio
 
-from conftest import five_model_instances, table_instance
+from conftest import columns_of, five_model_instances, table_instance
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +406,7 @@ def test_sparsify_keeps_welfare_and_lp1_rows(n, kind, seed, pick):
 
     inst = gen_random(n, 3, kind, seed=seed, epsilon=0.1)
     sol = _random_balanced_solution(inst, np.random.default_rng(pick))
-    out = sparsify(inst, sol)
+    out = sparsify(inst, columns_of(sol))
     before, after = evaluate(inst, sol), evaluate(inst, out)
     assert after.welfare >= before.welfare - 1e-7
     assert out.column_count() <= 2 * inst.n + 1
@@ -423,7 +423,7 @@ def test_exact_lp_dominates_sparsify_on_its_columns(n, kind, seed, pick):
 
     inst = gen_random(n, 3, kind, seed=seed, epsilon=0.1)
     _, lp_welfare = exact_welfare_lp(inst, relax_eps=inst.epsilon)
-    sub = sparsify(inst, _random_balanced_solution(inst, np.random.default_rng(pick)))
+    sub = sparsify(inst, columns_of(_random_balanced_solution(inst, np.random.default_rng(pick))))
     assert lp_welfare >= evaluate(inst, sub).welfare - 1e-7
 
 

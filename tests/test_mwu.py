@@ -28,7 +28,7 @@ from datex.oracles import OracleResult, OracleSpec
 from datex.sharing import column_lp, shares
 from datex.exact import exact_welfare_lp
 from datex.instances import gen_random, gen_x3c, make_x3c_yes
-from conftest import table_instance
+from conftest import columns_of, table_instance
 
 
 def small_config(n, iters=400):
@@ -325,8 +325,11 @@ def test_top_first_search_decisions_match_climbing_search_on_feasibility_pattern
     for pattern in patterns:
         def pattern_run_mwu(instance, B, config, oracle):
             feasible = bool(pattern[index[B]])
-            return mwu.MwuRun(feasible, ExchangeSolution.empty(instance.n) if feasible else None,
-                              True, 1, 0.0, 0.0, [{"B": B}])
+            sol = ExchangeSolution.empty(instance.n) if feasible else None
+            return mwu.MwuRun(feasible=feasible, solution=sol,
+                              report=evaluate(instance, sol) if feasible else None,
+                              certified=True, iterations=1, regret_lhs=0.0,
+                              regret_rhs_min=0.0, trace=[{"B": B}])
 
         old_b, _, _, _ = _climbing_search(inst, config, oracle, pattern_run_mwu)
         monkeypatch.setattr(mwu, "run_mwu", pattern_run_mwu)
@@ -479,7 +482,7 @@ def test_sparsify_merges_duplicates(two_agent_symmetric):
     sol = ExchangeSolution(
         n=2, columns={0: {frozenset({1}): 0.6}, 1: {frozenset({0}): 0.6}},
     )
-    out = sparsify(inst, sol)
+    out = sparsify(inst, columns_of(sol))
     rep_in, rep_out = evaluate(inst, sol), evaluate(inst, out)
     assert rep_out.welfare >= rep_in.welfare - 1e-9
     assert np.max(np.abs(rep_out.balance_residual)) <= inst.epsilon + 1e-9
@@ -487,23 +490,66 @@ def test_sparsify_merges_duplicates(two_agent_symmetric):
 
 def test_sparsify_keeps_basic_support(monkeypatch):
     inst, _ = normalize_instance(gen_random(5, 3, "symmetric", seed=2, epsilon=0.1))
-    # raw 100-iterate average, no early certification; the run sparsifies it
-    # itself, so keep the average it built at its one check
-    averaged, averages = mwu._averaged_solution, []
+    # 100 iterations, no early certification; keep the column pool the run
+    # hands sparsify at its one check
+    pools = []
 
-    def recording_average(*args):
-        averages.append(averaged(*args))
-        return averages[-1]
+    def recording_sparsify(instance, cols, deltas=None, gammas=None):
+        pools.append(cols)
+        return sparsify(instance, cols, deltas, gammas)
 
-    monkeypatch.setattr(mwu, "_averaged_solution", recording_average)
+    monkeypatch.setattr(mwu, "sparsify", recording_sparsify)
     config = MwuConfig(max_iters=100, eta_override=0.05, check_every=10**6)
     run = run_mwu(inst, 1.0, config, get_oracle("knapsack"))
-    assert run.solution is not None and len(averages) == 1
-    raw = averages[0]
-    assert raw.column_count() > 2 * inst.n + 1  # a support that sparsify has to shrink
-    out = sparsify(inst, raw)
+    assert run.solution is not None and len(pools) == 1
+    (pool,) = pools
+    # every chosen pair once, in the order a solution lists its columns
+    by_agent = {}
+    for i, col in pool:
+        by_agent.setdefault(i, {})[col] = 0.0
+    assert len(set(pool)) == len(pool)
+    assert pool == columns_of(ExchangeSolution(n=inst.n, columns=by_agent))
+    assert len(pool) > 2 * inst.n + 1  # a support that sparsify has to shrink
+    out = sparsify(inst, pool)
     assert out.column_count() <= 2 * inst.n + 1
-    assert evaluate(inst, out).welfare >= evaluate(inst, raw).welfare - 1e-9
+    assert columns_of(out) == columns_of(run.solution)
+    assert evaluate(inst, out).welfare == run.report.welfare == evaluate(inst, run.solution).welfare
+
+
+def test_a_failed_column_lp_fails_the_solve(monkeypatch, two_agent_symmetric):
+    from scipy.optimize import OptimizeResult
+
+    # a run's solution is always a column-LP solution, so a failed LP fails the solve
+    inst, _ = normalize_instance(two_agent_symmetric)
+    monkeypatch.setattr(mwu, "column_lp", lambda *args: OptimizeResult(
+        success=False, status=4, message="injected failure"))
+    with pytest.raises(RuntimeError, match="^column LP failed: injected failure$"):
+        solve_welfare(inst, small_config(2), get_oracle("knapsack"))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_solve_evaluates_each_check_once(monkeypatch, seed):
+    inst, _ = normalize_instance(gen_random(4, 3, "symmetric", seed=seed, epsilon=0.1))
+    checks, evaluated = [], []
+
+    def recording_sparsify(*args):
+        checks.append(sparsify(*args))
+        return checks[-1]
+
+    def recording_evaluate(instance, solution):
+        evaluated.append(solution)
+        return evaluate(instance, solution)
+
+    monkeypatch.setattr(mwu, "sparsify", recording_sparsify)
+    monkeypatch.setattr(mwu, "evaluate", recording_evaluate)
+    solution, rep = solve_welfare(inst, small_config(4), get_oracle("knapsack"))
+    # one evaluate per column-LP solution, and none for the returned one
+    assert len(evaluated) == len(checks) > 0
+    assert all(sol is check for sol, check in zip(evaluated, checks))
+    assert any(solution is check for check in checks)
+    again = evaluate(inst, solution)
+    assert rep.welfare == again.welfare and rep.feasible == again.feasible
+    assert np.array_equal(rep.balance_residual, again.balance_residual)
 
 
 def test_sparsify_solves_more_than_5000_columns():
@@ -528,7 +574,7 @@ def test_sparsify_solves_more_than_5000_columns():
     assert sol.column_count() == 6019
     rep_in = evaluate(inst, sol)
     assert rep_in.feasible
-    out = sparsify(inst, sol)
+    out = sparsify(inst, columns_of(sol))
     rep_out = evaluate(inst, out)
     assert out.column_count() <= 2 * inst.n + 1
     assert rep_out.feasible
