@@ -181,8 +181,13 @@ def _sharing_from_json(obj: dict) -> SharingRuleSpec:
     _require_fields(obj, {"kind"}, {"m", "seed", "weights"}, "sharing rule")
     weights = obj.get("weights")
     if isinstance(weights, list):
-        weights = tuple((_int(i, "weight receiver"), _int(j, "weight sender"), float(w))
-                        for i, j, w in weights)
+        triples: dict[tuple[int, int], float] = {}
+        for i, j, w in weights:
+            pair = (_int(i, "weight receiver"), _int(j, "weight sender"))
+            if pair in triples:  # the sharing rule would keep only the first
+                raise SchemaError(f"weights list pair {list(pair)} twice")
+            triples[pair] = float(w)
+        weights = tuple((i, j, w) for (i, j), w in triples.items())
     return SharingRuleSpec(
         kind=obj["kind"], m=_int(obj.get("m", 10), "sharing m"),
         seed=_int(obj.get("seed", 0), "sharing seed"),

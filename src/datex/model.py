@@ -387,8 +387,9 @@ class SharingRuleSpec:
                     raise ValueError("weights rule must be 'singleton' or 'size'")
             elif self.weights is not None:
                 for _, _, wv in self.weights:
-                    if wv < 0:
-                        raise ValueError("proportional weights must be non-negative")
+                    if not (math.isfinite(wv) and wv >= 0):
+                        raise ValueError(
+                            f"proportional weights must be finite and non-negative, got {wv}")
 
 
 # ---------------------------------------------------------------------------

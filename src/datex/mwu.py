@@ -95,7 +95,7 @@ def assemble_prices(instance: Instance, w: np.ndarray, B: float, alpha: float,
 
 @dataclass
 class MwuRun:
-    """One weight-update run at a welfare target. solution is the last check's
+    """One weight-update run at a welfare target. solution is the run's last
     column-LP solution and report its evaluation; both None if infeasible."""
 
     feasible: bool
@@ -111,8 +111,13 @@ class MwuRun:
 def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec) -> MwuRun:
     """One feasibility run of the weight-update loop at welfare target B.
 
-    The run's trace holds one row per iteration; an infeasible iteration ends
-    it with a row whose max_residual is NaN.
+    Every check_every iterations, and at the iteration cap, a check certifies
+    the target by the column LP (sparsify) over the run's column pool. A check
+    solves that LP only when the pool grew since the run's last LP, or when
+    imbalance slacks are set; otherwise the last LP's solution and report
+    stand, as the LP would return them again. The run's trace holds one row
+    per iteration; an infeasible iteration ends it with a row whose
+    max_residual is NaN.
     """
     n = instance.n
     eps = instance.epsilon
@@ -143,6 +148,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
     feasible = True
     certified = False
     solution = report = None
+    lp_pool_size = -1  # len(pool) at the last column LP; -1 before the first
     t_done = 0
 
     for t in range(1, iters + 1):
@@ -207,9 +213,13 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
                      "oracle_value": oracle_total,
                      "max_residual": float(np.max(np.abs(balance)))})
 
-        if t % config.check_every == 0 or t == iters:
+        if (t % config.check_every == 0 or t == iters) and (
+                delta_sum is not None or len(pool) > lp_pool_size):
             # the exact LP over the pool certifies the target long before the
-            # iterates' average does at desk scale; its solution is the run's
+            # iterates' average does at desk scale; its solution is the run's.
+            # The pool only grows, so an unchanged size is the last LP's pool
+            # and its solution stands; imbalance slacks change every iteration
+            lp_pool_size = len(pool)
             cols = sorted(pool, key=lambda c: (c[0], column_sort_key(c[1])))
             solution = sparsify(instance, cols, None if delta_sum is None else delta_sum / t,
                                 None if gamma_sum is None else gamma_sum / t)
@@ -261,7 +271,7 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
 
     The returned solution and report are the best run's own: the column LP
     (sparsify) over its generated columns that certified it, or its last
-    check's when the iteration cap came first, and that check's evaluation.
+    LP's when the iteration cap came first, and that LP's evaluation.
     Its residuals are within epsilon by construction.
     """
     n = instance.n

@@ -627,6 +627,13 @@ def test_knapsack_oracle_on_subnormal_profits_matches_bruteforce(tmp_path, capsy
     # a key listed twice; a dict would keep only the last entry
     (["audit", "{inst}", "{dup_column}"], "columns list agent 0's column [{s0}] twice"),
     (["exact", "{dup_size}"], "sizes list pair {pair} twice"),
+    # explicit proportional weights: a pair listed twice, or a non-finite weight
+    (["oracle", "{dup_weight}", "--agent", "0", "--q", '{{"1": 0.5, "2": 0.5, "3": 0.5}}',
+      "--oracle", "bruteforce"], "weights list pair [0, 1] twice"),
+    (["oracle", "{nan_share}", "--agent", "0", "--q", '{{"1": 0.5, "2": 0.5, "3": 0.5}}',
+      "--oracle", "bruteforce"], "proportional weights must be finite and non-negative, got nan"),
+    (["oracle", "{inf_share}", "--agent", "0", "--q", '{{"1": 0.5, "2": 0.5, "3": 0.5}}',
+      "--oracle", "bruteforce"], "proportional weights must be finite and non-negative, got inf"),
 ])
 def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     from datex import ExchangeSolution
@@ -680,6 +687,14 @@ def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     names["dup_size"] = tmp_path / "dup_size.json"
     inst_obj["utility"]["sizes"].append(first[:2] + [2.0 * first[2]])
     names["dup_size"].write_text(json.dumps(inst_obj))
+    rand_obj = json.loads(rand.read_text())
+    every_pair = [[a, b, 1.0] for a in range(4) for b in range(4) if a != b]
+    for name, weights in {"dup_weight": every_pair + [[0, 1, 9.0]],
+                          "nan_share": [[0, 1, math.nan]] + every_pair[1:],
+                          "inf_share": [[0, 1, math.inf]] + every_pair[1:]}.items():
+        names[name] = tmp_path / f"{name}.json"
+        names[name].write_text(json.dumps(
+            rand_obj | {"sharing": {"kind": "proportional", "weights": weights}}))
     with time_limit(10):
         code, out, err = run([arg.format(**names) for arg in argv], capsys)
     assert code == 2 and out == ""

@@ -25,7 +25,8 @@ from datex import (
 from datex import mwu
 from datex.mwu import practical_eta, run_mwu, width
 from datex.oracles import OracleResult, OracleSpec
-from datex.sharing import column_lp, shares
+from datex.model import column_sort_key
+from datex.sharing import column_flows, column_lp, shares
 from datex.exact import exact_welfare_lp
 from datex.instances import gen_random, gen_x3c, make_x3c_yes
 from conftest import columns_of, table_instance
@@ -355,18 +356,50 @@ def test_top_first_search_decisions_match_climbing_search_on_feasibility_pattern
             assert none_feasible == (old_b is None)
 
 
-def _checks_run(run, check_every):
-    """Certification checks a run made: one per check_every iterations, plus
-    one at the iteration cap; an infeasible iteration ends the run unchecked."""
-    if not run.feasible:
-        return run.iterations // check_every
-    return math.ceil(run.iterations / check_every)
+def _record_runs(monkeypatch):
+    """Record every run_mwu call of the solves that follow, one dict per run:
+    its target B, the run, the columns its oracles chose at each iteration
+    (through column_flows) and the column pool of each of its column LPs
+    (through sparsify)."""
+    runs = []
+
+    def recording_run_mwu(instance, B, config, oracle):
+        runs.append({"B": B, "chosen": [], "lp_pools": []})
+        runs[-1]["run"] = run_mwu(instance, B, config, oracle)
+        return runs[-1]["run"]
+
+    def recording_column_flows(instance, cols, weights):
+        runs[-1]["chosen"].append(list(cols))
+        return column_flows(instance, cols, weights)
+
+    def recording_sparsify(instance, cols, *slacks):
+        runs[-1]["lp_pools"].append(frozenset(cols))
+        return sparsify(instance, cols, *slacks)
+
+    monkeypatch.setattr(mwu, "run_mwu", recording_run_mwu)
+    monkeypatch.setattr(mwu, "column_flows", recording_column_flows)
+    monkeypatch.setattr(mwu, "sparsify", recording_sparsify)
+    return runs
+
+
+def _check_pools(record, check_every):
+    """The column pool at each certification check of a recorded run: one
+    check per check_every iterations, plus one at a feasible run's last
+    iteration (it certified there or hit the cap); an infeasible iteration
+    ends the run unchecked and adds nothing to the pool."""
+    run, pool, pools = record["run"], set(), []
+    for t, cols in enumerate(record["chosen"][:run.iterations], 1):
+        pool.update(cols)
+        if t % check_every == 0 or (run.feasible and t == run.iterations):
+            pools.append(frozenset(pool))
+    return pools
 
 
 @pytest.mark.parametrize("case", ["road", "knapsack-top-feasible", "knapsack-top-infeasible"])
 def test_one_column_lp_per_certification_check(monkeypatch, case):
-    # the column LP is the only certificate: every check solves it once, and
-    # solve_welfare returns the best run's solution as it is
+    # the column LP is the only certificate: a check solves it once when the
+    # pool grew since the run's last LP and otherwise keeps that LP's
+    # solution; solve_welfare returns the best run's solution as it is
     if case == "road":
         from datex.experiment import road_mwu_config
         from datex.instances import RoadSpec, gen_road, grid_graph
@@ -377,20 +410,24 @@ def test_one_column_lp_per_certification_check(monkeypatch, case):
         raw = gen_random(4, 3, "symmetric", seed=1 if case == "knapsack-top-feasible" else 3)
         config, oracle = small_config(4, 80), get_oracle("knapsack", eps=0.1)
     inst, _ = normalize_instance(raw)
-    runs, lp_calls = [], [0]
-
-    def recording_run_mwu(instance, B, config, oracle):
-        runs.append((B, run_mwu(instance, B, config, oracle)))
-        return runs[-1][1]
+    records, lp_calls = _record_runs(monkeypatch), [0]
 
     def counting_column_lp(*args):
         lp_calls[0] += 1
         return column_lp(*args)
 
-    monkeypatch.setattr(mwu, "run_mwu", recording_run_mwu)
     monkeypatch.setattr(mwu, "column_lp", counting_column_lp)
     sol, rep = solve_welfare(inst, config, oracle)
-    assert lp_calls[0] == sum(_checks_run(run, config.check_every) for _, run in runs) > 0
+    checks = grown = 0
+    for record in records:
+        pools = _check_pools(record, config.check_every)
+        lp_pools = [pool for k, pool in enumerate(pools) if k == 0 or pool != pools[k - 1]]
+        assert record["lp_pools"] == lp_pools and all(lp_pools)
+        assert all(a < b for a, b in zip(lp_pools, lp_pools[1:]))
+        checks, grown = checks + len(pools), grown + len(lp_pools)
+    assert lp_calls[0] == grown > 0
+    assert (grown < checks) == (case == "knapsack-top-feasible")
+    runs = [(record["B"], record["run"]) for record in records]
     assert any(not run.feasible for _, run in runs) == (case == "knapsack-top-infeasible")
     feasible = [(B, run) for B, run in runs if run.feasible]
     best_b, best = max(feasible, key=lambda item: item[0])
@@ -399,6 +436,54 @@ def test_one_column_lp_per_certification_check(monkeypatch, case):
     assert all(run.solution is None for _, run in runs if not run.feasible)
     assert 0 < sol.column_count() <= 2 * inst.n + 1
     assert rep.feasible and sol.is_balanced(rep.balance_residual, inst.epsilon)
+
+
+def _acceptance_02_solves(monkeypatch, imbalance=None):
+    """Knapsack solves of 20 acceptance-02 inputs; yields each input with the
+    config and the recorded runs of its solve."""
+    records = _record_runs(monkeypatch)
+    for s in range(20):
+        n = 2 + s % 4
+        inst, _ = normalize_instance(gen_random(n, 3, "symmetric", seed=2000 + s, epsilon=0.1))
+        config = MwuConfig(max_iters=400, eta_override=practical_eta(n, 400), imbalance=imbalance)
+        records.clear()
+        solve_welfare(inst, config, get_oracle("knapsack", eps=0.1))
+        yield inst, config, records
+
+
+def test_a_check_that_keeps_the_last_lp_returns_what_the_lp_would(monkeypatch):
+    # the skipped LP would see the last LP's pool again, and HiGHS is
+    # deterministic: a run's solution and report are a fresh LP's on its pool
+    checked = skipped = 0
+    for inst, config, records in _acceptance_02_solves(monkeypatch):
+        for record in records:
+            pools, run = _check_pools(record, config.check_every), record["run"]
+            skipped += len(pools) - len(record["lp_pools"])
+            if not run.feasible:
+                continue
+            cols = sorted(pools[-1], key=lambda c: (c[0], column_sort_key(c[1])))
+            fresh = sparsify(inst, cols)
+            again = evaluate(inst, fresh)
+            assert run.solution.columns == fresh.columns
+            assert run.solution.deltas is run.solution.gammas is None
+            assert run.report.welfare == again.welfare and run.report.feasible == again.feasible
+            assert np.array_equal(run.report.per_agent_utility, again.per_agent_utility)
+            assert np.array_equal(run.report.balance_residual, again.balance_residual)
+            checked += 1
+    assert checked >= 20 and skipped > 0
+
+
+def test_imbalance_slacks_solve_the_lp_at_every_check(monkeypatch):
+    # the averaged delta/gamma slacks move every iteration, so a check whose
+    # pool has not grown still solves its LP
+    unchanged = 0
+    for _, config, records in _acceptance_02_solves(
+            monkeypatch, ImbalanceSpec(C=0.01, C_prime=0.01)):
+        for record in records:
+            pools = _check_pools(record, config.check_every)
+            assert len(record["lp_pools"]) == len(pools) > 0
+            unchanged += sum(a == b for a, b in zip(pools, pools[1:]))
+    assert unchanged > 0
 
 
 def test_determinism_of_solve(two_agent_symmetric):
