@@ -381,6 +381,8 @@ class SharingRuleSpec:
             raise ValueError(f"unknown sharing rule {self.kind!r}")
         if self.kind == "shapley_sampled" and self.m < 1:
             raise ValueError("permutation count m must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"sharing seed must be >= 0, got {self.seed}")
         if self.kind == "proportional":
             if isinstance(self.weights, str):
                 if self.weights not in ("singleton", "size"):
@@ -424,6 +426,10 @@ class Instance:
         self._check_model_references()
 
     def _check_model_references(self) -> None:
+        if isinstance(self.sharing.weights, tuple):
+            for i, j, _ in self.sharing.weights:
+                if (i, j) not in self.allowed:
+                    raise ValueError(f"sharing weights reference non-permitted pair ({i},{j})")
         u = self.utility
         if isinstance(u, (SymmetricWeighted, ContinuousConcave)):
             for (i, j), s in u.sizes.items():

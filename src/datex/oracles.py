@@ -20,6 +20,7 @@ import numpy as np
 from .model import (
     ConcaveSpec,
     ContinuousConcave,
+    ExplicitTable,
     Instance,
     MAX_ENUMERABLE_SENDERS,
     SymmetricWeighted,
@@ -187,6 +188,15 @@ def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1
     dominates 1/alpha_hat of the exact optimum.  first is i's entry of
     bucketing_first_guesses on q, which the solver computes for all agents
     at once; without it the oracle computes it on its one row.
+
+    Every kept sender has q_j > 0, and on a subadditive utility every share
+    h_ij is at most u_ij, so a bucket is worth at most its singleton bound
+    sum_j q_j u_ij.  Buckets are valued in descending bound, ties by
+    ascending index, and the scan stops once a bound (widened by 1e-9) is
+    below the best value found at that guess.  ExplicitTable utilities need
+    not be submodular, so there every bucket is valued.  On equal values the
+    smaller index wins, so the result is the one an ascending scan of every
+    bucket returns.
     """
     if first is None:
         (first,) = bucketing_first_guesses(instance, [i], q[None, :], eps)
@@ -196,6 +206,8 @@ def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1
     n = instance.n
     guess = n * single_val
     q_row = q.tolist()
+    u_row = instance.singleton_utility[i].tolist()
+    prune = not isinstance(instance.utility, ExplicitTable)
     alpha_hat = bucketing_alpha(n, eps)
 
     best_set, best_val = _EMPTY, 0.0
@@ -206,12 +218,15 @@ def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1
         guesses += 1
         if guesses > 1:
             (buckets,) = _buckets(instance, np.array([i]), q[None, :], np.array([guess]), eps)
-        cand_set, cand_val = _EMPTY, 0.0
-        for k in sorted(buckets):
+        bound = {k: sum([q_row[j] * u_row[j] for j in b]) for k, b in buckets.items()}
+        cand_set, cand_val, cand_k = _EMPTY, 0.0, -1
+        for k in sorted(buckets, key=lambda k: (-bound[k], k)):
+            if prune and bound[k] * (1.0 + 1e-9) < cand_val:
+                break  # this bucket and every later one is worth less than cand_val
             b_set = frozenset(buckets[k])
             v_k = sum(q_row[j] * h for j, h in shares(instance, i, b_set).items())
-            if v_k > cand_val:
-                cand_set, cand_val = b_set, v_k
+            if v_k > cand_val or (v_k == cand_val and v_k > 0.0 and k < cand_k):
+                cand_set, cand_val, cand_k = b_set, v_k, k
         if cand_val > best_val:
             best_set, best_val = cand_set, cand_val
         if cand_val >= guess / alpha_hat:

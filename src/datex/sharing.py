@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -219,10 +220,31 @@ def shapley_exact(instance: Instance, i: int, subset: frozenset[int]) -> dict[in
     return out
 
 
+@lru_cache(maxsize=64)
+def _seed_words(seed: int) -> tuple[int, ...]:
+    """A non-negative seed's 32-bit words, low word first, as SeedSequence
+    splits an int; a negative seed raises OverflowError."""
+    raw = seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little")
+    return tuple(int.from_bytes(raw[b:b + 4], "little") for b in range(0, len(raw), 4))
+
+
 def _permutation_rng(seed: int, i: int, subset: Iterable[int]) -> np.random.Generator:
-    # keyed by (seed, agent, canonical subset) so draws are call-order independent
+    """The generator of one sampled-Shapley draw, keyed by (seed, agent,
+    canonical subset) so draws are call-order independent.
+
+    Its stream is default_rng(SeedSequence([seed, i, len(S), *sorted(S)])):
+    the same entropy words, passed as one uint32 array so numpy does not
+    convert the ints one by one.
+    """
     members = sorted(subset)
-    return np.random.default_rng(np.random.SeedSequence([seed, i, len(members), *members]))
+    entropy = np.array([*_seed_words(seed), i, len(members), *members], dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+@lru_cache(maxsize=256)
+def _identity_rows(m: int, s: int) -> np.ndarray:
+    """m read-only rows of 0..s-1: the input that permuted shuffles row by row."""
+    return np.broadcast_to(np.arange(s), (m, s))
 
 
 def shapley_sampled(instance: Instance, i: int, subset: frozenset[int],
@@ -238,8 +260,7 @@ def shapley_sampled(instance: Instance, i: int, subset: frozenset[int],
         perms = np.zeros((m, 1), dtype=np.intp)  # the only permutation; nothing to draw
     else:
         # one call draws the m permutations that m rng.permutation(s) calls draw
-        perms = _permutation_rng(seed, i, members).permuted(
-            np.broadcast_to(np.arange(s), (m, s)), axis=1)
+        perms = _permutation_rng(seed, i, members).permuted(_identity_rows(m, s), axis=1)
     model = instance.utility
     if isinstance(model, PathVariance):  # all m prefix passes in one array
         marg = model.prefix_values(i, np.array(members)[perms])

@@ -634,6 +634,17 @@ def test_knapsack_oracle_on_subnormal_profits_matches_bruteforce(tmp_path, capsy
       "--oracle", "bruteforce"], "proportional weights must be finite and non-negative, got nan"),
     (["oracle", "{inf_share}", "--agent", "0", "--q", '{{"1": 0.5, "2": 0.5, "3": 0.5}}',
       "--oracle", "bruteforce"], "proportional weights must be finite and non-negative, got inf"),
+    # a negative sampled-Shapley seed; it used to fail at the first draw with numpy's message
+    (["oracle", "{neg_seed}", "--agent", "0", "--q", '{{"1": 0.5, "2": 0.5, "3": 0.5}}',
+      "--oracle", "bucketing"], "sharing seed must be >= 0, got -1"),
+    (["solve", "{neg_seed}", "--oracle", "bucketing", "--max-iters", "50", "--out", "{tmp}/s.json",
+      "--report", "{tmp}/r.json"], "sharing seed must be >= 0, got -1"),
+    # explicit proportional weights on a pair outside range(n) or outside allowed;
+    # both used to be ignored
+    (["oracle", "{far_weight}", "--agent", "0", "--q", '{{"1": 0.5, "2": 0.5, "3": 0.5}}',
+      "--oracle", "bruteforce"], "sharing weights reference non-permitted pair (0,7)"),
+    (["oracle", "{alien_weight}", "--agent", "{s0}", "--q", '{{"0": 0.5}}',
+      "--oracle", "bruteforce"], "sharing weights reference non-permitted pair ({i},{j})"),
 ])
 def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     from datex import ExchangeSolution
@@ -695,6 +706,14 @@ def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
         names[name] = tmp_path / f"{name}.json"
         names[name].write_text(json.dumps(
             rand_obj | {"sharing": {"kind": "proportional", "weights": weights}}))
+    names["far_weight"] = tmp_path / "far_weight.json"
+    names["far_weight"].write_text(json.dumps(
+        rand_obj | {"sharing": {"kind": "proportional", "weights": every_pair + [[0, 7, 1.0]]}}))
+    names["alien_weight"] = tmp_path / "alien_weight.json"
+    names["alien_weight"].write_text(json.dumps(json.loads(inst.read_text()) | {"sharing": {
+        "kind": "proportional", "weights": [[a, b, 1.0] for a, b in instance.allowed] + [[i, j, 1.0]]}}))
+    names["neg_seed"] = tmp_path / "neg_seed.json"
+    names["neg_seed"].write_text(json.dumps(rand_obj | {"sharing": sampled | {"seed": -1}}))
     with time_limit(10):
         code, out, err = run([arg.format(**names) for arg in argv], capsys)
     assert code == 2 and out == ""

@@ -11,6 +11,7 @@ from datex import (
     ConcaveSpec,
     ContinuousConcave,
     ConvexCost,
+    ExplicitTable,
     Instance,
     SharingRuleSpec,
     SymmetricWeighted,
@@ -270,7 +271,10 @@ def _assert_first_guess_pass_matches(inst, Q, eps):
     return results
 
 
-def test_first_guess_pass_replays_recorded_road_prices(monkeypatch):
+@pytest.fixture(scope="module")
+def recorded_road_prices():
+    """(instance, Q) at every price assembly of three short bucketing solves on
+    road instances with uncorrelated, randomly and locally correlated edges."""
     from datex import mwu
     from datex.mwu import MwuConfig, solve_welfare
 
@@ -282,18 +286,121 @@ def test_first_guess_pass_replays_recorded_road_prices(monkeypatch):
         recorded.append((instance, Q))
         return p, Q, threshold
 
-    monkeypatch.setattr(mwu, "assemble_prices", recording)
     edges = grid_graph(8, 8, seed=0)
-    for corr, rho, seed in (("none", 0.0, 60), ("random", 0.5, 61), ("local", 0.25, 62)):
-        inst = normalize_instance(gen_road(RoadSpec(edges=edges, radius=5, n_agents=12,
-                                                    correlation=corr, rho=rho, seed=seed)))[0]
-        solve_welfare(inst, MwuConfig(max_iters=12, check_every=12), oracles.get_oracle("bucketing"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mwu, "assemble_prices", recording)
+        for corr, rho, seed in (("none", 0.0, 60), ("random", 0.5, 61), ("local", 0.25, 62)):
+            inst = normalize_instance(gen_road(RoadSpec(edges=edges, radius=5, n_agents=12,
+                                                        correlation=corr, rho=rho, seed=seed)))[0]
+            solve_welfare(inst, MwuConfig(max_iters=12, check_every=12),
+                          oracles.get_oracle("bucketing"))
+    return recorded
+
+
+def test_first_guess_pass_replays_recorded_road_prices(recorded_road_prices):
+    recorded = recorded_road_prices
     assert len(recorded) >= 30
     guesses = []
     for inst, Q in recorded:
         for eps in (0.1, 0.3):
             guesses += [res.guesses for res in _assert_first_guess_pass_matches(inst, Q, eps)]
     assert 0 in guesses and 1 in guesses
+
+
+def test_valued_buckets_stay_below_their_singleton_bound(monkeypatch, recorded_road_prices):
+    # a bucket's value sum_j q_j h_ij(b) is at most sum_j q_j u_ij on a
+    # subadditive utility, which is what lets the oracle stop early
+    valued = []
+    real = oracles.shares
+
+    def recording(instance, i, subset):
+        out = real(instance, i, subset)
+        valued.append((i, out))
+        return out
+
+    monkeypatch.setattr(oracles, "shares", recording)
+    checked, tight = 0, 0.0
+    assert len({id(inst) for inst, _ in recorded_road_prices}) == 3
+    for inst, Q in recorded_road_prices:
+        u = inst.singleton_utility
+        for eps in (0.1, 0.3):
+            valued.clear()
+            oracles.get_oracle("bucketing", eps).all_agents(inst, Q)
+            for i, split in valued:
+                v = sum(Q[i, j] * h for j, h in split.items())
+                ub = sum(Q[i, j] * u[i, j] for j in split)
+                assert v <= ub * (1.0 + 1e-9), (i, sorted(split), v, ub)
+                tight = max(tight, v / ub)
+                checked += 1
+    assert checked > 500 and tight > 0.99  # a one-sender bucket meets its bound
+
+
+def _complementary_table(pairs):
+    """Agent 0 receives from senders 1, 2, 3, with u_0 given per subset mask
+    (bit b for sender b + 1); agents 1-3 receive nothing."""
+    values = np.array([0.0] + [pairs[mask] for mask in range(1, 8)])
+    return Instance(n=4, allowed=frozenset({(0, 1), (0, 2), (0, 3)}),
+                    utility=ExplicitTable(senders=((1, 2, 3), (), (), ()),
+                                          values=(values,) + (np.zeros(1),) * 3),
+                    sharing=SharingRuleSpec(kind="shapley_exact"))
+
+
+def test_bucketing_values_every_bucket_of_an_explicit_table():
+    # senders 1 and 2 are worth 0.02 alone and 1 together: bucket {1, 2}'s
+    # singleton bound 0.04 is below bucket {3}'s value 0.1, yet {1, 2} is worth 1
+    inst = _complementary_table({1: 0.02, 2: 0.02, 3: 1.0, 4: 0.2, 5: 0.22, 6: 0.22, 7: 1.0})
+    q = prices_for(inst, 0, {1: 1.0, 2: 1.0, 3: 0.5})
+    first = oracles.bucketing_first_guesses(inst, [0], q[None, :], 0.1)[0]
+    assert sorted(first.buckets.values()) == [[1, 2], [3]]
+    pair = oracle_value(inst, 0, q, frozenset({1, 2}))
+    assert pair > oracle_value(inst, 0, q, frozenset({3})) > 0.04 * (1.0 + 1e-9)
+    res = oracle_bucketing(inst, 0, q, eps=0.1)
+    assert (res.chosen, res.value) == (frozenset({1, 2}), pair)
+    assert (res.chosen, res.value, res.guesses) == _bucketing_per_sender_loop(inst, 0, q, 0.1)
+
+
+def test_bucketing_breaks_a_tie_between_buckets_by_the_smaller_index():
+    # bucket {1} (price 0.5) and bucket {2, 3} (price 1, perfect substitutes)
+    # are both worth 0.25; {2, 3} has the larger bound 0.5 and is valued first,
+    # but the lower-priced bucket {1} wins, as in an ascending scan
+    inst = _complementary_table({1: 0.5, 2: 0.25, 3: 0.75, 4: 0.25, 5: 0.75, 6: 0.25, 7: 0.75})
+    q = prices_for(inst, 0, {1: 0.5, 2: 1.0, 3: 1.0})
+    first = oracles.bucketing_first_guesses(inst, [0], q[None, :], 0.1)[0]
+    low, high = sorted(first.buckets)
+    assert (first.buckets[low], first.buckets[high]) == ([1], [2, 3])
+    assert oracle_value(inst, 0, q, frozenset({1})) == oracle_value(inst, 0, q, frozenset({2, 3}))
+    res = oracle_bucketing(inst, 0, q, eps=0.1)
+    assert (res.chosen, res.value) == (frozenset({1}), 0.25)
+    assert (res.chosen, res.value, res.guesses) == _bucketing_per_sender_loop(inst, 0, q, 0.1)
+
+
+def test_bucketing_values_fewer_buckets_than_the_per_sender_loop(monkeypatch, recorded_road_prices):
+    from datex import sharing
+
+    calls = [0]
+    real = sharing.shapley_sampled
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    def rule_calls(run):
+        sharing._share_cache.pop(inst, None)  # every distinct bucket is valued afresh
+        calls[0] = 0
+        return run(), calls[0]
+
+    monkeypatch.setattr(sharing, "shapley_sampled", counting)
+    inst = recorded_road_prices[0][0]
+    oracle_calls = loop_calls = 0
+    for Q in [Q for solve_inst, Q in recorded_road_prices if solve_inst is inst]:
+        got, n = rule_calls(lambda: [(res.chosen, res.value, res.guesses) for res in
+                                     oracles.get_oracle("bucketing").all_agents(inst, Q)])
+        oracle_calls += n
+        ref, n = rule_calls(lambda: [_bucketing_per_sender_loop(inst, i, Q[i], 0.1)
+                                     for i in range(inst.n)])
+        loop_calls += n
+        assert got == ref
+    assert 0 < oracle_calls < loop_calls, (oracle_calls, loop_calls)
 
 
 def test_first_guess_pass_on_hand_built_rows():

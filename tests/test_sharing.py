@@ -351,6 +351,21 @@ def test_one_pass_sampled_shapley_is_bit_identical_to_the_permutation_loop():
     assert checked >= 100
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+def test_permutation_stream_is_keyed_by_the_seed_sequence_of_its_ints(seed):
+    # the generator is built from a uint32 array; its stream must stay the one
+    # SeedSequence makes from the list [seed, i, |S|, *sorted(S)]
+    for members in ([4], [0, 7, 2], list(range(30, 11, -1))):
+        i = 3
+        ref = np.random.default_rng(np.random.SeedSequence([seed, i, len(members), *sorted(members)]))
+        got = _permutation_rng(seed, i, members)
+        s = len(members)
+        rows = np.broadcast_to(np.arange(s), (10, s))
+        assert np.array_equal(got.permuted(rows, axis=1), ref.permuted(rows, axis=1))
+        assert [got.permutation(s).tolist() for _ in range(5)] == \
+            [ref.permutation(s).tolist() for _ in range(5)]
+
+
 def test_column_split_memo_matches_a_fresh_instance_and_skips_utility(monkeypatch):
     calls = []
     real_utility = sharing.utility
