@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_array
 
 from .model import ExchangeSolution, Instance, evaluate, utility
-from .sharing import column_lp, column_matrices, lp_solution
+from .sharing import column_lp, column_rows, lp_solution
 
 logger = logging.getLogger(__name__)
 
@@ -40,7 +40,8 @@ def exact_welfare_lp(instance: Instance, relax_eps: float = 0.0,
     """Maximize welfare over the fully enumerated column set by exact LP.
 
     relax_eps = 0 enforces exact balance; otherwise residuals are bounded by
-    relax_eps on both sides. A negative or non-finite relax_eps is a ValueError.
+    relax_eps on both sides. A negative or non-finite relax_eps is a ValueError;
+    a failed LP raises column_lp's RuntimeError.
     """
     if not 0.0 <= relax_eps < float("inf"):  # also false for NaN
         raise ValueError(f"relax_eps must be finite and >= 0, got {relax_eps}")
@@ -53,8 +54,6 @@ def exact_welfare_lp(instance: Instance, relax_eps: float = 0.0,
         return ExchangeSolution.empty(n), 0.0
     bound = np.full(n, relax_eps)
     res = column_lp(instance, cols, -bound, bound)
-    if not res.success:
-        raise RuntimeError(f"exact welfare LP failed: {res.message}")
     return lp_solution(n, cols, res.x), float(-res.fun)
 
 
@@ -66,22 +65,21 @@ def _block_margins(instance: Instance, blocks: Sequence[tuple[tuple[int, ...], n
     rows mass_i <= 1, t - gain_i <= -target_i and residual_i = 0 per member.
     The blocks share no variable, and each is feasible (weights 0, t = -max
     target) and bounded, so maximizing the sum of the t's maximizes each one.
-    The matrices are sparse, built from each block's lp_rows triplets at its offsets.
+    The matrices are sparse, built from each block's column_rows triplets at its offsets.
     """
     ub, eq, b_ub, t_cols = [], [], [], []
     col = row = 0  # the block's first variable and its first member row
     for coalition, targets in blocks:
         within = frozenset(coalition)
         cols = [(i, s) for i in coalition for s in _agent_columns(instance, i, within)]
-        mats = column_matrices(instance, cols, coalition)
-        k, c = mats.k, len(mats.util)
-        r, x, v = mats.lp_rows()
+        util, (r, x, v) = column_rows(instance, cols, coalition)
+        k, c = len(coalition), len(util)
         mass = r < k  # the rest are the residual rows k..2k-1
         # inequality rows 2*row..: k mass rows, then k rows t - gain_i <= -target_i
         ub.append((np.concatenate([2 * row + r[mass], 2 * row + k + r[mass],
                                    2 * row + k + np.arange(k)]),
                    np.concatenate([col + x[mass], col + x[mass], np.full(k, col + c)]),
-                   np.concatenate([v[mass], -mats.util[x[mass]], np.ones(k)])))
+                   np.concatenate([v[mass], -util[x[mass]], np.ones(k)])))
         eq.append((row - k + r[~mass], col + x[~mass], v[~mass]))
         b_ub.extend([np.ones(k), -np.asarray(targets, dtype=float)])
         t_cols.append(col + c)

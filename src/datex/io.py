@@ -26,13 +26,19 @@ class SchemaError(ValueError):
     """Malformed instance or solution JSON."""
 
 
-def _require_fields(obj: dict, required: set[str], optional: set[str], where: str) -> None:
+def _require_fields(obj: Any, required: set[str], optional: set[str], where: str) -> None:
+    _require_object(obj, where)
     missing = required - obj.keys()
     unknown = obj.keys() - required - optional
     if missing:
         raise SchemaError(f"{where}: missing fields {sorted(missing)}")
     if unknown:
         raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
+
+
+def _require_object(obj: Any, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be a JSON object; got {type(obj).__name__}")
 
 
 def _int(value: Any, what: str) -> int:
@@ -117,6 +123,7 @@ def _utility_to_json(model) -> dict:
 
 
 def _utility_from_json(obj: dict):
+    _require_object(obj, "utility")
     kind = obj.get("kind")
     if kind == "explicit_table":
         _require_fields(obj, {"kind", "tables"}, set(), "explicit_table")
@@ -225,7 +232,7 @@ def instance_from_json(obj: dict) -> Instance:
             epsilon=float(obj["epsilon"]),
             seed=_int(obj["seed"], "seed"),
         )
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:  # an int past an int64 array
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(f"malformed instance: {exc}") from exc

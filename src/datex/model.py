@@ -198,10 +198,14 @@ class PathVariance:
             raise ValueError("edge variances must lie in [0, 1]")
         if np.any(self.z < 1):
             raise ValueError("sample counts must be >= 1")
+        if not 0.0 < self.scale < math.inf:  # a divisor; also false for NaN
+            raise ValueError(f"{self.kind} scale must be finite and positive; got {self.scale}")
         for p in self.paths:
             for e in p:
                 if not (0 <= e < len(self.edges)):
                     raise ValueError("path references unknown edge")
+        if not np.all((self.classes >= 0) & (self.classes < len(self.edges))):
+            raise ValueError(f"edge classes must lie in 0..{len(self.edges) - 1}")
 
     @cached_property
     def _class_counts(self) -> np.ndarray:
@@ -273,6 +277,10 @@ class X3CCoverage:
     def __post_init__(self) -> None:
         if len(self.sets) != self.m:
             raise ValueError("need exactly m sets")
+        if not 0.0 < self.scale < math.inf:  # a divisor; also false for NaN
+            raise ValueError(f"{self.kind} scale must be finite and positive; got {self.scale}")
+        if self.k > 2 * self.m:  # z2's utility m - k/2 must not be negative
+            raise ValueError(f"x3c_coverage needs k <= 2m; got m = {self.m}, k = {self.k}")
         for s in self.sets:
             if len(s) != 3 or not all(0 <= e < 3 * self.k for e in s):
                 raise ValueError("each set must contain exactly 3 universe elements")
@@ -432,6 +440,8 @@ class Instance:
                     raise ValueError(f"sharing weights reference non-permitted pair ({i},{j})")
         u = self.utility
         if isinstance(u, (SymmetricWeighted, ContinuousConcave)):
+            if len(u.f) != self.n:
+                raise ValueError(f"{u.kind} needs one f entry per agent ({self.n}); got {len(u.f)}")
             for (i, j), s in u.sizes.items():
                 if s > 0 and (i, j) not in self.allowed:
                     raise ValueError(f"utility references non-permitted pair ({i},{j})")

@@ -1,11 +1,10 @@
 """Utility sharing rules (exact Shapley, permutation-sampled Shapley,
-proportional) and the column matrices and column LP they induce."""
+proportional) and the column LP rows they induce."""
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -96,36 +95,15 @@ def column_flows(instance: Instance, cols: Sequence[tuple[int, frozenset[int] | 
     return np.array(received), np.array(sent)
 
 
-@dataclass(frozen=True)
-class ColumnMatrices:
-    """(agent, column) pairs as the rows agents[0..k-1] of a column LP.
-
-    Column c gives util[c] to row recv[c]; share s hands share[s] of column
-    share_col[s] to row share_row[s]. lp_rows is the one place that lays these
-    out as LP rows.
-    """
-
-    k: int
-    util: np.ndarray
-    recv: np.ndarray
-    share_row: np.ndarray
-    share_col: np.ndarray
-    share: np.ndarray
-
-    def lp_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, column, value) triplets of the k mass rows (1 where row
-        recv[c] receives column c: the x_i <= 1 rows), then of the k residual
-        rows k..2k-1 (utility received minus shares sent, per unit weight)."""
-        cols = np.arange(len(self.util))
-        return (np.concatenate([self.recv, self.k + self.recv, self.k + self.share_row]),
-                np.concatenate([cols, cols, self.share_col]),
-                np.concatenate([np.ones(len(cols)), self.util, -self.share]))
-
-
-def column_matrices(instance: Instance, cols: Sequence[tuple[int, frozenset[int] | FracColumn]],
-                    agents: Sequence[int]) -> ColumnMatrices:
-    """Utilities and shares of (agent, column) pairs, rows re-indexed to agents."""
+def column_rows(instance: Instance, cols: Sequence[tuple[int, frozenset[int] | FracColumn]],
+                agents: Sequence[int],
+                ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The utility of each (agent, column) pair and the pairs' LP rows, row r
+    standing for agents[r]: (row, column, value) triplets of the k mass rows
+    (1 where agent r receives column c: the x_r <= 1 rows), then of the k
+    residual rows k..2k-1 (utility received minus shares sent, per unit weight)."""
     row = {a: r for r, a in enumerate(agents)}
+    k = len(row)
     util, recv, share_row, share_col, share = [], [], [], [], []
     for c, (i, col) in enumerate(cols):
         u, split = column_split(instance, i, col)
@@ -134,23 +112,30 @@ def column_matrices(instance: Instance, cols: Sequence[tuple[int, frozenset[int]
         share_row.extend(row[j] for j in split)
         share_col.extend([c] * len(split))
         share.extend(split.values())
-    idx = lambda rows: np.array(rows, dtype=np.intp)
-    return ColumnMatrices(len(row), np.array(util, dtype=float), idx(recv), idx(share_row),
-                          idx(share_col), np.array(share, dtype=float))
+    idx = lambda ints: np.array(ints, dtype=np.intp)
+    recv, lp_cols, util = idx(recv), np.arange(len(util)), np.array(util, dtype=float)
+    return util, (np.concatenate([recv, k + recv, k + idx(share_row)]),
+                  np.concatenate([lp_cols, lp_cols, idx(share_col)]),
+                  np.concatenate([np.ones(len(util)), util, -np.array(share, dtype=float)]))
 
 
 def column_lp(instance: Instance, cols: Sequence[tuple[int, frozenset[int] | FracColumn]],
               lo: np.ndarray, hi: np.ndarray):
     """LP1 on a column set: maximize welfare over the weights of cols subject to
-    mass_i <= 1 and lo_i <= residual_i <= hi_i (lo = hi = 0 is exact balance)."""
+    mass_i <= 1 and lo_i <= residual_i <= hi_i (lo = hi = 0 is exact balance).
+
+    Returns linprog's result, its inequality rows ordered [mass; resid; -resid].
+    A failed LP raises RuntimeError("column LP failed: ...")."""
     n = instance.n
-    mats = column_matrices(instance, cols, range(n))
-    rows, lp_cols, vals = mats.lp_rows()
+    util, (rows, lp_cols, vals) = column_rows(instance, cols, range(n))
     a = np.zeros((2 * n, len(cols)))
     np.add.at(a, (rows, lp_cols), vals)
     a_ub = np.vstack([a, -a[n:]])
     b_ub = np.concatenate([np.ones(n), hi, -lo])
-    return linprog(-mats.util, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
+    res = linprog(-util, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
+    if not res.success:
+        raise RuntimeError(f"column LP failed: {res.message}")
+    return res
 
 
 def lp_solution(n: int, cols: Sequence[tuple[int, frozenset[int] | FracColumn]],

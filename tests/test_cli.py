@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import copy
+import functools
+import io
 import itertools
 import json
 import math
+import operator
 import signal
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datex import (ConcaveSpec, Instance, MwuConfig, SharingRuleSpec, SymmetricWeighted,
                    get_oracle, normalize_instance)
 from datex import mwu
 from datex import cli
+from datex import sharing
 from datex.cli import main
 from datex import io as dio
 from datex.mwu import RegretBoundError, practical_eta, run_mwu
@@ -418,6 +425,14 @@ GEN_FOR_MODEL = {
     "path_variance": ["--kind", "road", "--grid", "5x5", "--agents", "4", "--radius", "3"],
 }
 SYM, CONT = "symmetric_weighted", "continuous_concave"
+# gen arguments of the seed files that loader mutations start from
+FUZZ_GEN = {
+    "road": ["--kind", "road", "--grid", "6x6", "--agents", "6", "--radius", "3"],
+    "symmetric": ["--kind", "random", "--n", "5", "--model", "symmetric"],
+    "table": ["--kind", "random", "--n", "5", "--model", "table"],
+    "x3c": ["--kind", "x3c", "--m", "3", "--k", "2"],
+}
+FUZZ_VALUES = (-1, 0, 1e308, math.nan, math.inf, 2**70, "x", True, None, [], {})
 Q = '{"1": 1.0, "2": 0.5, "3": 0.3}'
 
 
@@ -508,7 +523,7 @@ def test_failed_column_lp_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     from scipy.optimize import OptimizeResult
 
     inst = _instance_file(tmp_path, capsys, SYM)
-    monkeypatch.setattr(mwu, "column_lp", lambda *args: OptimizeResult(
+    monkeypatch.setattr(sharing, "linprog", lambda *args, **kwargs: OptimizeResult(
         success=False, status=4, message="injected failure"))
     code, out, err = run(_cli_args(["solve", "--oracle", "knapsack", "--max-iters", "50"],
                                    inst, tmp_path), capsys)
@@ -645,6 +660,19 @@ def test_knapsack_oracle_on_subnormal_profits_matches_bruteforce(tmp_path, capsy
       "--oracle", "bruteforce"], "sharing weights reference non-permitted pair (0,7)"),
     (["oracle", "{alien_weight}", "--agent", "{s0}", "--q", '{{"0": 0.5}}',
       "--oracle", "bruteforce"], "sharing weights reference non-permitted pair ({i},{j})"),
+    # a road class outside the edges (-1 read the last class), a non-object utility,
+    # an f list one agent short, and an x3c k past 2m; they exited 0, 3, 3 and 1
+    (["solve", "{road_class}", "--max-iters", "30", "--out", "{tmp}/s.json",
+      "--report", "{tmp}/r.json"], "edge classes must lie in 0..{last_edge}"),
+    (["solve", "{int_utility}", "--max-iters", "30", "--out", "{tmp}/s.json",
+      "--report", "{tmp}/r.json"], "utility must be a JSON object; got int"),
+    (["solve", "{short_f}", "--max-iters", "30", "--out", "{tmp}/s.json",
+      "--report", "{tmp}/r.json"], "symmetric_weighted needs one f entry per agent (4); got 3"),
+    (["solve", "{x3c_k}", "--max-iters", "30", "--out", "{tmp}/s.json",
+      "--report", "{tmp}/r.json"], "x3c_coverage needs k <= 2m; got m = 3, k = 100"),
+    # a utility divisor of 0, found by the mutation property below; it exited 3
+    (["stability", "{x3c_scale}", "--out", "{tmp}/s.json"],
+     "x3c_coverage scale must be finite and positive; got 0.0"),
 ])
 def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     from datex import ExchangeSolution
@@ -714,11 +742,89 @@ def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
         "kind": "proportional", "weights": [[a, b, 1.0] for a, b in instance.allowed] + [[i, j, 1.0]]}}))
     names["neg_seed"] = tmp_path / "neg_seed.json"
     names["neg_seed"].write_text(json.dumps(rand_obj | {"sharing": sampled | {"seed": -1}}))
+    for name, model in {"road_class": "road", "x3c_k": "x3c"}.items():
+        names[name] = tmp_path / f"{name}.json"
+        assert run(["gen", *FUZZ_GEN[model], "--seed", "1", "--out", str(names[name])],
+                   capsys)[0] == 0
+    road_obj = json.loads(names["road_class"].read_text())
+    road_obj["utility"]["classes"][0] = -1
+    names["road_class"].write_text(json.dumps(road_obj))
+    names["last_edge"] = len(road_obj["utility"]["edges"]) - 1
+    x3c_obj = json.loads(names["x3c_k"].read_text())
+    names["x3c_scale"] = tmp_path / "x3c_scale.json"
+    names["x3c_scale"].write_text(json.dumps(x3c_obj | {"utility": x3c_obj["utility"] | {"scale": 0}}))
+    x3c_obj["utility"]["k"] = 100
+    names["x3c_k"].write_text(json.dumps(x3c_obj))
+    names["int_utility"] = tmp_path / "int_utility.json"
+    names["int_utility"].write_text(json.dumps(rand_obj | {"utility": 3}))
+    names["short_f"] = tmp_path / "short_f.json"
+    names["short_f"].write_text(json.dumps(
+        rand_obj | {"utility": rand_obj["utility"] | {"f": rand_obj["utility"]["f"][:-1]}}))
     with time_limit(10):
         code, out, err = run([arg.format(**names) for arg in argv], capsys)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert message.format(**names) in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_seeds(tmp_path_factory):
+    """A directory for mutated files, and one generated instance object per model."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    seeds = {}
+    for model, args in FUZZ_GEN.items():
+        path = tmp / f"{model}.json"
+        with redirect_stdout(io.StringIO()):
+            assert main(["gen", *args, "--seed", "1", "--out", str(path)]) == 0
+        seeds[model] = json.loads(path.read_text())
+    return tmp, seeds
+
+
+def _json_nodes(node, path=()):
+    """The path of every node below a JSON value, parents before children."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_nodes(child, path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_mutated_instance_file_solves_or_exits_2_with_one_line(fuzz_seeds, data):
+    tmp, seeds = fuzz_seeds
+    obj = copy.deepcopy(seeds[data.draw(st.sampled_from(sorted(seeds)), label="model")])
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        *where, key = data.draw(st.sampled_from(list(_json_nodes(obj))), label="node")
+        parent = functools.reduce(operator.getitem, where, obj)
+        edit = data.draw(st.sampled_from(["replace", "delete", "duplicate"]), label="edit")
+        if edit == "replace":
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES), label="value"))
+        elif edit == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:  # the key's value, copied over another key of its object
+            over = data.draw(st.sampled_from(sorted(parent)), label="over")
+            parent[over] = copy.deepcopy(parent[key])
+    inst = tmp / "mutant.json"
+    inst.write_text(json.dumps(obj))
+    for command in (["solve", str(inst), "--max-iters", "30", "--out", str(tmp / "s.json"),
+                     "--report", str(tmp / "r.json")],
+                    ["stability", str(inst), "--out", str(tmp / "s.json")]):
+        err = io.StringIO()
+        with time_limit(10), redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(command)
+        err = err.getvalue()
+        # exit 0, or bad input in one line, or solve's no-feasible-solution exit
+        assert (code == 0
+                or code == 2 and len(err.splitlines()) == 1 and err.startswith("error: ")
+                or command[0] == "solve" and code == 3
+                and err == "error: solver produced no feasible solution\n"), (command[0], code, err)
 
 
 def test_exchange_log_takes_only_level_names(tmp_path, capsys, monkeypatch):

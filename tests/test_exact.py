@@ -68,6 +68,17 @@ def test_lp_solution_renormalizes_only_within_solver_tolerance():
         lp_solution(3, cols, np.array([0.6, 0.4 + 1e-5]))
 
 
+def test_a_failed_welfare_lp_raises_the_column_lp_error(monkeypatch, two_agent_symmetric):
+    from scipy.optimize import OptimizeResult
+
+    from datex import sharing
+
+    monkeypatch.setattr(sharing, "linprog", lambda *args, **kwargs: OptimizeResult(
+        success=False, status=4, message="injected failure"))
+    with pytest.raises(RuntimeError, match="^column LP failed: injected failure$"):
+        exact_welfare_lp(two_agent_symmetric)
+
+
 def test_sender_cap_enforced():
     inst = gen_random(15, 14, "symmetric", seed=0)
     with pytest.raises(ValueError, match="too many senders"):

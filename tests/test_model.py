@@ -356,14 +356,27 @@ def test_evaluate_matches_column_loop_bit_for_bit(n, kind, seed, pick):
 
 
 def _bincount_flows(inst, sol):
-    """evaluate's (received, sent) as np.bincount over the column matrices added them."""
-    from datex.sharing import column_matrices
+    """evaluate's (received, sent) as np.bincount over a column layout added them:
+    column c gives util[c] to recv[c], and share s hands share[s] of column
+    share_col[s] to share_row[s]."""
+    from datex.sharing import column_split
 
-    live = [(i, col, x) for i, col, x in sol.iter_columns() if x != 0.0]
-    mats = column_matrices(inst, [(i, col) for i, col, _ in live], range(inst.n))
-    x = np.array([x for _, _, x in live], dtype=float)
-    return (np.bincount(mats.recv, weights=x * mats.util, minlength=mats.k),
-            np.bincount(mats.share_row, weights=x[mats.share_col] * mats.share, minlength=mats.k))
+    recv, util, share_row, share_col, share, x = [], [], [], [], [], []
+    for i, col, w in sol.iter_columns():
+        if w == 0.0:
+            continue
+        u, split = column_split(inst, i, col)
+        share_row.extend(split)
+        share_col.extend([len(x)] * len(split))
+        share.extend(split.values())
+        recv.append(i)
+        util.append(u)
+        x.append(w)
+    idx = lambda ints: np.array(ints, dtype=np.intp)
+    x = np.array(x, dtype=float)
+    return (np.bincount(idx(recv), weights=x * np.array(util), minlength=inst.n),
+            np.bincount(idx(share_row), weights=x[idx(share_col)] * np.array(share),
+                        minlength=inst.n))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -22,7 +22,7 @@ from datex import (
     sparsify,
     utility,
 )
-from datex import mwu
+from datex import mwu, sharing
 from datex.mwu import practical_eta, run_mwu, width
 from datex.oracles import OracleResult, OracleSpec
 from datex.model import column_sort_key
@@ -606,7 +606,7 @@ def test_a_failed_column_lp_fails_the_solve(monkeypatch, two_agent_symmetric):
 
     # a run's solution is always a column-LP solution, so a failed LP fails the solve
     inst, _ = normalize_instance(two_agent_symmetric)
-    monkeypatch.setattr(mwu, "column_lp", lambda *args: OptimizeResult(
+    monkeypatch.setattr(sharing, "linprog", lambda *args, **kwargs: OptimizeResult(
         success=False, status=4, message="injected failure"))
     with pytest.raises(RuntimeError, match="^column LP failed: injected failure$"):
         solve_welfare(inst, small_config(2), get_oracle("knapsack"))

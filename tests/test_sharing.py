@@ -412,13 +412,18 @@ def test_frac_columns_still_split_by_volume():
     assert not any(col in key for key in _share_cache.get(inst, {}))
 
 
-def _old_column_lp_rows(mats):
+def _dense_column_lp_rows(inst, cols):
     """The column LP's [mass; resid; -resid] rows as the dense builder made them."""
-    c = len(mats.util)
-    mass = np.zeros((mats.k, c))
-    mass[mats.recv, np.arange(c)] = 1.0
-    resid = mass * mats.util
-    resid[mats.share_row, mats.share_col] -= mats.share
+    mass = np.zeros((inst.n, len(cols)))
+    util = np.zeros(len(cols))
+    share_at = []
+    for c, (i, col) in enumerate(cols):
+        util[c], split = column_split(inst, i, col)
+        mass[i, c] = 1.0
+        share_at.extend((j, c, h) for j, h in split.items())
+    resid = mass * util
+    for j, c, h in share_at:
+        resid[j, c] -= h
     return np.vstack([mass, resid, -resid])
 
 
@@ -442,7 +447,7 @@ def test_column_lp_rows_match_the_dense_builder_bit_for_bit(monkeypatch, model):
     monkeypatch.setattr(sharing, "linprog", recording_linprog)
     bound = np.full(inst.n, inst.epsilon)
     assert sharing.column_lp(inst, cols, -bound, bound).success
-    old = _old_column_lp_rows(sharing.column_matrices(inst, cols, range(inst.n)))
+    old = _dense_column_lp_rows(inst, cols)
     assert seen[0].shape == old.shape and seen[0].tobytes() == old.tobytes()
 
 
