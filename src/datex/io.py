@@ -94,7 +94,7 @@ def _utility_to_json(model) -> dict:
                 for i, (send, vals) in enumerate(zip(model.senders, model.values))
             ],
         }
-    if isinstance(model, (SymmetricWeighted, ContinuousConcave)):
+    if isinstance(model, SymmetricWeighted):
         return {
             "kind": model.kind,
             "sizes": [[i, j, s] for (i, j), s in sorted(model.sizes.items())],

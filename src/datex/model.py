@@ -15,6 +15,14 @@ EQ_TOL = 1e-9
 # Table models and the brute-force oracle enumerate subsets; cap keeps 2^k feasible.
 MAX_ENUMERABLE_SENDERS = 20
 
+# Smallest balance slack: keeps eps * eps normal, and rho / eps and the MWU
+# theory iteration count 32 n^2 alpha^2 log(n) / eps^2 finite.
+EPSILON_MIN = 1e-100
+
+# Most permutations a sampled-Shapley rule may draw per call; a full-set draw
+# of 10^4 on a 12x12, 20-agent road instance takes about 55 MB.
+SAMPLED_SHAPLEY_MAX_M = 10**4
+
 
 class DegenerateInstanceError(ValueError):
     """Raised when an instance has no utility anywhere (cannot be normalized)."""
@@ -145,12 +153,6 @@ class ExplicitTable:
         return ExplicitTable(self.senders, tuple(v / divisor for v in self.values))
 
 
-def _check_sizes(sizes: Mapping[tuple[int, int], float]) -> None:
-    for (i, j), s in sizes.items():
-        if not 0.0 <= s < math.inf:  # also false for NaN
-            raise ValueError(f"size s[{i},{j}] must be finite and non-negative; got {s}")
-
-
 @dataclass(eq=False)
 class SymmetricWeighted:
     """u_i(S) = f_i(sum of data sizes s_ij over j in S) with f_i concave."""
@@ -161,7 +163,9 @@ class SymmetricWeighted:
     kind = "symmetric_weighted"
 
     def __post_init__(self) -> None:
-        _check_sizes(self.sizes)
+        for (i, j), s in self.sizes.items():
+            if not 0.0 <= s < math.inf:  # also false for NaN
+                raise ValueError(f"size s[{i},{j}] must be finite and non-negative; got {s}")
 
     def total_size(self, i: int, subset: frozenset[int]) -> float:
         return sum(self.sizes.get((i, j), 0.0) for j in subset)
@@ -170,7 +174,7 @@ class SymmetricWeighted:
         return self.f[i](self.total_size(i, subset))
 
     def rescaled(self, divisor: float) -> SymmetricWeighted:
-        return SymmetricWeighted(dict(self.sizes), tuple(fi.rescaled(divisor) for fi in self.f))
+        return type(self)(dict(self.sizes), tuple(fi.rescaled(divisor) for fi in self.f))
 
 
 @dataclass(eq=False)
@@ -345,29 +349,16 @@ class X3CCoverage:
         return X3CCoverage(self.m, self.k, self.sets, scale=self.scale * divisor)
 
 
-@dataclass(eq=False)
-class ContinuousConcave:
-    """Fractional-transfer utilities u_i(y) = f_i(sum s_ij * y_ij), y in [0,1]^m."""
-
-    sizes: dict[tuple[int, int], float]
-    f: tuple[ConcaveSpec, ...]
+class ContinuousConcave(SymmetricWeighted):
+    """Symmetric weighted utilities with fractional transfers: u_i(y) = f_i(sum_j s_ij y_ij)."""
 
     kind = "continuous_concave"
-
-    def __post_init__(self) -> None:
-        _check_sizes(self.sizes)
-
-    def value(self, i: int, subset: frozenset[int]) -> float:
-        return self.f[i](sum(self.sizes.get((i, j), 0.0) for j in subset))
 
     def value_fractional(self, i: int, y: Mapping[int, float]) -> float:
         return self.f[i](sum(self.sizes.get((i, j), 0.0) * yj for j, yj in y.items()))
 
-    def rescaled(self, divisor: float) -> ContinuousConcave:
-        return ContinuousConcave(dict(self.sizes), tuple(fi.rescaled(divisor) for fi in self.f))
 
-
-UtilityModel = ExplicitTable | SymmetricWeighted | PathVariance | X3CCoverage | ContinuousConcave
+UtilityModel = ExplicitTable | SymmetricWeighted | PathVariance | X3CCoverage
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +378,9 @@ class SharingRuleSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("shapley_exact", "shapley_sampled", "proportional"):
             raise ValueError(f"unknown sharing rule {self.kind!r}")
-        if self.kind == "shapley_sampled" and self.m < 1:
-            raise ValueError("permutation count m must be >= 1")
+        if self.kind == "shapley_sampled" and not 1 <= self.m <= SAMPLED_SHAPLEY_MAX_M:
+            raise ValueError(f"permutation count m must lie in 1..{SAMPLED_SHAPLEY_MAX_M}; "
+                             f"got {self.m}")
         if self.seed < 0:
             raise ValueError(f"sharing seed must be >= 0, got {self.seed}")
         if self.kind == "proportional":
@@ -424,8 +416,9 @@ class Instance:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one agent")
-        if not (0 < self.epsilon < 1):
-            raise ValueError("epsilon must lie in (0, 1)")
+        if not EPSILON_MIN <= self.epsilon < 1:  # also false for NaN
+            raise ValueError(f"epsilon must lie in (0, 1) and be at least {EPSILON_MIN:g}; "
+                             f"got {self.epsilon}")
         for i, j in self.allowed:
             if i == j:
                 raise ValueError(f"self-pair ({i},{i}) is not permitted")
@@ -439,7 +432,7 @@ class Instance:
                 if (i, j) not in self.allowed:
                     raise ValueError(f"sharing weights reference non-permitted pair ({i},{j})")
         u = self.utility
-        if isinstance(u, (SymmetricWeighted, ContinuousConcave)):
+        if isinstance(u, SymmetricWeighted):
             if len(u.f) != self.n:
                 raise ValueError(f"{u.kind} needs one f entry per agent ({self.n}); got {len(u.f)}")
             for (i, j), s in u.sizes.items():

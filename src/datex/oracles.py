@@ -23,7 +23,6 @@ from .model import (
     ExplicitTable,
     Instance,
     MAX_ENUMERABLE_SENDERS,
-    SymmetricWeighted,
 )
 from .sharing import shares
 
@@ -372,7 +371,7 @@ def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1)
     it.  Results are bit-identical to building both afresh on every call.
     """
     model = instance.utility
-    if not isinstance(model, SymmetricWeighted):
+    if model.kind != "symmetric_weighted":  # not continuous: (1+eps)^2 holds for set columns
         raise ValueError("knapsack oracle needs the symmetric weighted model")
     if instance.sharing.kind != "proportional" or instance.sharing.weights != "size":
         raise ValueError("knapsack oracle needs proportional sharing with w = s")

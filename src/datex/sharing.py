@@ -267,7 +267,7 @@ def _proportional_weight(instance: Instance, i: int, j: int,
         return float(instance.singleton_utility[i, j])
     if w == "size":
         model = instance.utility
-        if not isinstance(model, (SymmetricWeighted, ContinuousConcave)):
+        if not isinstance(model, SymmetricWeighted):
             raise ValueError("weights rule 'size' needs a size-based utility model")
         return model.sizes.get((i, j), 0.0)
     for (wi, wj, wv) in w:

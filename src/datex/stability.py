@@ -9,7 +9,6 @@ import numpy as np
 
 from .model import (
     EQ_TOL,
-    ContinuousConcave,
     ExchangeSolution,
     ExplicitTable,
     Instance,
@@ -129,24 +128,15 @@ def _shortest_lex_cycle(nodes: set[int], edges: set[tuple[int, int]]) -> list[in
     assert length is not None and best_start is not None
     dist_to_start = bfs(best_start, radj)  # distance v -> start along edges
 
-    # DFS in ascending neighbor order, pruned by the remaining distance to
-    # close the cycle; the first complete cycle is lexicographically smallest.
-    def extend(path: list[int]) -> list[int] | None:
-        v = path[-1]
-        if len(path) == length:
-            return path if best_start in adj[v] else None
-        for w in adj[v]:
-            if w == best_start or w in path:
-                continue
-            if len(path) + dist_to_start.get(w, 10**9) > length:
-                continue
-            found = extend(path + [w])
-            if found:
-                return found
-        return None
-
-    cycle = extend([best_start])
-    assert cycle is not None
+    # Walk from best_start, always to the smallest successor that can still
+    # close the cycle in exactly `length` steps.  This is exact: `length` is
+    # the girth, so a successor closer to best_start, or one already on the
+    # walk, would close a shorter cycle; the walk never dead-ends and yields
+    # the lexicographically smallest shortest cycle through best_start.
+    cycle = [best_start]
+    while len(cycle) < length:
+        remaining = length - len(cycle)
+        cycle.append(next(w for w in adj[cycle[-1]] if dist_to_start.get(w) == remaining))
     return cycle
 
 
@@ -291,7 +281,7 @@ def apply_misreport(instance: Instance, mis: Misreport) -> Instance:
             return instance
         if isinstance(model, ExplicitTable):
             new_model = _scaled_table(model, mis.agent, mis.factor)
-        elif isinstance(model, (SymmetricWeighted, ContinuousConcave)):
+        elif isinstance(model, SymmetricWeighted):
             f = tuple(
                 fi.rescaled(1.0 / mis.factor) if i == mis.agent else fi
                 for i, fi in enumerate(model.f)
@@ -310,7 +300,7 @@ def apply_misreport(instance: Instance, mis: Misreport) -> Instance:
             return instance
         if isinstance(model, ExplicitTable):
             new_model = _hidden_table(model, mis.agent, mis.hide_from)
-        elif isinstance(model, (SymmetricWeighted, ContinuousConcave)):
+        elif isinstance(model, SymmetricWeighted):
             sizes = {
                 (i, j): (0.0 if j == mis.agent and i in mis.hide_from else s)
                 for (i, j), s in model.sizes.items()

@@ -432,7 +432,8 @@ FUZZ_GEN = {
     "table": ["--kind", "random", "--n", "5", "--model", "table"],
     "x3c": ["--kind", "x3c", "--m", "3", "--k", "2"],
 }
-FUZZ_VALUES = (-1, 0, 1e308, math.nan, math.inf, 2**70, "x", True, None, [], {})
+FUZZ_VALUES = (-1, 0, 1e-320, 1e308, math.nan, math.inf, 2**70, "x", True, None, [], {})
+FUZZ_FACTORS = (1e-300, 1e-10, 0.5, -1, 1e10, 1e300)
 Q = '{"1": 1.0, "2": 0.5, "3": 0.3}'
 
 
@@ -767,6 +768,38 @@ def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     assert message.format(**names) in err
 
 
+@pytest.mark.parametrize("model, where, value, command, message", [
+    # an epsilon that underflows: rho / eps overflowed the B grid length (1e-320),
+    # eps * eps was 0 in the MWU iteration bound (1e-200), or that bound was inf (1e-160)
+    *[pytest.param("table", where, eps, command,
+                   "epsilon must lie in (0, 1) and be at least 1e-100", id=f"epsilon-{eps!r}-{via}")
+      for eps in (1e-320, 1e-200, 1e-160)
+      for via, where, command in (("file", ("epsilon",), ["solve"]),
+                                  ("flag", (), ["solve", "--epsilon", str(eps)]))],
+    # a sampled-Shapley m whose permutation draw asked numpy for 1.46 TiB
+    *[pytest.param("road", ("sharing", "m"), 10**11, [command],
+                   "permutation count m must lie in 1..10000", id=f"m-1e11-{command}")
+      for command in ("solve", "stability")],
+])
+def test_an_underflowing_epsilon_or_a_huge_sampled_m_exits_2(tmp_path, capsys, model, where,
+                                                             value, command, message):
+    inst = tmp_path / "inst.json"
+    assert run(["gen", *FUZZ_GEN[model], "--seed", "1", "--out", str(inst)], capsys)[0] == 0
+    obj = json.loads(inst.read_text())
+    if where:
+        *keys, last = where
+        functools.reduce(operator.getitem, keys, obj)[last] = value
+    inst.write_text(json.dumps(obj))
+    argv = [command[0], str(inst), *command[1:], "--out", str(tmp_path / "s.json")]
+    if command[0] == "solve":
+        argv += ["--max-iters", "30", "--report", str(tmp_path / "r.json")]
+    with time_limit(10):
+        code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+
+
 @pytest.fixture(scope="module")
 def fuzz_seeds(tmp_path_factory):
     """A directory for mutated files, and one generated instance object per model."""
@@ -799,10 +832,18 @@ def test_a_mutated_instance_file_solves_or_exits_2_with_one_line(fuzz_seeds, dat
     tmp, seeds = fuzz_seeds
     obj = copy.deepcopy(seeds[data.draw(st.sampled_from(sorted(seeds)), label="model")])
     for _ in range(data.draw(st.integers(1, 2), label="edits")):
-        *where, key = data.draw(st.sampled_from(list(_json_nodes(obj))), label="node")
+        edit = data.draw(st.sampled_from(["replace", "delete", "duplicate", "scale"]), label="edit")
+        nodes = list(_json_nodes(obj))
+        if edit == "scale":  # a numeric node; type() leaves bools out
+            nodes = [path for path in nodes
+                     if type(functools.reduce(operator.getitem, path, obj)) in (int, float)]
+            if not nodes:
+                continue
+        *where, key = data.draw(st.sampled_from(nodes), label="node")
         parent = functools.reduce(operator.getitem, where, obj)
-        edit = data.draw(st.sampled_from(["replace", "delete", "duplicate"]), label="edit")
-        if edit == "replace":
+        if edit == "scale":
+            parent[key] *= data.draw(st.sampled_from(FUZZ_FACTORS), label="factor")
+        elif edit == "replace":
             parent[key] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES), label="value"))
         elif edit == "delete":
             del parent[key]

@@ -605,6 +605,23 @@ def test_continuous_concave_json_ignores_legacy_floor():
     assert back.utility.sizes == inst.utility.sizes and back.utility.f == inst.utility.f
 
 
+def test_continuous_concave_keeps_its_class_through_rescaling_and_misreports():
+    from datex import Misreport, apply_misreport
+
+    inst = next(i for i in five_model_instances() if i.utility.kind == "continuous_concave")
+    normalized, scale = normalize_instance(inst)
+    assert scale != 1.0
+    i, j = min(inst.allowed)
+    reported = [normalized,
+                apply_misreport(inst, Misreport(agent=i, kind="scale", factor=0.5)),
+                apply_misreport(inst, Misreport(agent=j, kind="hide", hide_from=(i,)))]
+    for other in reported:
+        assert type(other.utility) is ContinuousConcave
+        assert other.utility.kind == "continuous_concave"
+        assert dio.instance_to_json(other)["utility"]["kind"] == "continuous_concave"
+    assert reported[2].utility.sizes[(i, j)] == 0.0 < inst.utility.sizes[(i, j)]
+
+
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(2, 5), seed=st.integers(0, 2**31 - 1))
 def test_knapsack_solve_welfare_is_deterministic(n, seed):

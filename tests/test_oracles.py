@@ -533,6 +533,13 @@ def test_knapsack_rejects_wrong_model(two_agent_unit):
         oracle_knapsack(two_agent_unit, 0, prices_for(two_agent_unit, 0, {1: 1.0}))
 
 
+def test_knapsack_rejects_the_continuous_model():
+    """Its (1+eps)^2 factor holds only for set columns, so the subclass is refused."""
+    inst = sqrt_instance({1: 1.0, 2: 2.0}, continuous=True)
+    with pytest.raises(ValueError, match="^knapsack oracle needs the symmetric weighted model$"):
+        oracle_knapsack(inst, 0, prices_for(inst, 0, {1: 1.0, 2: 1.0}))
+
+
 def test_knapsack_ratio_vs_bruteforce():
     rng = np.random.default_rng(33)
     eps = 0.1

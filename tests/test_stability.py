@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from datex import (
     ExchangeSolution,
@@ -18,6 +21,7 @@ from datex import (
     utility,
 )
 from datex.instances import gen_core_gap, gen_random
+from datex.stability import _shortest_lex_cycle
 
 from conftest import table_instance
 
@@ -90,6 +94,22 @@ def test_cycle_canceling_processes_disjoint_cycles_by_value():
     inst = table_instance(4, {(0, 1): 0.9, (1, 0): 0.9, (2, 3): 0.4, (3, 2): 0.4})
     _, cycles = greedy_cycle_canceling(inst)
     assert cycles == [[0, 1], [2, 3]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_shortest_lex_cycle_is_the_smallest_simple_cycle(data):
+    """The girth cycle, rotated to start at its smallest node; among cycles of
+    that length, the lexicographically smallest sequence."""
+    n = data.draw(st.integers(2, 9), label="n")
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges = set(data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges"))
+    graph = nx.DiGraph(edges)
+    assume(not nx.is_directed_acyclic_graph(graph))
+    girth = next(k for k in range(2, n + 1) if any(nx.simple_cycles(graph, length_bound=k)))
+    rotated = [c[c.index(min(c)):] + c[:c.index(min(c))]
+               for c in nx.simple_cycles(graph, length_bound=girth)]
+    assert _shortest_lex_cycle(set(range(n)), edges) == min(rotated, key=lambda c: (len(c), c))
 
 
 def exhaustive_bottleneck(inst):
