@@ -47,15 +47,12 @@ def matching_benchmark(instance: Instance) -> tuple[ExchangeSolution, float]:
     2-agent eps-balance optima, then assemble the matched trades."""
     eps = instance.epsilon
     n = instance.n
-    table = instance.singleton_utility.tolist()
-    u = {(i, j): table[i][j] for (i, j) in instance.allowed}
+    u = instance.singleton_utility.tolist()  # 0 off the allowed pairs
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     for i in range(n):
         for j in range(i + 1, n):
-            u_ij = u.get((i, j), 0.0)
-            u_ji = u.get((j, i), 0.0)
-            w, _, _ = pair_trade(u_ij, u_ji, eps)
+            w, _, _ = pair_trade(u[i][j], u[j][i], eps)
             if w > 0.0:
                 graph.add_edge(i, j, weight=w)
     matching = nx.max_weight_matching(graph)
@@ -63,7 +60,7 @@ def matching_benchmark(instance: Instance) -> tuple[ExchangeSolution, float]:
     total = 0.0
     for a, b in matching:
         i, j = min(a, b), max(a, b)
-        w, x_i, x_j = pair_trade(u.get((i, j), 0.0), u.get((j, i), 0.0), eps)
+        w, x_i, x_j = pair_trade(u[i][j], u[j][i], eps)
         total += w
         if x_i > 0.0:
             cols[i] = {frozenset({j}): x_i}

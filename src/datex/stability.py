@@ -17,20 +17,11 @@ from .model import (
 )
 
 
-def pairwise_utilities(instance: Instance) -> dict[tuple[int, int], float]:
-    """u_ij = u_i({j}) for every permitted ordered pair."""
-    table = instance.singleton_utility.tolist()
-    return {(i, j): table[i][j] for i, j in sorted(instance.allowed)}
-
-
 def symmetric_pair_weights(instance: Instance) -> dict[tuple[int, int], float]:
     """u-hat over unordered pairs with both directions permitted: min of the two."""
-    u = pairwise_utilities(instance)
-    out = {}
-    for i, j in u:
-        if i < j and (j, i) in u:
-            out[(i, j)] = min(u[(i, j)], u[(j, i)])
-    return out
+    u = instance.singleton_utility.tolist()
+    return {(i, j): min(u[i][j], u[j][i])
+            for i, j in sorted(instance.allowed) if i < j and (j, i) in instance.allowed}
 
 
 def greedy_matching(instance: Instance) -> ExchangeSolution:
@@ -38,7 +29,7 @@ def greedy_matching(instance: Instance) -> ExchangeSolution:
 
     x_i({j}) = min(1, u_ji / u_ij), so both partners receive exactly u-hat.
     """
-    u = pairwise_utilities(instance)
+    u = instance.singleton_utility.tolist()
     u_hat = symmetric_pair_weights(instance)
     order = sorted(u_hat, key=lambda p: (-u_hat[p], p))
     matched: set[int] = set()
@@ -47,8 +38,8 @@ def greedy_matching(instance: Instance) -> ExchangeSolution:
         if u_hat[(i, j)] <= 0.0 or i in matched or j in matched:
             continue
         matched.update((i, j))
-        cols[i] = {frozenset({j}): min(1.0, u[(j, i)] / u[(i, j)])}
-        cols[j] = {frozenset({i}): min(1.0, u[(i, j)] / u[(j, i)])}
+        cols[i] = {frozenset({j}): min(1.0, u[j][i] / u[i][j])}
+        cols[j] = {frozenset({i}): min(1.0, u[i][j] / u[j][i])}
     return ExchangeSolution(n=instance.n, columns=cols)
 
 
@@ -67,34 +58,6 @@ def check_2_stability(instance: Instance, solution: ExchangeSolution,
 # ---------------------------------------------------------------------------
 # Greedy cycle canceling
 # ---------------------------------------------------------------------------
-
-
-def _directed_trade_edges(instance: Instance, active: set[int]) -> dict[tuple[int, int], float]:
-    """Edges sender->receiver with weight u_receiver({sender}); zero-utility dropped."""
-    table = instance.singleton_utility.tolist()
-    out = {}
-    for (i, j) in instance.allowed:  # i receives from j
-        if i in active and j in active and table[i][j] > 0.0:
-            out[(j, i)] = table[i][j]
-    return out
-
-
-def _has_cycle(nodes: set[int], edges: set[tuple[int, int]]) -> bool:
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    indeg = {v: 0 for v in nodes}
-    for a, b in edges:
-        adj[a].append(b)
-        indeg[b] += 1
-    queue = deque(v for v in nodes if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen < len(nodes)
 
 
 def _shortest_lex_cycle(nodes: set[int], edges: set[tuple[int, int]]) -> list[int]:
@@ -146,39 +109,31 @@ def greedy_cycle_canceling(instance: Instance) -> tuple[ExchangeSolution, list[l
     Cycle value u_C is the minimum single-hop utility along the cycle; the hop
     weights x make every member receive exactly u_C, so balance is exact.
     """
-    active = set(range(instance.n))
+    u = instance.singleton_utility.tolist()  # hop sender j -> receiver i weighs u[i][j]
+    active = list(range(instance.n))
     cols: dict[int, dict] = {}
     cycles: list[list[int]] = []
-    while True:
-        edge_w = _directed_trade_edges(instance, active)
-        if not edge_w:
+    while active:
+        weight = instance.singleton_utility.T[np.ix_(active, active)]
+        # max-min (widest-path) closure: closure[a, b] is the largest bottleneck
+        # of a walk a -> b, so its diagonal holds each agent's best cycle value
+        # (Pollack 1960).  Only max and min run, so tau is one of the weights.
+        closure = weight.copy()
+        for k in range(len(active)):
+            np.maximum(closure, np.minimum(closure[:, k, None], closure[k]), out=closure)
+        tau = closure.diagonal().max()
+        if tau <= 0.0:
             break
-        weights = sorted(set(edge_w.values()))
-        # binary search the largest threshold keeping some directed cycle
-        lo, hi = 0, len(weights) - 1
-        if not _has_cycle(active, set(edge_w)):
-            break
-        best_tau = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            kept = {e for e, w in edge_w.items() if w >= weights[mid]}
-            if _has_cycle(active, kept):
-                best_tau = weights[mid]
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        assert best_tau is not None
-        kept = {e for e, w in edge_w.items() if w >= best_tau}
-        cycle = _shortest_lex_cycle(active, kept)
-        u_c = min(edge_w[(cycle[t], cycle[(t + 1) % len(cycle)])] for t in range(len(cycle)))
-        for t in range(len(cycle)):
-            sender = cycle[t]
-            receiver = cycle[(t + 1) % len(cycle)]
-            cols[receiver] = {frozenset({sender}): u_c / edge_w[(sender, receiver)]}
+        kept = {(active[a], active[b]) for a, b in zip(*np.nonzero(weight >= tau))}
+        cycle = _shortest_lex_cycle(set(active), kept)
+        hops = [(cycle[t], cycle[(t + 1) % len(cycle)]) for t in range(len(cycle))]
+        u_c = min(u[receiver][sender] for sender, receiver in hops)
+        for sender, receiver in hops:
+            cols[receiver] = {frozenset({sender}): u_c / u[receiver][sender]}
         # canonical rotation: start at the smallest member
         k = cycle.index(min(cycle))
         cycles.append(cycle[k:] + cycle[:k])
-        active -= set(cycle)
+        active = [v for v in active if v not in cycle]
     return ExchangeSolution(n=instance.n, columns=cols), cycles
 
 
@@ -253,22 +208,13 @@ def _scaled_table(model: ExplicitTable, agent: int, factor: float) -> ExplicitTa
 
 def _hidden_table(model: ExplicitTable, agent: int, hide_from: tuple[int, ...],
                   ) -> ExplicitTable:
-    values = []
-    for i, vals in enumerate(model.values):
-        if i not in hide_from:
-            values.append(vals.copy())
-            continue
-        senders = model.senders[i]
-        if agent not in senders:
-            values.append(vals.copy())
-            continue
-        bit = 1 << senders.index(agent)
-        new_vals = vals.copy()
-        for mask in range(len(vals)):
-            if mask & bit:
-                new_vals[mask] = vals[mask ^ bit]  # i's utility ignores agent's data
-        values.append(new_vals)
-    return ExplicitTable(model.senders, values)
+    values = [vals.copy() for vals in model.values]
+    for i in hide_from:
+        if agent in model.senders[i]:
+            # pairs[:, 1] are the masks with agent's bit set, pairs[:, 0] the same without it
+            pairs = values[i].reshape(-1, 2, 1 << model.senders[i].index(agent))
+            pairs[:, 1] = pairs[:, 0]  # i's utility ignores agent's data
+    return ExplicitTable(model.senders, tuple(values))
 
 
 def apply_misreport(instance: Instance, mis: Misreport) -> Instance:

@@ -20,7 +20,7 @@ from datex import (
     strategyproofness_fuzz,
     utility,
 )
-from datex.instances import gen_core_gap, gen_random
+from datex.instances import CORRELATIONS, RoadSpec, gen_core_gap, gen_random, gen_road, grid_graph
 from datex.stability import _shortest_lex_cycle
 
 from conftest import table_instance
@@ -51,6 +51,12 @@ def test_matching_greedy_order_on_path():
     inst = table_instance(3, {(0, 1): 0.9, (1, 0): 0.9, (1, 2): 0.8, (2, 1): 0.8})
     sol = greedy_matching(inst)
     assert sorted(sol.columns) == [0, 1]  # c stays unmatched
+    # equal u-hat on both pairs: the smaller pair (1, 2) wins over (2, 3)
+    inst = table_instance(4, {(1, 2): 0.8, (2, 1): 0.5, (2, 3): 0.5, (3, 2): 0.7})
+    sol = greedy_matching(inst)
+    assert sorted(sol.columns) == [1, 2]
+    assert sol.columns[1] == {frozenset({2}): 0.5 / 0.8}
+    assert sol.columns[2] == {frozenset({1}): 1.0}
 
 
 def test_greedy_matching_always_2_stable():
@@ -112,15 +118,16 @@ def test_shortest_lex_cycle_is_the_smallest_simple_cycle(data):
     assert _shortest_lex_cycle(set(range(n)), edges) == min(rotated, key=lambda c: (len(c), c))
 
 
-def exhaustive_bottleneck(inst):
+def exhaustive_bottleneck(inst, active):
+    """Largest bottleneck u_C over every simple cycle on the agents in `active`."""
     edges = {}
     for (i, j) in inst.allowed:
         w = utility(inst, i, frozenset({j}))
         if w > 0:
             edges[(j, i)] = w
     best = 0.0
-    for r in range(2, inst.n + 1):
-        for combo in itertools.permutations(range(inst.n), r):
+    for r in range(2, len(active) + 1):
+        for combo in itertools.permutations(sorted(active), r):
             if combo[0] != min(combo):
                 continue
             ws = []
@@ -135,6 +142,7 @@ def exhaustive_bottleneck(inst):
 
 
 def test_first_cycle_is_bottleneck_optimal():
+    """Every canceled cycle, not only the first, is the best on the agents left."""
     rng = np.random.default_rng(17)
     for trial in range(25):
         n = int(rng.integers(3, 8))
@@ -146,19 +154,77 @@ def test_first_cycle_is_bottleneck_optimal():
         if not u_map:
             continue
         inst = table_instance(n, u_map)
-        best = exhaustive_bottleneck(inst)
         sol, cycles = greedy_cycle_canceling(inst)
-        if not cycles:
-            assert best == 0.0
-            continue
-        first = cycles[0]
-        got = min(
-            utility(inst, first[(t + 1) % len(first)], frozenset({first[t]}))
-            for t in range(len(first))
-        )
-        assert got == pytest.approx(best, abs=1e-12)
+        active = set(range(n))
+        for cycle in cycles:
+            got = min(
+                utility(inst, cycle[(t + 1) % len(cycle)], frozenset({cycle[t]}))
+                for t in range(len(cycle))
+            )
+            assert got == exhaustive_bottleneck(inst, active)
+            active -= set(cycle)
+        assert exhaustive_bottleneck(inst, active) == 0.0  # no cycle left
         rep = evaluate(inst, sol)
         assert np.max(np.abs(rep.balance_residual)) <= 1e-9  # exact balance
+
+
+def bisection_cycle_canceling(inst):
+    """Reference: each round's threshold by bisection over the sorted edge
+    weights, testing each candidate for a directed cycle."""
+    u = inst.singleton_utility.tolist()
+    active = set(range(inst.n))
+    cols, cycles = {}, []
+    while True:
+        edge_w = {(j, i): u[i][j] for i, j in inst.allowed
+                  if i in active and j in active and u[i][j] > 0.0}
+        if not edge_w or nx.is_directed_acyclic_graph(nx.DiGraph(list(edge_w))):
+            break
+        weights = sorted(set(edge_w.values()))
+        lo, hi = 0, len(weights) - 1
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            if nx.is_directed_acyclic_graph(
+                    nx.DiGraph([e for e, w in edge_w.items() if w >= weights[mid]])):
+                hi = mid - 1
+            else:
+                tau, lo = weights[mid], mid + 1
+        cycle = _shortest_lex_cycle(active, {e for e, w in edge_w.items() if w >= tau})
+        hops = [(cycle[t], cycle[(t + 1) % len(cycle)]) for t in range(len(cycle))]
+        u_c = min(edge_w[h] for h in hops)
+        for sender, receiver in hops:
+            cols[receiver] = {frozenset({sender}): u_c / edge_w[(sender, receiver)]}
+        k = cycle.index(min(cycle))
+        cycles.append(cycle[k:] + cycle[:k])
+        active -= set(cycle)
+    return cols, cycles
+
+
+def assert_matches_bisection(inst):
+    sol, cycles = greedy_cycle_canceling(inst)
+    ref_cols, ref_cycles = bisection_cycle_canceling(inst)
+    assert cycles == ref_cycles
+    assert list(sol.columns.items()) == list(ref_cols.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cycle_canceling_matches_the_threshold_bisection(data):
+    """Ties and pairs permitted both ways at zero utility included."""
+    n = data.draw(st.integers(2, 9), label="n")
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    u_map = data.draw(st.dictionaries(st.sampled_from(pairs),
+                                      st.sampled_from([0.0, 0.25, 0.5, 1.0])), label="u")
+    assert_matches_bisection(table_instance(n, u_map))
+
+
+@pytest.mark.parametrize("correlation", CORRELATIONS)
+def test_cycle_canceling_matches_the_threshold_bisection_on_road(correlation):
+    edges = grid_graph(12, 12, seed=0)
+    rho = 0.0 if correlation == "none" else 0.5
+    for seed in range(2):
+        inst = gen_road(RoadSpec(edges=edges, radius=8, n_agents=20,
+                                 correlation=correlation, rho=rho, seed=seed))
+        assert_matches_bisection(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +283,21 @@ def test_hide_all_data_zeroes_contributions():
 
 
 def test_hide_misreport_on_tables_matches_subset_drop():
-    inst = gen_random(4, 3, "table", seed=3)
-    agent = 0
-    receivers = inst.receivers_of[agent]
-    if not receivers:
-        pytest.skip("no receivers in this draw")
-    reported = apply_misreport(inst, Misreport(agent=agent, kind="hide", hide_from=(receivers[0],)))
-    j = receivers[0]
-    for size in range(1, len(inst.senders_of[j]) + 1):
-        for S in itertools.combinations(inst.senders_of[j], size):
-            S = frozenset(S)
-            assert utility(reported, j, S) == pytest.approx(
-                utility(inst, j, S - {agent}), abs=1e-12
-            )
+    for n, senders, seed in ((4, 3, 3), (6, 5, 1), (9, 8, 2)):  # up to 8 senders
+        inst = gen_random(n, senders, "table", seed=seed)
+        source = [vals.copy() for vals in inst.utility.values]
+        for agent in range(n):
+            receivers = inst.receivers_of[agent]
+            hide = receivers[::2]  # several receivers where the agent has three or more
+            reported = apply_misreport(inst, Misreport(agent=agent, kind="hide", hide_from=hide))
+            for j in range(n):
+                for size in range(1, len(inst.senders_of[j]) + 1):
+                    for S in itertools.combinations(inst.senders_of[j], size):
+                        S = frozenset(S)
+                        kept = S - {agent} if j in hide else S
+                        assert utility(reported, j, S) == utility(inst, j, kept)
+            # the hide writes through reshaped views of copies, never of the source
+            assert all(np.array_equal(a, b) for a, b in zip(inst.utility.values, source))
 
 
 def test_misreport_condition_errors():
