@@ -334,9 +334,13 @@ def _knapsack_plan(f: ConcaveSpec, sizes: tuple[float, ...], eps: float) -> tupl
     # sizes live on a decimal fixed-point grid so capacity comparisons are
     # exact; the smallest size is at least one unit, so every guess is positive
     s_min, unit = min(sizes), SIZE_FIXED_POINT
-    while s_min * unit < 1.0:
-        unit *= 10
-    weights_int = [round(s * unit) for s in sizes]
+    try:
+        while s_min * unit < 1.0:
+            unit *= 10
+        weights_int = [round(s * unit) for s in sizes]
+    except OverflowError:  # the unit, or a size in units, passed the largest float
+        raise ValueError(f"knapsack oracle cannot put sizes {s_min!r} to {max(sizes)!r} "
+                         "on one fixed-point grid") from None
     total_int = sum(weights_int)
     grid_int = set(weights_int) | {total_int}
     phi = float(min(weights_int))

@@ -260,29 +260,21 @@ def shapley_sampled(instance: Instance, i: int, subset: frozenset[int],
     return dict(zip(members, (acc / m).tolist()))
 
 
-def _proportional_weight(instance: Instance, i: int, j: int,
-                         weights: str | tuple[tuple[int, int, float], ...] | None) -> float:
-    w = instance.sharing.weights if weights is None else weights
-    if w is None or w == "singleton":
-        return float(instance.singleton_utility[i, j])
-    if w == "size":
-        model = instance.utility
-        if not isinstance(model, SymmetricWeighted):
-            raise ValueError("weights rule 'size' needs a size-based utility model")
-        return model.sizes.get((i, j), 0.0)
-    for (wi, wj, wv) in w:
-        if wi == i and wj == j:
-            return wv
-    return 0.0
-
-
-def proportional(instance: Instance, i: int, subset: frozenset[int],
-                 weights: str | tuple[tuple[int, int, float], ...] | None = None) -> dict[int, float]:
-    """h_ij(S) = w_ij / sum_k w_ik * u_i(S)."""
+def proportional(instance: Instance, i: int, subset: frozenset[int]) -> dict[int, float]:
+    """h_ij(S) = w_ij / sum_k w_ik * u_i(S), with w from the instance's sharing rule."""
     if not subset:
         return {}
     u = utility(instance, i, subset)
-    w_of = {j: _proportional_weight(instance, i, j, weights) for j in subset}
+    w = instance.sharing.weights
+    if w in (None, "singleton"):
+        w_of = {j: float(instance.singleton_utility[i, j]) for j in subset}
+    elif w == "size":
+        model = instance.utility
+        if not isinstance(model, SymmetricWeighted):
+            raise ValueError("weights rule 'size' needs a size-based utility model")
+        w_of = {j: model.sizes.get((i, j), 0.0) for j in subset}
+    else:
+        w_of = {j: next((wv for wi, wj, wv in w if (wi, wj) == (i, j)), 0.0) for j in subset}
     total = sum(w_of.values())
     if total <= 0.0:
         if u > EQ_TOL:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,46 +59,25 @@ def check_2_stability(instance: Instance, solution: ExchangeSolution,
 # ---------------------------------------------------------------------------
 
 
-def _shortest_lex_cycle(nodes: set[int], edges: set[tuple[int, int]]) -> list[int]:
-    """Shortest directed cycle; ties broken by lexicographically smallest sequence."""
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    radj: dict[int, list[int]] = {v: [] for v in nodes}
-    for a, b in edges:
-        adj[a].append(b)
-        radj[b].append(a)
-    for v in nodes:
-        adj[v].sort()
-        radj[v].sort()
+def _shortest_lex_cycle(edge: np.ndarray) -> list[int]:
+    """Shortest directed cycle of the boolean matrix `edge` (edge[a, b]: hop a -> b).
 
-    def bfs(start: int, graph: dict[int, list[int]]) -> dict[int, int]:
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in graph[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
-
-    length = best_start = None
-    for s in sorted(nodes):
-        dist = bfs(s, adj)
-        back = [dist[a] + 1 for (a, b) in edges if b == s and a in dist]
-        if back and (length is None or min(back) < length):
-            length, best_start = min(back), s
-    assert length is not None and best_start is not None
-    dist_to_start = bfs(best_start, radj)  # distance v -> start along edges
-
-    # Walk from best_start, always to the smallest successor that can still
-    # close the cycle in exactly `length` steps.  This is exact: `length` is
-    # the girth, so a successor closer to best_start, or one already on the
-    # walk, would close a shorter cycle; the walk never dead-ends and yields
-    # the lexicographically smallest shortest cycle through best_start.
-    cycle = [best_start]
-    while len(cycle) < length:
-        remaining = length - len(cycle)
-        cycle.append(next(w for w in adj[cycle[-1]] if dist_to_start.get(w) == remaining))
+    From boolean walk powers walks[r] = edge^r: the girth L is the first r >= 1
+    with a true diagonal entry (Itai & Rodeh 1978), and the cycle starts at the
+    first such index, its smallest node.  Among cycles of length L through it,
+    the lexicographically smallest sequence is returned.
+    """
+    walks = [np.eye(len(edge), dtype=bool), edge]
+    while not walks[-1].diagonal().any():
+        assert walks[-1].any(), "no directed cycle"
+        walks.append(walks[-1] @ edge)
+    start = int(np.argmax(walks[-1].diagonal()))
+    # Walk from start, always to the smallest successor that can still close
+    # the cycle in exactly the remaining steps.  This is exact: at the girth a
+    # closed walk is a simple cycle, and the walk never dead-ends.
+    cycle = [start]
+    for remaining in range(len(walks) - 2, 0, -1):
+        cycle.append(int(np.argmax(edge[cycle[-1]] & walks[remaining][:, start])))
     return cycle
 
 
@@ -124,15 +102,12 @@ def greedy_cycle_canceling(instance: Instance) -> tuple[ExchangeSolution, list[l
         tau = closure.diagonal().max()
         if tau <= 0.0:
             break
-        kept = {(active[a], active[b]) for a, b in zip(*np.nonzero(weight >= tau))}
-        cycle = _shortest_lex_cycle(set(active), kept)
+        cycle = [active[v] for v in _shortest_lex_cycle(weight >= tau)]
         hops = [(cycle[t], cycle[(t + 1) % len(cycle)]) for t in range(len(cycle))]
         u_c = min(u[receiver][sender] for sender, receiver in hops)
         for sender, receiver in hops:
             cols[receiver] = {frozenset({sender}): u_c / u[receiver][sender]}
-        # canonical rotation: start at the smallest member
-        k = cycle.index(min(cycle))
-        cycles.append(cycle[k:] + cycle[:k])
+        cycles.append(cycle)
         active = [v for v in active if v not in cycle]
     return ExchangeSolution(n=instance.n, columns=cols), cycles
 
@@ -228,11 +203,9 @@ def apply_misreport(instance: Instance, mis: Misreport) -> Instance:
         if isinstance(model, ExplicitTable):
             new_model = _scaled_table(model, mis.agent, mis.factor)
         elif isinstance(model, SymmetricWeighted):
-            f = tuple(
-                fi.rescaled(1.0 / mis.factor) if i == mis.agent else fi
-                for i, fi in enumerate(model.f)
-            )
-            new_model = replace(model, f=f)
+            fi = model.f[mis.agent]
+            fi = replace(fi, scale=0.0) if mis.factor == 0.0 else fi.rescaled(1.0 / mis.factor)
+            new_model = replace(model, f=model.f[:mis.agent] + (fi,) + model.f[mis.agent + 1:])
         else:
             raise ValueError(f"misreports are not modeled for {model.kind}")
     else:

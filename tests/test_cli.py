@@ -674,6 +674,14 @@ def test_knapsack_oracle_on_subnormal_profits_matches_bruteforce(tmp_path, capsy
     # a utility divisor of 0, found by the mutation property below; it exited 3
     (["stability", "{x3c_scale}", "--out", "{tmp}/s.json"],
      "x3c_coverage scale must be finite and positive; got 0.0"),
+    # a subnormal size, or sizes 1e320 apart: the fixed-point unit passed the
+    # largest float, and both exited 3 with an OverflowError
+    *[([command, "{%s}" % name, *tail], "knapsack oracle cannot put sizes")
+      for name in ("subnormal_size", "wide_sizes")
+      for command, tail in (("oracle", ["--agent", "0", "--q", '{{"1": 0.5, "2": 0.5, "3": 0.5}}',
+                                        "--oracle", "knapsack"]),
+                            ("solve", ["--oracle", "knapsack", "--max-iters", "50",
+                                       "--out", "{tmp}/s.json", "--report", "{tmp}/r.json"]))],
 ])
 def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     from datex import ExchangeSolution
@@ -728,6 +736,12 @@ def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     inst_obj["utility"]["sizes"].append(first[:2] + [2.0 * first[2]])
     names["dup_size"].write_text(json.dumps(inst_obj))
     rand_obj = json.loads(rand.read_text())
+    for name, sizes in {"subnormal_size": {0: 1e-320}, "wide_sizes": {0: 1e-300, 1: 1e20}}.items():
+        names[name] = tmp_path / f"{name}.json"
+        obj = json.loads(rand.read_text())
+        for k, size in sizes.items():
+            obj["utility"]["sizes"][k][2] = size
+        names[name].write_text(json.dumps(obj))
     every_pair = [[a, b, 1.0] for a in range(4) for b in range(4) if a != b]
     for name, weights in {"dup_weight": every_pair + [[0, 1, 9.0]],
                           "nan_share": [[0, 1, math.nan]] + every_pair[1:],

@@ -170,9 +170,10 @@ def test_sampled_keyed_by_subset_not_call_order():
 
 
 def test_proportional_unique_data_example():
-    inst = unique_data_instance(5)
+    inst = replace(unique_data_instance(5),
+                   sharing=SharingRuleSpec(kind="proportional", weights="singleton"))
     S = frozenset(range(1, 5))
-    pr = proportional(inst, 0, S, weights="singleton")
+    pr = proportional(inst, 0, S)
     for j in S:
         assert pr[j] == pytest.approx(0.25, abs=1e-12)  # 1/(|S|+1), |S|=3
 
@@ -192,10 +193,13 @@ def test_proportional_symmetric_weighted_closed_form():
 
 
 def test_proportional_single_sender_and_zero_weight_error(two_agent_unit):
-    pr = proportional(two_agent_unit, 0, frozenset({1}), weights="singleton")
+    def rule(weights):
+        return replace(two_agent_unit, sharing=SharingRuleSpec(kind="proportional", weights=weights))
+
+    pr = proportional(rule("singleton"), 0, frozenset({1}))
     assert pr[1] == pytest.approx(1.0)
     with pytest.raises(ValueError, match="undefined proportional"):
-        proportional(two_agent_unit, 0, frozenset({1}), weights=((0, 1, 0.0),))
+        proportional(rule(((0, 1, 0.0),)), 0, frozenset({1}))
 
 
 # ---------------------------------------------------------------------------

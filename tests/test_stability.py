@@ -102,20 +102,27 @@ def test_cycle_canceling_processes_disjoint_cycles_by_value():
     assert cycles == [[0, 1], [2, 3]]
 
 
+def smallest_girth_cycle(graph):
+    """Reference pick: among the shortest simple cycles, each rotated to start
+    at its smallest node, the lexicographically smallest sequence."""
+    girth = next(k for k in range(1, len(graph) + 1)
+                 if any(nx.simple_cycles(graph, length_bound=k)))
+    rotated = [c[c.index(min(c)):] + c[:c.index(min(c))]
+               for c in nx.simple_cycles(graph, length_bound=girth)]
+    return min(rotated)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_shortest_lex_cycle_is_the_smallest_simple_cycle(data):
-    """The girth cycle, rotated to start at its smallest node; among cycles of
-    that length, the lexicographically smallest sequence."""
-    n = data.draw(st.integers(2, 9), label="n")
+    n = data.draw(st.integers(2, 12), label="n")
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    edges = set(data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges"))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")
     graph = nx.DiGraph(edges)
     assume(not nx.is_directed_acyclic_graph(graph))
-    girth = next(k for k in range(2, n + 1) if any(nx.simple_cycles(graph, length_bound=k)))
-    rotated = [c[c.index(min(c)):] + c[:c.index(min(c))]
-               for c in nx.simple_cycles(graph, length_bound=girth)]
-    assert _shortest_lex_cycle(set(range(n)), edges) == min(rotated, key=lambda c: (len(c), c))
+    edge = np.zeros((n, n), dtype=bool)
+    edge[tuple(zip(*edges))] = True
+    assert _shortest_lex_cycle(edge) == smallest_girth_cycle(graph)
 
 
 def exhaustive_bottleneck(inst, active):
@@ -188,13 +195,12 @@ def bisection_cycle_canceling(inst):
                 hi = mid - 1
             else:
                 tau, lo = weights[mid], mid + 1
-        cycle = _shortest_lex_cycle(active, {e for e, w in edge_w.items() if w >= tau})
+        cycle = smallest_girth_cycle(nx.DiGraph([e for e, w in edge_w.items() if w >= tau]))
         hops = [(cycle[t], cycle[(t + 1) % len(cycle)]) for t in range(len(cycle))]
         u_c = min(edge_w[h] for h in hops)
         for sender, receiver in hops:
             cols[receiver] = {frozenset({sender}): u_c / edge_w[(sender, receiver)]}
-        k = cycle.index(min(cycle))
-        cycles.append(cycle[k:] + cycle[:k])
+        cycles.append(cycle)
         active -= set(cycle)
     return cols, cycles
 
@@ -270,6 +276,16 @@ def test_scale_misreport_lowers_pointwise():
     for j in range(1, 4):
         other_full = inst.full_set(j)
         assert utility(reported, j, other_full) == pytest.approx(utility(inst, j, other_full))
+
+
+@pytest.mark.parametrize("model", ["symmetric", "table"])
+def test_scale_misreport_to_zero_reports_nothing(model):
+    inst = gen_random(5, 3, model, seed=5)
+    reported = apply_misreport(inst, Misreport(agent=1, kind="scale", factor=0.0))
+    for size in range(len(inst.senders_of[1]) + 1):
+        for S in itertools.combinations(inst.senders_of[1], size):
+            assert utility(reported, 1, frozenset(S)) == 0.0
+    assert utility(inst, 1, inst.full_set(1)) > 0.0
 
 
 def test_hide_all_data_zeroes_contributions():
