@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .instances import CORRELATIONS, RoadSpec, check_rho, gen_road
@@ -45,6 +44,8 @@ def pair_trade(u1: float, u2: float, eps: float) -> tuple[float, float, float]:
 def matching_benchmark(instance: Instance) -> tuple[ExchangeSolution, float]:
     """Pairwise-trade benchmark: exact maximum-weight matching over the
     2-agent eps-balance optima, then assemble the matched trades."""
+    import networkx as nx  # only this baseline needs it; every CLI command imports this module
+
     eps = instance.epsilon
     n = instance.n
     u = instance.singleton_utility.tolist()  # 0 off the allowed pairs

@@ -244,9 +244,11 @@ def _knapsack_dp(rp: tuple[int, ...], weights: tuple[int, ...]) -> tuple[tuple, 
     items that reach it.  Items are added in order, each extending the cells
     reached before it and replacing a cell only by a strictly lighter one.
     Returns the reachable cells sorted by (min_w[t], t): their weights, and
-    per cell (t, its item indices in ascending order).
+    per cell (t, its item indices in ascending order).  A cell's items are its
+    predecessor's plus idx, and every predecessor was reached by earlier
+    items only, so the tuples stay ascending.
     """
-    cells: dict[int, tuple[float, int]] = {0: (0.0, 0)}  # t -> (min_w[t], item bitmask)
+    cells: dict[int, tuple[float, tuple[int, ...]]] = {0: (0.0, ())}  # t -> (min_w[t], items)
     for idx, (w, r) in enumerate(zip(weights, rp)):
         if r == 0:
             continue  # reaches no new cell and, as w >= 1, lightens none
@@ -254,10 +256,9 @@ def _knapsack_dp(rp: tuple[int, ...], weights: tuple[int, ...]) -> tuple[tuple, 
             cand = w_t + w
             old = cells.get(t + r)
             if old is None or cand < old[0]:
-                cells[t + r] = (cand, pick | (1 << idx))
+                cells[t + r] = (cand, pick + (idx,))
     order = sorted((w_t, t) for t, (w_t, _) in cells.items())
-    return (tuple(w_t for w_t, _ in order),
-            tuple((t, tuple(b for b in range(len(rp)) if cells[t][1] >> b & 1)) for _, t in order))
+    return tuple(w_t for w_t, _ in order), tuple((t, cells[t][1]) for _, t in order)
 
 
 class _DpMemo:
@@ -328,8 +329,12 @@ def _knapsack_plan(f: ConcaveSpec, sizes: tuple[float, ...], eps: float) -> tupl
     """The part of a knapsack oracle call that does not depend on prices.
 
     Returns the number of capacity guesses and, per distinct set of fitting
-    items in ascending capacity order, (item indices, their integer weights,
-    its guesses as (cap_int, phi, f(phi))).
+    items in ascending capacity order (a group), (item indices, their integer
+    weights, its guesses as (cap_int, phi, f(phi))).  With the fit's total
+    profit, a group's guesses bound its scores before its table is built:
+    oracle_knapsack visits the groups in descending bound, equal bounds in
+    this order, and stops below its best score; an equal score keeps the
+    earlier group's candidate.
     """
     # sizes live on a decimal fixed-point grid so capacity comparisons are
     # exact; the smallest size is at least one unit, so every guess is positive
@@ -373,6 +378,18 @@ def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1)
     sets per (scaled profits, weights), in a memo of at most
     KNAPSACK_MEMO_CELLS cells that is cleared when a new table would overflow
     it.  Results are bit-identical to building both afresh on every call.
+
+    Groups are solved in descending order of a score bound, and the scan stops
+    at the first bound below the best score so far.  A group's bound is the
+    largest (P * f(phi)) / phi over its guesses, P the sum of the fit's
+    profits added in ascending item order.  Profits are non-negative and float
+    rounding is monotone, so the sum a table re-adds for any chosen items, in
+    the same order, is at most P, and a guess's score v * f(phi) / phi, in
+    the same operation order, is at most that guess's term.  No step is
+    widened, so this holds for subnormal and infinite values too.  Equal
+    bounds keep the ascending group order, and an equal score replaces the
+    best only from an earlier group, so the result is the first strict
+    maximum of the ascending (group, guess) scan over every group.
     """
     model = instance.utility
     if model.kind != "symmetric_weighted":  # not continuous: (1+eps)^2 holds for set columns
@@ -392,16 +409,26 @@ def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1)
                          f"got {total_profit!r}")
 
     guesses, groups = _knapsack_plan(model.f[i], tuple(s for _, _, s in items), eps)
-    best, best_score = None, 0.0
-    for fit, fit_w, fit_guesses in groups:
+    bounds = []
+    for fit, _, fit_guesses in groups:
+        p_fit = 0
+        for idx in fit:  # the order in which _knapsack_table adds a cell's profits
+            p_fit += profits[idx]
+        bounds.append(max([p_fit * f_phi / phi for _, phi, f_phi in fit_guesses]))
+    best, best_score, best_g = None, 0.0, -1  # g < -1 never holds, so a score of 0 never wins
+    # descending bounds; the sort is stable, so equal bounds keep the group order
+    for g in sorted(range(len(groups)), key=bounds.__getitem__, reverse=True):
+        if bounds[g] < best_score:
+            break  # this group and every later one scores less than best_score
+        fit, fit_w, fit_guesses = groups[g]
         caps, answers = _knapsack_table([profits[idx] for idx in fit], fit_w, eps)
         for cap_int, phi, f_phi in fit_guesses:
             v_phi, chosen = answers[bisect_right(caps, cap_int) - 1]
             if not chosen:
                 continue
             score = v_phi * f_phi / phi
-            if score > best_score:
-                best, best_score = (fit, chosen), score
+            if score > best_score or (score == best_score and g < best_g):
+                best, best_score, best_g = (fit, chosen), score, g
 
     if best is None:
         return OracleResult(chosen=_EMPTY, value=0.0, guesses=guesses)

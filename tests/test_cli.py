@@ -7,7 +7,10 @@ import itertools
 import json
 import math
 import operator
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
@@ -28,6 +31,14 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_the_cli_does_not_import_networkx():
+    """networkx serves only experiment.matching_benchmark, which imports it
+    itself, so no CLI command pays for importing it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    subprocess.run([sys.executable, "-c", "import sys, datex.cli; assert 'networkx' not in sys.modules"],
+                   check=True, env=os.environ | {"PYTHONPATH": src})
 
 
 def test_gen_and_solve_roundtrip(tmp_path, capsys):

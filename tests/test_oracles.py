@@ -6,6 +6,8 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datex import (
     ConcaveSpec,
@@ -22,7 +24,8 @@ from datex import (
     oracle_knapsack,
 )
 from datex import oracles
-from datex.oracles import _knapsack_table, bucketing_alpha, oracle_value
+from datex.mwu import MwuConfig, practical_eta, solve_welfare
+from datex.oracles import OracleResult, _knapsack_table, bucketing_alpha, get_oracle, oracle_value
 from datex.instances import RoadSpec, gen_random, gen_road, grid_graph
 from datex.model import normalize_instance, utility
 from datex.sharing import shares
@@ -821,6 +824,166 @@ def test_knapsack_size_below_fixed_point_unit_terminates():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _full_scan_knapsack(instance, i, q, eps=0.1):
+    """The knapsack oracle without its group bound: every group's table is built
+    and every guess scored in ascending (group, guess) order; the first strict
+    maximum wins."""
+    model = instance.utility
+    items = [(j, float(q[j]), model.sizes.get((i, j), 0.0)) for j in instance.senders_of[i]]
+    items = [(j, qj, s) for j, qj, s in items if qj > 0.0 and s > 0.0]
+    if not items:
+        return OracleResult(chosen=frozenset(), value=0.0, guesses=0)
+    profits = [qj * s for _, qj, s in items]
+    guesses, groups = oracles._knapsack_plan(model.f[i], tuple(s for _, _, s in items), eps)
+    best, best_score = None, 0.0
+    for fit, fit_w, fit_guesses in groups:
+        caps, answers = _knapsack_table([profits[idx] for idx in fit], fit_w, eps)
+        for cap_int, phi, f_phi in fit_guesses:
+            v_phi, chosen = answers[bisect_right(caps, cap_int) - 1]
+            if not chosen:
+                continue
+            score = v_phi * f_phi / phi
+            if score > best_score:
+                best, best_score = (fit, chosen), score
+    if best is None:
+        return OracleResult(chosen=frozenset(), value=0.0, guesses=guesses)
+    fit, chosen = best
+    best_set = frozenset(items[fit[b]][0] for b in chosen)
+    return OracleResult(chosen=best_set, value=oracle_value(instance, i, q, best_set),
+                        guesses=guesses)
+
+
+_KNAPSACK_F = st.sampled_from([
+    ConcaveSpec(kind="capped_linear", cap=0.5), ConcaveSpec(kind="capped_linear", cap=2.0),
+    ConcaveSpec(kind="capped_linear", cap=100.0), ConcaveSpec(kind="power", c=1.0),
+    ConcaveSpec(kind="power", c=0.4), ConcaveSpec(kind="sqrt"),
+])
+_KNAPSACK_SIZE = st.one_of(st.sampled_from([0.125, 0.25, 0.5, 0.75, 1.0]),
+                           st.floats(0.05, 2.0))
+_KNAPSACK_PRICE = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 2.0, 0.0, -1.0]),
+    st.floats(-2.0, 2.0),
+    st.floats(0.5, 4.0).map(lambda x: x * 1e-310),  # subnormal profits
+    st.floats(0.5, 2.0).map(lambda x: x * 1e300),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8), f=_KNAPSACK_F,
+       eps=st.sampled_from([0.05, 0.1, 0.3, 0.5]))
+def test_knapsack_group_bound_keeps_the_full_scan_result(data, n, f, eps):
+    """Visiting groups by descending score bound and stopping below the best
+    score returns the full scan's (chosen, value, guesses) exactly: dyadic
+    sizes and prices tie scores across groups, capped_linear and power c = 1
+    tie the f(phi)/phi ratios, and subnormal, huge, zero and negative prices
+    mix in one row."""
+    sizes = {(0, j): data.draw(_KNAPSACK_SIZE) for j in range(1, n)}
+    inst = Instance(n=n, allowed=frozenset(sizes), utility=SymmetricWeighted(sizes=sizes, f=(f,) * n),
+                    sharing=SharingRuleSpec(kind="proportional", weights="size"))
+    q = prices_for(inst, 0, {j: data.draw(_KNAPSACK_PRICE) for j in range(1, n)})
+    res = oracle_knapsack(inst, 0, q, eps=eps)
+    want = _full_scan_knapsack(inst, 0, q, eps)
+    assert (res.chosen, res.value, res.guesses) == (want.chosen, want.value, want.guesses)
+
+
+def test_knapsack_group_bound_breaks_a_tie_by_the_earlier_group():
+    """f = min(x, 0.5), sizes 0.5 and 1, profits 1 and 2: the group {1} scores
+    1 * 0.5 / 0.5 = 1 at its bound, and the group {1, 2}, visited first for its
+    bound 3 * 0.5 / 1 = 1.5, ties it with {2} at phi = 1.  The earlier group
+    wins the tie, as in the ascending scan, though it is visited second."""
+    sizes = {(0, 1): 0.5, (0, 2): 1.0}
+    inst = Instance(n=3, allowed=frozenset(sizes),
+                    utility=SymmetricWeighted(sizes=sizes, f=(ConcaveSpec(kind="capped_linear", cap=0.5),) * 3),
+                    sharing=SharingRuleSpec(kind="proportional", weights="size"))
+    q = prices_for(inst, 0, {1: 2.0, 2: 2.0})
+    res = oracle_knapsack(inst, 0, q)
+    assert res == _full_scan_knapsack(inst, 0, q)
+    assert res.chosen == frozenset({1}) and res.value == 1.0
+
+
+def test_knapsack_group_bound_visits_a_group_whose_score_overflows():
+    """f = x^0.9, sizes 1 and 1e9, profits 1e300 each: the group {1} scores at
+    most 1e300, and (1e300 + 1e300) * f(phi) overflows in every score of the
+    group {1, 2}, so its scores are inf though (P f(phi)) / phi is about
+    2.5e299 in exact arithmetic.  The bound is computed in the score's own
+    operation order, so it is inf too, and the group is not skipped."""
+    sizes = {(0, 1): 1.0, (0, 2): 1e9}
+    inst = Instance(n=3, allowed=frozenset(sizes),
+                    utility=SymmetricWeighted(sizes=sizes, f=(ConcaveSpec(kind="power", c=0.9),) * 3),
+                    sharing=SharingRuleSpec(kind="proportional", weights="size"))
+    q = prices_for(inst, 0, {1: 1e300, 2: 1e291})
+    res = oracle_knapsack(inst, 0, q)
+    assert res == _full_scan_knapsack(inst, 0, q)
+    assert res.chosen == frozenset({1, 2})
+
+
+def test_knapsack_group_bound_skips_tables(monkeypatch):
+    """On 200 random rows the bound skips more than half of the groups' tables,
+    and the results stay the full scan's."""
+    built = []
+
+    def counting(profits, weights_int, eps):
+        built.append(len(profits))
+        return _knapsack_table(profits, weights_int, eps)  # the full scan calls it unwrapped
+
+    monkeypatch.setattr(oracles, "_knapsack_table", counting)
+    rng = np.random.default_rng(50)
+    groups = 0
+    for trial in range(200):
+        n = int(rng.integers(3, 8))
+        inst = gen_random(n, n - 1, "symmetric", seed=5000 + trial)
+        q = prices_for(inst, 0, {j: float(rng.uniform(-0.2, 1.0)) for j in inst.senders_of[0]})
+        res = oracle_knapsack(inst, 0, q)
+        assert res == _full_scan_knapsack(inst, 0, q), trial
+        sizes = tuple(inst.utility.sizes[0, j] for j in inst.senders_of[0] if q[j] > 0.0)
+        groups += len(oracles._knapsack_plan(inst.utility.f[0], sizes, 0.1)[1]) if sizes else 0
+    assert 0 < 2 * len(built) < groups  # 272 of 654 tables
+
+
+def test_knapsack_solve_matches_the_full_scan(monkeypatch):
+    """solve_welfare with the knapsack oracle and with the full scan in its place
+    give the same welfare, columns and per-iteration oracle values."""
+    def solve(k):
+        n = 2 + k % 4
+        inst, _ = normalize_instance(gen_random(n, 3, "symmetric", seed=5100 + k))
+        config = MwuConfig(delta=1.0 / 3.0, max_iters=400, eta_override=practical_eta(n, 400))
+        solution, report = solve_welfare(inst, config, get_oracle("knapsack"))
+        return report.welfare, solution.columns, [row["oracle_value"] for row in report.trace]
+
+    runs = [solve(k) for k in range(8)]
+    monkeypatch.setattr(oracles, "oracle_knapsack", _full_scan_knapsack)
+    for k, run in enumerate(runs):
+        assert run == solve(k), k
+    assert all(run[2] for run in runs)
+
+
+def _bitmask_knapsack_dp(rp, weights):
+    """_knapsack_dp carrying each cell's items as a bitmask, decoded at the end."""
+    cells = {0: (0.0, 0)}
+    for idx, (w, r) in enumerate(zip(weights, rp)):
+        if r == 0:
+            continue
+        for t, (w_t, pick) in list(cells.items()):
+            cand = w_t + w
+            old = cells.get(t + r)
+            if old is None or cand < old[0]:
+                cells[t + r] = (cand, pick | (1 << idx))
+    order = sorted((w_t, t) for t, (w_t, _) in cells.items())
+    return (tuple(w_t for w_t, _ in order),
+            tuple((t, tuple(b for b in range(len(rp)) if cells[t][1] >> b & 1)) for _, t in order))
+
+
+def test_knapsack_dp_item_tuples_match_the_bitmask_dp():
+    """Item tuples carried through the DP equal the decoded bitmasks, on random
+    scaled profits (a third of them 0) and weights, some equal."""
+    rng = np.random.default_rng(51)
+    for trial in range(400):
+        m = int(rng.integers(1, 9))
+        rp = tuple(int(r) if rng.random() > 1 / 3 else 0 for r in rng.integers(1, 30, m))
+        weights = tuple(int(w) for w in rng.integers(1, 6 if trial % 2 else 1000, m))
+        assert oracles._knapsack_dp(rp, weights) == _bitmask_knapsack_dp(rp, weights), trial
 
 
 # ---------------------------------------------------------------------------
