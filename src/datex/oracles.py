@@ -29,7 +29,6 @@ from .sharing import shares
 logger = logging.getLogger(__name__)
 
 SIZE_FIXED_POINT = 10**6  # knapsack sizes in units of 1e-6, or finer for smaller sizes
-KNAPSACK_MEMO_CELLS = 1 << 13  # DP cells the knapsack memo keeps at most, over all its tables
 
 
 @dataclass
@@ -237,69 +236,18 @@ def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1
     return OracleResult(chosen=best_set, value=best_val, guesses=guesses)
 
 
-def _knapsack_dp(rp: tuple[int, ...], weights: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """The weight structure of the Ibarra-Kim profit-scaled knapsack DP.
-
-    Cell t holds the least weight min_w[t] reaching scaled profit t and the
-    items that reach it.  Items are added in order, each extending the cells
-    reached before it and replacing a cell only by a strictly lighter one.
-    Returns the reachable cells sorted by (min_w[t], t): their weights, and
-    per cell (t, its item indices in ascending order).  A cell's items are its
-    predecessor's plus idx, and every predecessor was reached by earlier
-    items only, so the tuples stay ascending.
-    """
-    cells: dict[int, tuple[float, tuple[int, ...]]] = {0: (0.0, ())}  # t -> (min_w[t], items)
-    for idx, (w, r) in enumerate(zip(weights, rp)):
-        if r == 0:
-            continue  # reaches no new cell and, as w >= 1, lightens none
-        for t, (w_t, pick) in list(cells.items()):
-            cand = w_t + w
-            old = cells.get(t + r)
-            if old is None or cand < old[0]:
-                cells[t + r] = (cand, pick + (idx,))
-    order = sorted((w_t, t) for t, (w_t, _) in cells.items())
-    return tuple(w_t for w_t, _ in order), tuple((t, cells[t][1]) for _, t in order)
-
-
-class _DpMemo:
-    """_knapsack_dp results by (rp, weights), at most KNAPSACK_MEMO_CELLS cells in all.
-
-    A table that would push the stored cells past the bound clears the memo
-    first; a table larger than the bound on its own is not stored.
-    """
-
-    def __init__(self) -> None:
-        self.tables: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
-        self.cells = 0
-
-    def get(self, rp: tuple[int, ...], weights: tuple[int, ...]) -> tuple:
-        table = self.tables.get((rp, weights))
-        if table is None:
-            table = _knapsack_dp(rp, weights)
-            size = len(table[0])
-            if self.cells + size > KNAPSACK_MEMO_CELLS:
-                self.tables.clear()
-                self.cells = 0
-            if size <= KNAPSACK_MEMO_CELLS:
-                self.tables[rp, weights] = table
-                self.cells += size
-        return table
-
-
-_dp_memo = _DpMemo()
-
-
 def _knapsack_table(profits: list[float], weights_int: tuple[int, ...],
-                    eps: float) -> tuple[tuple[float, ...], list[tuple[float, tuple[int, ...]]]]:
-    """The profit-scaled knapsack DP over one item set, answered per capacity.
+                    eps: float) -> tuple[list[float], list[tuple[float, tuple[int, ...]]]]:
+    """The Ibarra-Kim profit-scaled knapsack DP over one item set, answered per capacity.
 
-    A capacity admits the cells with min_w[t] <= cap; its answer is the first t
-    with the largest true profit among them.  Returns the admitted weights in
-    ascending order and, per prefix, that answer as (profit, items), so one
-    bisect_right finds the answer for any capacity.  The weights and item sets
-    depend on prices only through the scaled profits rp, so they come from
-    _dp_memo; each cell's true profit is re-added here from 0 in ascending item
-    order, the additions the DP itself makes, so the sums are bit-identical.
+    Cell t holds the least weight reaching scaled profit t, the true profit of
+    its items and the items, in ascending order.  Items are added in order,
+    each extending the cells reached before it and replacing a cell only by a
+    strictly lighter one; a cell's true profit is its predecessor's plus the
+    item's.  A capacity admits the cells whose weight is at most it; its
+    answer is the first t with the largest true profit among them.  Returns
+    the admitted weights in ascending order and, per prefix, that answer as
+    (profit, items), so one bisect_right finds the answer for any capacity.
     """
     m = len(profits)
     p_max = max(profits)
@@ -311,15 +259,23 @@ def _knapsack_table(profits: list[float], weights_int: tuple[int, ...],
         lifted = [math.ldexp(p, shift) for p in profits]
         p_max = math.ldexp(p_max, shift)
     scale = eps * p_max / m if p_max > 0 else 1.0
-    caps, cells = _dp_memo.get(tuple([int(p // scale) for p in lifted]), weights_int)
+    cells: dict[int, tuple[float, float, tuple[int, ...]]] = {0: (0.0, 0, ())}
+    for idx, (w, p, lp) in enumerate(zip(weights_int, profits, lifted)):
+        r = int(lp // scale)
+        if r == 0:
+            continue  # reaches no new cell and, as w >= 1, lightens none
+        for t, (w_t, p_t, pick) in list(cells.items()):
+            cand = w_t + w
+            old = cells.get(t + r)
+            if old is None or cand < old[0]:
+                cells[t + r] = (cand, p_t + p, pick + (idx,))
+    caps: list[float] = []
     answers: list[tuple[float, tuple[int, ...]]] = []
     top_p, top_t, top_items = -1.0, -1, ()
-    for t, items in cells:
-        p = 0
-        for idx in items:
-            p += profits[idx]
+    for w_t, t, p, items in sorted([(w_t, t, p, items) for t, (w_t, p, items) in cells.items()]):
         if p > top_p or (p == top_p and t < top_t):
             top_p, top_t, top_items = p, t, items
+        caps.append(w_t)
         answers.append((top_p, top_items))
     return caps, answers
 
@@ -330,11 +286,11 @@ def _knapsack_plan(f: ConcaveSpec, sizes: tuple[float, ...], eps: float) -> tupl
 
     Returns the number of capacity guesses and, per distinct set of fitting
     items in ascending capacity order (a group), (item indices, their integer
-    weights, its guesses as (cap_int, phi, f(phi))).  With the fit's total
-    profit, a group's guesses bound its scores before its table is built:
-    oracle_knapsack visits the groups in descending bound, equal bounds in
-    this order, and stops below its best score; an equal score keeps the
-    earlier group's candidate.
+    weights, its guesses as (cap_int, f(phi) / phi), the largest of those
+    ratios).  With the fit's total profit, the largest ratio bounds a group's
+    scores before its table is built: oracle_knapsack visits the groups in
+    descending bound, equal bounds in this order, and stops below its best
+    score; an equal score keeps the earlier group's candidate.
     """
     # sizes live on a decimal fixed-point grid so capacity comparisons are
     # exact; the smallest size is at least one unit, so every guess is positive
@@ -354,15 +310,16 @@ def _knapsack_plan(f: ConcaveSpec, sizes: tuple[float, ...], eps: float) -> tupl
         phi *= 1.0 + eps
 
     sorted_w = sorted(weights_int)
-    groups: list[tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, float, float]]]] = []
+    groups: list[tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, float]]]] = []
     for cap_int in sorted(grid_int):
         if not groups or bisect_right(sorted_w, cap_int) != len(groups[-1][0]):
             # fitting sets are nested, so their size names them
             fit = tuple(idx for idx, w in enumerate(weights_int) if w <= cap_int)
             groups.append((fit, tuple(weights_int[idx] for idx in fit), []))
         phi = cap_int / unit
-        groups[-1][2].append((cap_int, phi, f(phi)))
-    return len(grid_int), tuple((fit, w, tuple(guesses)) for fit, w, guesses in groups)
+        groups[-1][2].append((cap_int, f(phi) / phi))
+    return len(grid_int), tuple((fit, w, tuple(guesses), max([r for _, r in guesses]))
+                                for fit, w, guesses in groups)
 
 
 def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1) -> OracleResult:
@@ -373,22 +330,16 @@ def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1)
     lets a (1+eps) grid on D plus an FPTAS knapsack give a (1+eps)^2 factor.
     The DP of a guess depends on it only through the items that fit, and
     those sets are nested, so one table per distinct set answers every guess.
-    What does not depend on prices is cached: the guess grid per (f_i, sizes
-    of the positive-price items, eps), and each DP's cell weights and item
-    sets per (scaled profits, weights), in a memo of at most
-    KNAPSACK_MEMO_CELLS cells that is cleared when a new table would overflow
-    it.  Results are bit-identical to building both afresh on every call.
+    The guess grid does not depend on prices and is cached per (f_i, sizes of
+    the positive-price items, eps).
 
-    Groups are solved in descending order of a score bound, and the scan stops
-    at the first bound below the best score so far.  A group's bound is the
-    largest (P * f(phi)) / phi over its guesses, P the sum of the fit's
-    profits added in ascending item order.  Profits are non-negative and float
-    rounding is monotone, so the sum a table re-adds for any chosen items, in
-    the same order, is at most P, and a guess's score v * f(phi) / phi, in
-    the same operation order, is at most that guess's term.  No step is
-    widened, so this holds for subnormal and infinite values too.  Equal
-    bounds keep the ascending group order, and an equal score replaces the
-    best only from an earlier group, so the result is the first strict
+    A guess scores v * r_k, v its table answer's profit and r_k = f(phi_k) /
+    phi_k.  Groups are solved in descending order of the bound P * r_max, P
+    the sum of the fit's profits in ascending item order and r_max its largest
+    ratio, and the scan stops at the first bound below the best score so far.
+    Rounding is monotone and 0 <= v <= P, so v * r_k <= P * r_max still holds.
+    Equal bounds keep the ascending group order, and an equal score replaces
+    the best only from an earlier group, so the result is the first strict
     maximum of the ascending (group, guess) scan over every group.
     """
     model = instance.utility
@@ -410,23 +361,23 @@ def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1)
 
     guesses, groups = _knapsack_plan(model.f[i], tuple(s for _, _, s in items), eps)
     bounds = []
-    for fit, _, fit_guesses in groups:
+    for fit, _, _, r_max in groups:
         p_fit = 0
         for idx in fit:  # the order in which _knapsack_table adds a cell's profits
             p_fit += profits[idx]
-        bounds.append(max([p_fit * f_phi / phi for _, phi, f_phi in fit_guesses]))
+        bounds.append(p_fit * r_max)
     best, best_score, best_g = None, 0.0, -1  # g < -1 never holds, so a score of 0 never wins
     # descending bounds; the sort is stable, so equal bounds keep the group order
     for g in sorted(range(len(groups)), key=bounds.__getitem__, reverse=True):
         if bounds[g] < best_score:
             break  # this group and every later one scores less than best_score
-        fit, fit_w, fit_guesses = groups[g]
+        fit, fit_w, fit_guesses, _ = groups[g]
         caps, answers = _knapsack_table([profits[idx] for idx in fit], fit_w, eps)
-        for cap_int, phi, f_phi in fit_guesses:
+        for cap_int, ratio in fit_guesses:
             v_phi, chosen = answers[bisect_right(caps, cap_int) - 1]
             if not chosen:
                 continue
-            score = v_phi * f_phi / phi
+            score = v_phi * ratio
             if score > best_score or (score == best_score and g < best_g):
                 best, best_score, best_g = (fit, chosen), score, g
 

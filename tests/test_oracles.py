@@ -6,7 +6,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from datex import (
@@ -706,9 +706,9 @@ def _dense_knapsack_table(profits, weights_int, eps):
 
 
 def test_knapsack_table_equals_the_dense_dp_bit_for_bit():
-    """Memoized cells plus re-added profits give the dense DP's weights, answers
-    and profit sums bit for bit, on non-dyadic profits whose sums depend on the
-    order of the additions; every row is asked twice, so the second is a hit."""
+    """The sparse table gives the dense DP's weights, answers and profit sums
+    bit for bit, on non-dyadic profits whose sums depend on the order of the
+    additions."""
     rng = np.random.default_rng(49)
     for trial in range(300):
         m = int(rng.integers(1, 8))
@@ -716,32 +716,15 @@ def test_knapsack_table_equals_the_dense_dp_bit_for_bit():
         weights = tuple(int(rng.integers(1, 40)) for _ in range(m))
         eps = float(rng.choice([0.05, 0.1, 0.25, 0.5]))
         caps, answers = _dense_knapsack_table(profits, weights, eps)
-        for _ in range(2):
-            got_caps, got = _knapsack_table(profits, weights, eps)
-            assert list(got_caps) == caps, trial
-            assert [(p, sum(1 << b for b in items)) for p, items in got] == answers, trial
+        got_caps, got = _knapsack_table(profits, weights, eps)
+        assert list(got_caps) == caps, trial
+        assert [(p, sum(1 << b for b in items)) for p, items in got] == answers, trial
 
 
-def _counting_dp(monkeypatch):
-    """A fresh DP memo, and the list of (rp, weights, cells) of every table it builds."""
-    monkeypatch.setattr(oracles, "_dp_memo", oracles._DpMemo())
-    built, dp = [], oracles._knapsack_dp
-
-    def counting(rp, weights):
-        table = dp(rp, weights)
-        built.append((rp, weights, len(table[0])))
-        return table
-
-    monkeypatch.setattr(oracles, "_knapsack_dp", counting)
-    return built
-
-
-def test_knapsack_memo_hits_match_per_guess_dp(monkeypatch):
-    """Calls served by cached grid plans and DP tables answer like the per-guess
-    DP: 40 small perturbations of one price row, whose scaled profits repeat and
-    change; the base row at several eps; and two instances with the same sizes
-    but another f or another scale."""
-    built = _counting_dp(monkeypatch)
+def test_knapsack_memo_hits_match_per_guess_dp():
+    """Calls served by cached grid plans answer like the per-guess DP: 40 small
+    perturbations of one price row; the base row at several eps; and two
+    instances with the same sizes but another f or another scale."""
     rng = np.random.default_rng(47)
     inst = gen_random(7, 6, "symmetric", seed=4700)
     i = 0
@@ -760,31 +743,6 @@ def test_knapsack_memo_hits_match_per_guess_dp(monkeypatch):
     for k, (instance, q, eps) in enumerate(calls):
         res = oracle_knapsack(instance, i, q, eps=eps)
         assert (res.chosen, res.value, res.guesses) == _per_guess_knapsack(instance, i, q, eps), k
-    keys = [(rp, weights) for rp, weights, _ in built]
-    assert len(set(keys)) == len(keys) > 1  # every table built once: all repeats were hits
-    assert len(keys) < len(calls)
-
-
-def test_knapsack_memo_stays_within_its_cell_bound(monkeypatch):
-    """Distinct rows at a small eps build more cells than the memo may keep: it
-    never holds more than KNAPSACK_MEMO_CELLS, does not keep a table larger than
-    the bound, and the answers still equal the per-guess DP's."""
-    rng = np.random.default_rng(48)
-    inst = gen_random(9, 8, "symmetric", seed=4800)
-    i, eps = 0, 0.05
-    rows = [prices_for(inst, i, {j: float(rng.uniform(0.1, 1.0)) for j in inst.senders_of[i]})
-            for _ in range(40)]
-    expected = [_per_guess_knapsack(inst, i, q, eps) for q in rows]
-    for bound in (oracles.KNAPSACK_MEMO_CELLS, 100):
-        monkeypatch.setattr(oracles, "KNAPSACK_MEMO_CELLS", bound)
-        built = _counting_dp(monkeypatch)
-        memo = oracles._dp_memo
-        for k, (q, want) in enumerate(zip(rows, expected)):
-            res = oracle_knapsack(inst, i, q, eps=eps)
-            assert (res.chosen, res.value, res.guesses) == want, (bound, k)
-            assert memo.cells == sum(len(caps) for caps, _ in memo.tables.values()) <= bound
-        assert sum(cells for _, _, cells in built) > bound  # so the memo had to clear
-    assert max(cells for _, _, cells in built) > 100  # and one table was too large to keep
 
 
 @pytest.mark.parametrize("q", [{1: 1e308}, {1: 8e307, 2: 1.7e308}])
@@ -838,13 +796,13 @@ def _full_scan_knapsack(instance, i, q, eps=0.1):
     profits = [qj * s for _, qj, s in items]
     guesses, groups = oracles._knapsack_plan(model.f[i], tuple(s for _, _, s in items), eps)
     best, best_score = None, 0.0
-    for fit, fit_w, fit_guesses in groups:
+    for fit, fit_w, fit_guesses, _ in groups:
         caps, answers = _knapsack_table([profits[idx] for idx in fit], fit_w, eps)
-        for cap_int, phi, f_phi in fit_guesses:
+        for cap_int, ratio in fit_guesses:
             v_phi, chosen = answers[bisect_right(caps, cap_int) - 1]
             if not chosen:
                 continue
-            score = v_phi * f_phi / phi
+            score = v_phi * ratio
             if score > best_score:
                 best, best_score = (fit, chosen), score
     if best is None:
@@ -904,11 +862,9 @@ def test_knapsack_group_bound_breaks_a_tie_by_the_earlier_group():
 
 
 def test_knapsack_group_bound_visits_a_group_whose_score_overflows():
-    """f = x^0.9, sizes 1 and 1e9, profits 1e300 each: the group {1} scores at
-    most 1e300, and (1e300 + 1e300) * f(phi) overflows in every score of the
-    group {1, 2}, so its scores are inf though (P f(phi)) / phi is about
-    2.5e299 in exact arithmetic.  The bound is computed in the score's own
-    operation order, so it is inf too, and the group is not skipped."""
+    """f = x^0.9, sizes 1 and 1e9, profits 1e300 each: (1e300 + 1e300) * f(phi)
+    overflows for the group {1, 2}, but its scores (1e300 + 1e300) * (f(phi) /
+    phi) are about 2.5e299, so the group {1}, worth 1e300, wins."""
     sizes = {(0, 1): 1.0, (0, 2): 1e9}
     inst = Instance(n=3, allowed=frozenset(sizes),
                     utility=SymmetricWeighted(sizes=sizes, f=(ConcaveSpec(kind="power", c=0.9),) * 3),
@@ -916,7 +872,39 @@ def test_knapsack_group_bound_visits_a_group_whose_score_overflows():
     q = prices_for(inst, 0, {1: 1e300, 2: 1e291})
     res = oracle_knapsack(inst, 0, q)
     assert res == _full_scan_knapsack(inst, 0, q)
-    assert res.chosen == frozenset({1, 2})
+    assert res.chosen == frozenset({1}) and res.value == 1e300
+
+
+_HUGE_ROW = st.lists(st.tuples(st.floats(-2.0, 9.0).map(lambda e: 10.0 ** e),  # size
+                               st.floats(280.0, 300.176).map(lambda e: 10.0 ** e)),  # price
+                     min_size=2, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=_HUGE_ROW, f=_KNAPSACK_F | st.just(ConcaveSpec(kind="power", c=0.9)),
+       eps=st.sampled_from([0.05, 0.1, 0.3, 0.5]))
+@example(row=[(1.0, 1e300), (1e9, 1e291)], f=ConcaveSpec(kind="power", c=0.9), eps=0.1)
+def test_knapsack_keeps_its_factor_on_prices_near_the_largest_float(row, f, eps):
+    """Sizes from 1e-2 to 1e9 and prices from 1e280 to 1.5e300, where v * f(phi)
+    can overflow though the score v * f(phi) / phi is finite: wherever the brute
+    force optimum is finite, the knapsack value is at least it over (1+eps)^2.
+    A row whose profits q_j s_j sum past the largest float is refused."""
+    n = len(row) + 1
+    sizes = {(0, j): s for j, (s, _) in enumerate(row, 1)}
+    inst = Instance(n=n, allowed=frozenset(sizes), utility=SymmetricWeighted(sizes=sizes, f=(f,) * n),
+                    sharing=SharingRuleSpec(kind="proportional", weights="size"))
+    q = prices_for(inst, 0, {j: p for j, (_, p) in enumerate(row, 1)})
+    try:
+        brute = oracle_bruteforce(inst, 0, q, eps)
+    except ValueError:
+        return  # n * max_j q_j u_j overflows: no oracle takes the row
+    assume(math.isfinite(brute.value))
+    if not math.isfinite(sum([float(q[j]) * s for (_, j), s in sizes.items()])):
+        with pytest.raises(ValueError, match="finite total profit"):
+            oracle_knapsack(inst, 0, q, eps)
+        return
+    res = oracle_knapsack(inst, 0, q, eps)
+    assert res.value >= brute.value / (1 + eps) ** 2
 
 
 def test_knapsack_group_bound_skips_tables(monkeypatch):
@@ -957,33 +945,6 @@ def test_knapsack_solve_matches_the_full_scan(monkeypatch):
     for k, run in enumerate(runs):
         assert run == solve(k), k
     assert all(run[2] for run in runs)
-
-
-def _bitmask_knapsack_dp(rp, weights):
-    """_knapsack_dp carrying each cell's items as a bitmask, decoded at the end."""
-    cells = {0: (0.0, 0)}
-    for idx, (w, r) in enumerate(zip(weights, rp)):
-        if r == 0:
-            continue
-        for t, (w_t, pick) in list(cells.items()):
-            cand = w_t + w
-            old = cells.get(t + r)
-            if old is None or cand < old[0]:
-                cells[t + r] = (cand, pick | (1 << idx))
-    order = sorted((w_t, t) for t, (w_t, _) in cells.items())
-    return (tuple(w_t for w_t, _ in order),
-            tuple((t, tuple(b for b in range(len(rp)) if cells[t][1] >> b & 1)) for _, t in order))
-
-
-def test_knapsack_dp_item_tuples_match_the_bitmask_dp():
-    """Item tuples carried through the DP equal the decoded bitmasks, on random
-    scaled profits (a third of them 0) and weights, some equal."""
-    rng = np.random.default_rng(51)
-    for trial in range(400):
-        m = int(rng.integers(1, 9))
-        rp = tuple(int(r) if rng.random() > 1 / 3 else 0 for r in rng.integers(1, 30, m))
-        weights = tuple(int(w) for w in rng.integers(1, 6 if trial % 2 else 1000, m))
-        assert oracles._knapsack_dp(rp, weights) == _bitmask_knapsack_dp(rp, weights), trial
 
 
 # ---------------------------------------------------------------------------
