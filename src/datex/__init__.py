@@ -51,6 +51,7 @@ from .stability import (
     greedy_cycle_canceling,
     greedy_matching,
     mix_solutions,
+    reported_singletons,
     strategyproofness_fuzz,
 )
 from .instances import (

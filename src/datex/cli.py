@@ -372,6 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _setup_logging()
         args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # every subcommand with a --seed
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except SystemExit as exc:  # argparse: a bad option or --help
         code = exc.code

@@ -149,6 +149,19 @@ class ExplicitTable:
     def value(self, i: int, subset: frozenset[int]) -> float:
         return float(self.values[i][self.mask_of(i, subset)])
 
+    def prefix_values(self, i: int, orders: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Utilities of the prefixes of each order, shaped like `orders`: the
+        running OR of the senders' bits along the last axis indexes values[i]."""
+        send = np.array(self.senders[i], dtype=np.intp)
+        orders = np.asarray(orders, dtype=np.intp)
+        pos = np.searchsorted(send, orders)
+        known = pos < len(send)
+        known[known] = send[pos[known]] == orders[known]
+        if not known.all():
+            raise ValueError(f"sender {int(orders[~known][0])} not permitted for agent {i}")
+        masks = np.bitwise_or.accumulate(np.left_shift(1, pos), axis=-1)
+        return self.values[i][masks].astype(float, copy=False)
+
     def rescaled(self, divisor: float) -> ExplicitTable:
         return ExplicitTable(self.senders, tuple(v / divisor for v in self.values))
 
@@ -427,6 +440,10 @@ class Instance:
         self._check_model_references()
 
     def _check_model_references(self) -> None:
+        if self.sharing.kind == "proportional" and self.sharing.weights == "size" and \
+                not isinstance(self.utility, SymmetricWeighted):
+            raise ValueError(f"weights rule 'size' needs a size-based utility model; "
+                             f"got {self.utility.kind}")
         if isinstance(self.sharing.weights, tuple):
             for i, j, _ in self.sharing.weights:
                 if (i, j) not in self.allowed:
@@ -498,7 +515,7 @@ class Instance:
         them here instead of re-evaluating the utility model.
         """
         table = np.zeros((self.n, self.n))
-        if isinstance(self.utility, PathVariance):  # one array pass per receiver
+        if isinstance(self.utility, (ExplicitTable, PathVariance)):  # one pass per receiver
             for i, senders in enumerate(self.senders_of):
                 js = np.array(senders, dtype=np.intp)
                 table[i, js] = self.utility.prefix_values(i, js[:, None])[:, 0]

@@ -15,10 +15,10 @@ from .model import (
     EQ_TOL,
     ContinuousConcave,
     ExchangeSolution,
+    ExplicitTable,
     FracColumn,
     Instance,
     PathVariance,
-    SymmetricWeighted,
     X3CCoverage,
     utility,
 )
@@ -247,7 +247,7 @@ def shapley_sampled(instance: Instance, i: int, subset: frozenset[int],
         # one call draws the m permutations that m rng.permutation(s) calls draw
         perms = _permutation_rng(seed, i, members).permuted(_identity_rows(m, s), axis=1)
     model = instance.utility
-    if isinstance(model, PathVariance):  # all m prefix passes in one array
+    if isinstance(model, (ExplicitTable, PathVariance)):  # all m prefix passes in one array
         marg = model.prefix_values(i, np.array(members)[perms])
     else:
         marg = np.array([[utility(instance, i, frozenset(members[t] for t in perm[:c]))
@@ -268,11 +268,8 @@ def proportional(instance: Instance, i: int, subset: frozenset[int]) -> dict[int
     w = instance.sharing.weights
     if w in (None, "singleton"):
         w_of = {j: float(instance.singleton_utility[i, j]) for j in subset}
-    elif w == "size":
-        model = instance.utility
-        if not isinstance(model, SymmetricWeighted):
-            raise ValueError("weights rule 'size' needs a size-based utility model")
-        w_of = {j: model.sizes.get((i, j), 0.0) for j in subset}
+    elif w == "size":  # a size-based model, as the instance checks
+        w_of = {j: instance.utility.sizes.get((i, j), 0.0) for j in subset}
     else:
         w_of = {j: next((wv for wi, wj, wv in w if (wi, wj) == (i, j)), 0.0) for j in subset}
     total = sum(w_of.values())

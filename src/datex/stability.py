@@ -8,6 +8,7 @@ import numpy as np
 
 from .model import (
     EQ_TOL,
+    ConcaveSpec,
     ExchangeSolution,
     ExplicitTable,
     Instance,
@@ -28,18 +29,30 @@ def greedy_matching(instance: Instance) -> ExchangeSolution:
 
     x_i({j}) = min(1, u_ji / u_ij), so both partners receive exactly u-hat.
     """
-    u = instance.singleton_utility.tolist()
-    u_hat = symmetric_pair_weights(instance)
-    order = sorted(u_hat, key=lambda p: (-u_hat[p], p))
+    return ExchangeSolution(n=instance.n, columns=_matching_columns(instance.singleton_utility))
+
+
+def _matching_columns(table: np.ndarray) -> dict[int, dict]:
+    """greedy_matching's columns from the singleton table alone.
+
+    Only pairs with u-hat > 0 can match, and those are permitted both ways,
+    because the table is 0 off the permitted pairs.  Pairs are taken by
+    falling u-hat, ties by (i, j): nonzero lists them in that order, and the
+    sort is stable.
+    """
+    u_hat = np.minimum(table, table.T)
+    first, second = np.nonzero(np.triu(u_hat > 0.0, 1))
+    order = np.argsort(-u_hat[first, second], kind="stable")
+    u = table.tolist()
     matched: set[int] = set()
     cols: dict[int, dict] = {}
-    for i, j in order:
-        if u_hat[(i, j)] <= 0.0 or i in matched or j in matched:
+    for i, j in zip(first[order].tolist(), second[order].tolist()):
+        if i in matched or j in matched:
             continue
         matched.update((i, j))
         cols[i] = {frozenset({j}): min(1.0, u[j][i] / u[i][j])}
         cols[j] = {frozenset({i}): min(1.0, u[i][j] / u[j][i])}
-    return ExchangeSolution(n=instance.n, columns=cols)
+    return cols
 
 
 def check_2_stability(instance: Instance, solution: ExchangeSolution,
@@ -87,12 +100,18 @@ def greedy_cycle_canceling(instance: Instance) -> tuple[ExchangeSolution, list[l
     Cycle value u_C is the minimum single-hop utility along the cycle; the hop
     weights x make every member receive exactly u_C, so balance is exact.
     """
-    u = instance.singleton_utility.tolist()  # hop sender j -> receiver i weighs u[i][j]
-    active = list(range(instance.n))
+    cols, cycles = _cycle_columns(instance.singleton_utility)
+    return ExchangeSolution(n=instance.n, columns=cols), cycles
+
+
+def _cycle_columns(table: np.ndarray) -> tuple[dict[int, dict], list[list[int]]]:
+    """greedy_cycle_canceling's columns and cycles from the singleton table alone."""
+    u = table.tolist()  # hop sender j -> receiver i weighs u[i][j]
+    active = list(range(len(table)))
     cols: dict[int, dict] = {}
     cycles: list[list[int]] = []
     while active:
-        weight = instance.singleton_utility.T[np.ix_(active, active)]
+        weight = table.T[np.ix_(active, active)]
         # max-min (widest-path) closure: closure[a, b] is the largest bottleneck
         # of a walk a -> b, so its diagonal holds each agent's best cycle value
         # (Pollack 1960).  Only max and min run, so tau is one of the weights.
@@ -109,7 +128,7 @@ def greedy_cycle_canceling(instance: Instance) -> tuple[ExchangeSolution, list[l
             cols[receiver] = {frozenset({sender}): u_c / u[receiver][sender]}
         cycles.append(cycle)
         active = [v for v in active if v not in cycle]
-    return ExchangeSolution(n=instance.n, columns=cols), cycles
+    return cols, cycles
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +200,11 @@ def _scaled_table(model: ExplicitTable, agent: int, factor: float) -> ExplicitTa
     return ExplicitTable(model.senders, values)
 
 
+def _scaled_f(fi: ConcaveSpec, factor: float) -> ConcaveSpec:
+    """f_i reported under a scale misreport: factor * f_i, through its output scale."""
+    return replace(fi, scale=0.0) if factor == 0.0 else fi.rescaled(1.0 / factor)
+
+
 def _hidden_table(model: ExplicitTable, agent: int, hide_from: tuple[int, ...],
                   ) -> ExplicitTable:
     values = [vals.copy() for vals in model.values]
@@ -192,22 +216,14 @@ def _hidden_table(model: ExplicitTable, agent: int, hide_from: tuple[int, ...],
     return ExplicitTable(model.senders, tuple(values))
 
 
-def apply_misreport(instance: Instance, mis: Misreport) -> Instance:
-    """The instance induced by a feasible misreport (reported utilities/shares)."""
+def _misreported_model(instance: Instance, mis: Misreport,
+                       ) -> ExplicitTable | SymmetricWeighted | None:
+    """The utility model a feasible misreport changes, or None if it changes nothing."""
     if not (0 <= mis.agent < instance.n):
         raise ValueError(f"unknown agent {mis.agent}")
-    model = instance.utility
     if mis.kind == "scale":
         if mis.factor == 1.0:
-            return instance
-        if isinstance(model, ExplicitTable):
-            new_model = _scaled_table(model, mis.agent, mis.factor)
-        elif isinstance(model, SymmetricWeighted):
-            fi = model.f[mis.agent]
-            fi = replace(fi, scale=0.0) if mis.factor == 0.0 else fi.rescaled(1.0 / mis.factor)
-            new_model = replace(model, f=model.f[:mis.agent] + (fi,) + model.f[mis.agent + 1:])
-        else:
-            raise ValueError(f"misreports are not modeled for {model.kind}")
+            return None
     else:
         receivers = instance.receivers_of[mis.agent]
         bad = [j for j in mis.hide_from if j not in receivers]
@@ -216,22 +232,72 @@ def apply_misreport(instance: Instance, mis: Misreport) -> Instance:
                 f"condition 3 violated: agents {bad} never receive from {mis.agent}"
             )
         if not mis.hide_from:
-            return instance
+            return None
+    model = instance.utility
+    if not isinstance(model, (ExplicitTable, SymmetricWeighted)):
+        raise ValueError(f"misreports are not modeled for {model.kind}")
+    return model
+
+
+def apply_misreport(instance: Instance, mis: Misreport) -> Instance:
+    """The instance induced by a feasible misreport (reported utilities/shares)."""
+    model = _misreported_model(instance, mis)
+    if model is None:
+        return instance
+    agent = mis.agent
+    if mis.kind == "scale":
         if isinstance(model, ExplicitTable):
-            new_model = _hidden_table(model, mis.agent, mis.hide_from)
-        elif isinstance(model, SymmetricWeighted):
-            sizes = {
-                (i, j): (0.0 if j == mis.agent and i in mis.hide_from else s)
-                for (i, j), s in model.sizes.items()
-            }
-            new_model = replace(model, sizes=sizes)
+            new_model = _scaled_table(model, agent, mis.factor)
         else:
-            raise ValueError(f"misreports are not modeled for {model.kind}")
+            fi = _scaled_f(model.f[agent], mis.factor)
+            new_model = replace(model, f=model.f[:agent] + (fi,) + model.f[agent + 1:])
+    elif isinstance(model, ExplicitTable):
+        new_model = _hidden_table(model, agent, mis.hide_from)
+    else:
+        sizes = {
+            (i, j): (0.0 if j == agent and i in mis.hide_from else s)
+            for (i, j), s in model.sizes.items()
+        }
+        new_model = replace(model, sizes=sizes)
     return replace(instance, utility=new_model)
 
 
-def _perceived_utility(reported: Instance, solution: ExchangeSolution, agent: int) -> float:
-    return float(evaluate(reported, solution).per_agent_utility[agent])
+def reported_singletons(instance: Instance, mis: Misreport) -> np.ndarray:
+    """apply_misreport(instance, mis).singleton_utility, without building that instance.
+
+    A copy of the true singleton table with only the entries the misreport
+    touches recomputed: row `agent` for a scale, entries (i, agent) for i in
+    `hide_from` for a hide.  Each is the value the reported model gives.
+    """
+    model = _misreported_model(instance, mis)
+    table = instance.singleton_utility.copy()
+    if model is None:
+        return table
+    agent = mis.agent
+    if mis.kind == "scale":
+        if isinstance(model, ExplicitTable):
+            table[agent] *= mis.factor  # as _scaled_table multiplies the agent's table
+        else:
+            fa = _scaled_f(model.f[agent], mis.factor)
+            for j in instance.senders_of[agent]:
+                table[agent, j] = fa(model.total_size(agent, frozenset({j})))
+    else:
+        for i in mis.hide_from:
+            if isinstance(model, ExplicitTable):
+                table[i, agent] = model.values[i][0]  # _hidden_table's u_i({agent}) = u_i(empty)
+            else:
+                table[i, agent] = model.f[i](0.0)  # the hidden size is 0
+    return table
+
+
+def _received(table: np.ndarray, cols: dict[int, dict], agent: int) -> float:
+    """What evaluate gives `agent` on the pairwise algorithms' output: x * u_agent({j})
+    of its one singleton column, 0 without one."""
+    if agent not in cols:
+        return 0.0
+    ((col, x),) = cols[agent].items()
+    (j,) = col
+    return x * float(table[agent, j])
 
 
 def sample_misreport(instance: Instance, agent: int, rng: np.random.Generator) -> Misreport:
@@ -248,30 +314,34 @@ def strategyproofness_fuzz(instance: Instance, algorithm: str, trials: int,
     """Random feasible misreports; flag any that raise the misreporter's utility.
 
     The misreporter's perceived utility is measured with its reported utility
-    function on the algorithm's output for the reported instance.
+    function on the algorithm's output for the reported instance.  Both
+    algorithms read only the singleton table, so each trial runs on the
+    reported table (reported_singletons) rather than a reported instance.
     """
     runners = {
-        "cycle_cancel": lambda inst: greedy_cycle_canceling(inst)[0],
-        "greedy_match": greedy_matching,
+        "cycle_cancel": lambda table: _cycle_columns(table)[0],
+        "greedy_match": _matching_columns,
     }
     if algorithm not in runners:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if trials < 0:
         raise ValueError(f"fuzz trials must be >= 0, got {trials}")
     run = runners[algorithm]
-    truthful = evaluate(instance, run(instance)).per_agent_utility
+    table = instance.singleton_utility
+    truthful = run(table)
     rng = np.random.default_rng(seed)
     violations = []
     for _ in range(trials):
         agent = int(rng.integers(0, instance.n))
         mis = sample_misreport(instance, agent, rng)
-        reported = apply_misreport(instance, mis)
-        perceived = _perceived_utility(reported, run(reported), agent)
-        if perceived > truthful[agent] + EQ_TOL:
+        reported = reported_singletons(instance, mis)
+        perceived = _received(reported, run(reported), agent)
+        before = _received(table, truthful, agent)
+        if perceived > before + EQ_TOL:
             violations.append({
                 "agent": agent,
                 "misreport": mis,
-                "U_before": float(truthful[agent]),
+                "U_before": before,
                 "U_after": perceived,
             })
     return violations

@@ -322,6 +322,23 @@ def test_fuzz_without_misreport_model_exits_2(tmp_path, capsys):
     assert code == 2 and "path_variance" in err
 
 
+def test_size_weights_on_a_table_exit_2_before_any_command_runs(tmp_path, capsys):
+    # the fuzz reads no shares, so the instance itself must refuse size weights
+    # on a table; they used to fail only at the first proportional share
+    table, sized = tmp_path / "table.json", tmp_path / "sized.json"
+    assert run(["gen", "--kind", "random", "--n", "4", "--model", "table",
+                "--out", str(table)], capsys)[0] == 0
+    sized.write_text(json.dumps(json.loads(table.read_text())
+                                | {"sharing": {"kind": "proportional", "weights": "size"}}))
+    for argv in (["fuzz", str(sized), "--trials", "5"],
+                 ["stability", str(sized), "--out", str(tmp_path / "s.json")],
+                 ["solve", str(table), "--sharing", "proportional_size",
+                  "--out", str(tmp_path / "s.json"), "--report", str(tmp_path / "r.json")]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+        assert "weights rule 'size' needs a size-based utility model; got explicit_table" in err
+
+
 def test_solve_road_with_missing_path_exits_2(tmp_path, capsys):
     # a path_variance model needs one path per agent; the shape check runs on load
     inst = tmp_path / "road.json"
@@ -571,6 +588,9 @@ def test_failed_column_lp_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     (["experiment", "--rho", "0.5,inf", "--modes", "random"], "rho must lie in [0, 1]; got inf"),
     (["experiment", "--rho", "nan"], "rho must lie in [0, 1]; got nan"),
     (["experiment", "--rho", "0,2"], "rho must lie in [0, 1]; got 2.0"),
+    # a negative --seed names the flag; numpy's message named no input
+    (["gen", "--kind", "random", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["experiment", "--seed", "-1"], "--seed must be >= 0, got -1"),
 ])
 def test_bad_cli_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
     if argv[0] == "oracle":
@@ -693,6 +713,12 @@ def test_knapsack_oracle_on_subnormal_profits_matches_bruteforce(tmp_path, capsy
                                         "--oracle", "knapsack"]),
                             ("solve", ["--oracle", "knapsack", "--max-iters", "50",
                                        "--out", "{tmp}/s.json", "--report", "{tmp}/r.json"]))],
+    # a negative --seed, in every subcommand that takes one besides gen and experiment
+    (["fuzz", "{inst}", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["audit", "{inst}", "{sol}", "--fuzz-trials", "5", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["solve", "{inst}", "--sharing", "shapley_sampled", "--seed", "-2", "--out", "{tmp}/s.json",
+      "--report", "{tmp}/r.json"], "--seed must be >= 0, got -2"),
 ])
 def test_bad_input_found_past_the_load_exits_2(tmp_path, capsys, argv, message):
     from datex import ExchangeSolution

@@ -583,6 +583,26 @@ def test_road_singleton_table_equals_per_pair_values_bit_for_bit(correlation, rh
     assert inst.singleton_utility.tobytes() == expected.tobytes()
 
 
+def test_table_prefix_values_equal_per_prefix_values():
+    """Prefix masks by a running OR index the table: the same doubles as one
+    value call per prefix, for one order and for a stack of m orders."""
+    from datex.instances import gen_random
+
+    rng = np.random.default_rng(13)
+    for n, senders, seed in ((4, 3, 0), (9, 8, 1)):
+        model = gen_random(n, senders, "table", seed=seed).utility
+        for i, send in enumerate(model.senders):
+            orders = np.array([rng.permutation(send) for _ in range(5)])
+            got = model.prefix_values(i, orders)
+            assert got.shape == orders.shape and got.dtype == np.float64
+            assert got.tolist() == [[model.value(i, frozenset(order[:c].tolist()))
+                                     for c in range(1, len(send) + 1)] for order in orders]
+            assert model.prefix_values(i, orders[0]).tolist() == got[0].tolist()
+    alien = next(j for j in range(n) if j not in model.senders[0])
+    with pytest.raises(ValueError, match=f"sender {alien} not permitted for agent 0"):
+        model.prefix_values(0, [model.senders[0][0], alien])
+
+
 @pytest.mark.parametrize("field", ["paths", "z", "sigma2", "classes"])
 def test_path_variance_lengths_must_match_agents_and_edges(field):
     from dataclasses import replace

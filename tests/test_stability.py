@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -9,7 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from datex import (
+    ConcaveSpec,
+    ContinuousConcave,
+    DegenerateInstanceError,
     ExchangeSolution,
+    ExplicitTable,
     Misreport,
     apply_misreport,
     check_2_stability,
@@ -17,11 +23,14 @@ from datex import (
     greedy_cycle_canceling,
     greedy_matching,
     mix_solutions,
+    normalize_instance,
+    reported_singletons,
     strategyproofness_fuzz,
     utility,
 )
+from datex import stability
 from datex.instances import CORRELATIONS, RoadSpec, gen_core_gap, gen_random, gen_road, grid_graph
-from datex.stability import _shortest_lex_cycle
+from datex.stability import _shortest_lex_cycle, sample_misreport
 
 from conftest import table_instance
 
@@ -355,3 +364,88 @@ def test_fuzz_flags_a_manipulable_algorithm():
     reported = apply_misreport(inst, mis)
     perceived = evaluate(reported, greedy_matching(reported)).per_agent_utility
     assert perceived[2] <= truthful[2] + 1e-9  # greedy matching stays truthful
+
+
+# ---------------------------------------------------------------------------
+# The fuzz on the reported singleton table
+# ---------------------------------------------------------------------------
+
+
+F_SPECS = (ConcaveSpec(kind="sqrt"), ConcaveSpec(kind="power", c=0.37),
+           ConcaveSpec(kind="capped_linear", cap=0.8), ConcaveSpec(kind="variance_reduction"),
+           ConcaveSpec(kind="piecewise_linear", points=((0.0, 0.0), (0.5, 0.7), (2.0, 1.1))))
+
+
+def drawn_instance(data):
+    """A normalized table, symmetric or continuous instance; a table may carry a
+    u_i(empty) entry off 0 by less than EQ_TOL."""
+    kind = data.draw(st.sampled_from(["table", "symmetric", "continuous"]), label="kind")
+    n = data.draw(st.integers(2, 7), label="n")
+    senders = data.draw(st.integers(1, n - 1), label="senders")
+    inst = gen_random(n, senders, "table" if kind == "table" else "symmetric",
+                      seed=data.draw(st.integers(0, 2**20), label="seed"))
+    if kind != "table":
+        f = tuple(data.draw(st.lists(st.sampled_from(F_SPECS), min_size=n, max_size=n),
+                            label="f"))
+        cls = ContinuousConcave if kind == "continuous" else type(inst.utility)
+        inst = replace(inst, utility=cls(sizes=dict(inst.utility.sizes), f=f))
+    try:
+        inst = normalize_instance(inst)[0]
+    except DegenerateInstanceError:  # every utility 0
+        assume(False)
+    if kind == "table":
+        empty = data.draw(st.sampled_from([0.0, 5e-10, -3e-10]), label="u(empty)")
+        model = inst.utility
+        values = tuple(np.concatenate([[empty], v[1:]]) for v in model.values)
+        inst = replace(inst, utility=ExplicitTable(model.senders, values))
+    return inst
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reported_singletons_equal_the_misreported_instances_table(data):
+    inst = drawn_instance(data)
+    agent = data.draw(st.integers(0, inst.n - 1), label="agent")
+    receivers = inst.receivers_of[agent]
+    misreports = [Misreport(agent=agent, kind="scale", factor=factor) for factor in (
+        0.0, 1.0, data.draw(st.floats(0.0, 1.0), label="factor"))]
+    if receivers:
+        one = data.draw(st.sampled_from(receivers), label="receiver")
+        misreports += [Misreport(agent=agent, kind="hide", hide_from=(one,)),
+                       Misreport(agent=agent, kind="hide", hide_from=receivers)]
+    for mis in misreports:
+        expected = apply_misreport(inst, mis).singleton_utility
+        assert reported_singletons(inst, mis).tolist() == expected.tolist(), mis
+
+
+def model_path_trials(inst, algorithm, trials, seed):
+    """The fuzz's trials the model-level way: per trial a misreported instance,
+    the algorithm on it and a full evaluate.  One (agent, misreport, U_before,
+    U_after) row per trial."""
+    run = {"cycle_cancel": lambda reported: greedy_cycle_canceling(reported)[0],
+           "greedy_match": greedy_matching}[algorithm]
+    truthful = evaluate(inst, run(inst)).per_agent_utility
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(trials):
+        agent = int(rng.integers(0, inst.n))
+        mis = sample_misreport(inst, agent, rng)
+        reported = apply_misreport(inst, mis)
+        perceived = float(evaluate(reported, run(reported)).per_agent_utility[agent])
+        rows.append((agent, mis, float(truthful[agent]), perceived))
+    return rows
+
+
+@pytest.mark.parametrize("algorithm", ["cycle_cancel", "greedy_match"])
+@pytest.mark.parametrize("kind", ["table", "symmetric"])
+def test_fuzz_trials_equal_the_model_path_trial_by_trial(monkeypatch, algorithm, kind):
+    # with no tolerance left every trial is a "violation", so the fuzz lists them all
+    monkeypatch.setattr(stability, "EQ_TOL", -math.inf)
+    checked = 0
+    for seed in range(6):
+        inst, _ = normalize_instance(gen_random(4 + seed % 4, 3, kind, seed=seed))
+        rows = [(v["agent"], v["misreport"], v["U_before"], v["U_after"])
+                for v in strategyproofness_fuzz(inst, algorithm, trials=20, seed=seed)]
+        assert rows == model_path_trials(inst, algorithm, 20, seed)
+        checked += sum(row[3] > 0.0 for row in rows)
+    assert checked >= 20  # trials where the misreporter still trades
