@@ -236,36 +236,38 @@ class PathVariance:
         return counts
 
     @cached_property
-    def _receivers(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    def _receivers(self) -> dict[int, tuple[np.ndarray, np.ndarray, float, np.float64]]:
         return {}
 
-    def _receiver_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        # (sigma2 along path, donor matrix [agent, path-edge]), memoized per receiver
+    def _receiver_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray, float, np.float64]:
+        # (sigma2 along path, donor matrix [agent, path-edge], z_i, baseline
+        # variance sum(sigma2 / z_i)), memoized per receiver
         hit = self._receivers.get(i)
         if hit is None:
             path = np.asarray(self.paths[i], dtype=int)
-            hit = self._receivers[i] = (self.sigma2[path],
-                                        self._class_counts[:, self.classes[path]])
+            sig, z = self.sigma2[path], float(self.z[i])
+            hit = self._receivers[i] = (sig, self._class_counts[:, self.classes[path]],
+                                        z, np.sum(sig / z))
         return hit
 
     def baseline_variance(self, i: int) -> float:
-        sig, _ = self._receiver_arrays(i)
-        return float(np.sum(sig / float(self.z[i])))
+        return float(self._receiver_arrays(i)[3])
 
     def value(self, i: int, subset: frozenset[int]) -> float:
-        sig, donors = self._receiver_arrays(i)
+        sig, donors, z, v0 = self._receiver_arrays(i)
         added = donors[sorted(subset)].sum(axis=0) if subset else 0.0
-        u = np.sum(sig / float(self.z[i])) - np.sum(sig / (float(self.z[i]) + added))
-        return float(u) / self.scale
+        return float(v0 - np.sum(sig / (z + added))) / self.scale
 
     def prefix_values(self, i: int, orders: Sequence[int] | np.ndarray) -> np.ndarray:
         """Utilities of the prefixes of each order, shaped like `orders`: one
         order, or an (m, |S|) array of m permutation passes in one cumsum."""
-        sig, donors = self._receiver_arrays(i)
-        cum = np.cumsum(donors[np.asarray(orders, dtype=np.intp)], axis=-2)
-        v0 = np.sum(sig / float(self.z[i]))
-        vals = v0 - np.sum(sig / (float(self.z[i]) + cum), axis=-1)
-        return vals / self.scale
+        sig, donors, z, v0 = self._receiver_arrays(i)
+        tmp = np.cumsum(donors[np.asarray(orders, dtype=np.intp)], axis=-2)
+        tmp += z
+        np.divide(sig, tmp, out=tmp)
+        vals = v0 - tmp.sum(axis=-1)
+        vals /= self.scale
+        return vals
 
     def rescaled(self, divisor: float) -> PathVariance:
         return PathVariance(
@@ -515,24 +517,37 @@ class Instance:
         them here instead of re-evaluating the utility model.
         """
         table = np.zeros((self.n, self.n))
-        if isinstance(self.utility, (ExplicitTable, PathVariance)):  # one pass per receiver
+        model = self.utility
+        if isinstance(model, ExplicitTable):  # u_i({j}) is the entry at sender j's bit
+            for i, senders in enumerate(self.senders_of):
+                if model.senders[i] != senders:
+                    model.mask_of(i, frozenset(senders))  # raises for a sender outside the table
+                vals = model.values[i]
+                for b, j in enumerate(senders):
+                    table[i, j] = vals[1 << b]
+        elif isinstance(model, PathVariance):  # one prefix pass per receiver
             for i, senders in enumerate(self.senders_of):
                 js = np.array(senders, dtype=np.intp)
-                table[i, js] = self.utility.prefix_values(i, js[:, None])[:, 0]
+                table[i, js] = model.prefix_values(i, js[:, None])[:, 0]
         else:
             for i, j in self.allowed:
-                table[i, j] = self.utility.value(i, frozenset({j}))
+                table[i, j] = model.value(i, frozenset({j}))
         table.flags.writeable = False
         return table
+
+
+def require_permitted(instance: Instance, i: int, subset: frozenset[int]) -> None:
+    """Raise ValueError unless every sender in subset may send to i."""
+    extra = subset - set(instance.senders_of[i])
+    if extra:
+        raise ValueError(f"senders {sorted(extra)} are not permitted for agent {i}")
 
 
 def utility(instance: Instance, i: int, subset: frozenset[int]) -> float:
     """u_i(S) for a permitted subset S of senders."""
     if not subset:
         return 0.0
-    extra = subset - set(instance.senders_of[i])
-    if extra:
-        raise ValueError(f"senders {sorted(extra)} are not permitted for agent {i}")
+    require_permitted(instance, i, subset)
     return instance.utility.value(i, subset)
 
 

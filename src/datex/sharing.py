@@ -20,6 +20,7 @@ from .model import (
     Instance,
     PathVariance,
     X3CCoverage,
+    require_permitted,
     utility,
 )
 
@@ -29,20 +30,27 @@ MAX_EXACT_SHAPLEY = 12
 # agent's LP weights may exceed 1 by this much and are scaled back onto it
 LP_MASS_TOL = 1e-6
 
-# shares, and column_split's (utility, shares), are pure per (instance, agent,
-# subset); memoized for the solver loops
+# one entry per (instance, agent, subset): [u_i(S), shares], each None until
+# known; sampled Shapley's prefix pass fills in u_i(S), column_split reads it
 _share_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _memo_entry(instance: Instance, i: int, subset: frozenset[int]) -> list:
+    cache = _share_cache.setdefault(instance, {})
+    entry = cache.get((i, subset))
+    if entry is None:
+        entry = cache[(i, subset)] = [None, None]
+    return entry
 
 
 def shares(instance: Instance, i: int, subset: frozenset[int]) -> dict[int, float]:
     """h_ij(subset) for every j in subset, per the instance's sharing rule."""
     if not subset:
         return {}
-    cache = _share_cache.setdefault(instance, {})
-    key = (i, subset)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    entry = _memo_entry(instance, i, subset)
+    if entry[1] is not None:
+        return entry[1]
+    require_permitted(instance, i, subset)
     rule = instance.sharing
     if isinstance(instance.utility, X3CCoverage) and rule.kind in ("shapley_exact", "shapley_sampled"):
         out = _x3c_shapley(instance, i, subset)
@@ -52,7 +60,7 @@ def shares(instance: Instance, i: int, subset: frozenset[int]) -> dict[int, floa
         out = shapley_sampled(instance, i, subset, rule.m, rule.seed)
     else:
         out = proportional(instance, i, subset)
-    cache[key] = out
+    entry[1] = out
     return out
 
 
@@ -62,12 +70,12 @@ def column_split(instance: Instance, i: int, col: frozenset[int] | FracColumn,
     columns; fractional columns need the continuous model and split
     proportionally to volume."""
     if not isinstance(col, FracColumn):
-        cache = _share_cache.setdefault(instance, {})
-        key = ("split", i, col)  # beside shares' (i, subset) keys
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = (utility(instance, i, col), shares(instance, i, col))
-        return hit
+        entry = _memo_entry(instance, i, col)
+        if entry[1] is None:  # a miss checks col, and a prefix pass fills in entry[0]
+            entry[1] = shares(instance, i, col)
+        if entry[0] is None:
+            entry[0] = utility(instance, i, col)
+        return entry[0], entry[1]
     model = instance.utility
     if not isinstance(model, ContinuousConcave):
         raise ValueError("fractional columns need the continuous model")
@@ -249,6 +257,7 @@ def shapley_sampled(instance: Instance, i: int, subset: frozenset[int],
     model = instance.utility
     if isinstance(model, (ExplicitTable, PathVariance)):  # all m prefix passes in one array
         marg = model.prefix_values(i, np.array(members)[perms])
+        _memo_entry(instance, i, subset)[0] = float(marg[0, -1])  # every last prefix is u_i(S)
     else:
         marg = np.array([[utility(instance, i, frozenset(members[t] for t in perm[:c]))
                           for c in range(1, s + 1)] for perm in perms], dtype=float)

@@ -603,6 +603,54 @@ def test_table_prefix_values_equal_per_prefix_values():
         model.prefix_values(0, [model.senders[0][0], alien])
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_table_singletons_are_the_entries_at_each_senders_bit(n):
+    from datex.instances import gen_random
+
+    for seed in range(4):
+        inst = gen_random(n, 3, "table", seed=seed)
+        expected = np.zeros((inst.n, inst.n))
+        for i, j in inst.allowed:
+            expected[i, j] = inst.utility.value(i, frozenset({j}))
+        assert (inst.singleton_utility == expected).all()
+
+
+def _path_variance_reference(model, i):
+    """The receiver's path variances, donor counts and sample count, built
+    per call from the model's fields."""
+    path = np.asarray(model.paths[i], dtype=int)
+    return model.sigma2[path], model._class_counts[:, model.classes[path]], float(model.z[i])
+
+
+def test_path_variance_formulas_equal_their_per_call_forms():
+    """value, prefix_values and baseline_variance read the memoized z_i and
+    baseline; they give the doubles of the formulas that recompute both."""
+    from datex.instances import RoadSpec, gen_road, grid_graph
+
+    rng = np.random.default_rng(29)
+    edges = grid_graph(12, 12, seed=0)
+    for corr, rho, seed in (("none", 0.0, 3), ("random", 0.5, 4), ("local", 0.25, 5)):
+        inst, _ = normalize_instance(gen_road(RoadSpec(edges=edges, radius=8, n_agents=20,
+                                                       correlation=corr, rho=rho, seed=seed)))
+        model = inst.utility
+        for i in range(inst.n):
+            sig, donors, z = _path_variance_reference(model, i)
+            assert model.baseline_variance(i) == float(np.sum(sig / z))
+            send = inst.senders_of[i]
+            if not send:
+                continue
+            orders = np.array([rng.permutation(send) for _ in range(3)])
+            cum = np.cumsum(donors[orders], axis=-2)
+            ref = (np.sum(sig / z) - np.sum(sig / (z + cum), axis=-1)) / model.scale
+            assert model.prefix_values(i, orders).tolist() == ref.tolist()
+            for size in {1, int(rng.integers(1, len(send) + 1)), len(send)}:
+                subset = frozenset(int(j) for j in rng.choice(send, size=size, replace=False))
+                added = donors[sorted(subset)].sum(axis=0)
+                ref = float(np.sum(sig / z) - np.sum(sig / (z + added))) / model.scale
+                assert model.value(i, subset) == ref
+            assert model.value(i, frozenset()) == 0.0
+
+
 @pytest.mark.parametrize("field", ["paths", "z", "sigma2", "classes"])
 def test_path_variance_lengths_must_match_agents_and_edges(field):
     from dataclasses import replace

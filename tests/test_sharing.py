@@ -320,7 +320,7 @@ def road_instances():
 def loop_shapley_sampled(instance, i, subset, m, seed):
     """Path-variance sampled Shapley as a loop: one prefix pass per permutation."""
     model = instance.utility
-    sig, donors = model._receiver_arrays(i)
+    sig, donors, *_ = model._receiver_arrays(i)
     z = float(model.z[i])
     members = sorted(subset)
     rng = _permutation_rng(seed, i, members)
@@ -370,7 +370,8 @@ def test_permutation_stream_is_keyed_by_the_seed_sequence_of_its_ints(seed):
             [ref.permutation(s).tolist() for _ in range(5)]
 
 
-def test_column_split_memo_matches_a_fresh_instance_and_skips_utility(monkeypatch):
+def counting_sharing_utility(monkeypatch):
+    """Patch the `utility` that sharing calls; the returned list logs each call."""
     calls = []
     real_utility = sharing.utility
 
@@ -379,13 +380,22 @@ def test_column_split_memo_matches_a_fresh_instance_and_skips_utility(monkeypatc
         return real_utility(instance, i, subset)
 
     monkeypatch.setattr(sharing, "utility", counting_utility)
-    inst, fresh = road_instances()[1], road_instances()[1]
-    cols = [(i, frozenset(inst.senders_of[i][:k])) for i in range(inst.n)
+    return calls
+
+
+def small_and_full_columns(inst):
+    return [(i, frozenset(inst.senders_of[i][:k])) for i in range(inst.n)
             for k in (1, len(inst.senders_of[i])) if inst.senders_of[i]]
+
+
+def test_column_split_memo_matches_a_fresh_instance_and_skips_utility(monkeypatch):
+    calls = counting_sharing_utility(monkeypatch)
+    inst, fresh = road_instances()[1], road_instances()[1]
+    cols = small_and_full_columns(inst)
     first = [column_split(inst, i, col) for i, col in cols]
-    assert len(calls) == len(cols)
+    assert calls == []  # the sampled-Shapley prefix pass gave each column its utility
     again = [column_split(inst, i, col) for i, col in cols]
-    assert len(calls) == len(cols)  # every second call is a memo hit
+    assert calls == []
     assert again == first
     assert [column_split(fresh, i, col) for i, col in cols] == first
     assert first == [(utility(inst, i, col), shares(inst, i, col)) for i, col in cols]
@@ -397,6 +407,80 @@ def test_column_split_memo_matches_a_fresh_instance_and_skips_utility(monkeypatc
     gc.collect()
     assert ref() is None  # the memo holds no strong reference
     assert len(_share_cache) == before - 1
+
+
+@pytest.mark.parametrize("rule", [SharingRuleSpec(kind="proportional", weights="size"),
+                                  SharingRuleSpec(kind="shapley_sampled", m=5, seed=2)])
+def test_column_split_without_a_prefix_pass_makes_one_utility_call_per_column(monkeypatch, rule):
+    inst = replace(gen_random(6, 3, "symmetric", seed=11), sharing=rule)
+    cols = small_and_full_columns(inst)
+    for i, col in cols:
+        shares(inst, i, col)  # the rule's own utility calls come first
+    calls = counting_sharing_utility(monkeypatch)
+    first = [column_split(inst, i, col) for i, col in cols]
+    assert calls == cols
+    assert [column_split(inst, i, col) for i, col in cols] == first
+    assert calls == cols
+    assert first == [(utility(inst, i, col), shares(inst, i, col)) for i, col in cols]
+
+
+def test_memoized_utility_of_a_prefix_pass_equals_the_model_value():
+    rng = np.random.default_rng(11)
+    table = gen_random(7, 5, "table", seed=6)
+    table = replace(table, sharing=SharingRuleSpec(kind="shapley_sampled", m=10, seed=3))
+    checked = 0
+    for inst in [*road_instances(), table]:
+        for i in range(inst.n):
+            senders = inst.senders_of[i]
+            if not senders:
+                continue
+            for size in sorted({1, int(rng.integers(1, len(senders) + 1)), len(senders)}):
+                S = frozenset(int(j) for j in rng.choice(senders, size=size, replace=False))
+                shares(inst, i, S)
+                assert _share_cache[inst][(i, S)][0] == inst.utility.value(i, S)
+                checked += 1
+    assert checked >= 150
+
+
+def test_road_solve_equals_a_solve_that_values_every_column_afresh(monkeypatch):
+    """Columns valued from the memoized prefix pass give the welfare, columns
+    and weights of a solve whose column_split calls model.value."""
+    from datex import get_oracle, normalize_instance, solve_welfare
+    from datex.experiment import road_mwu_config
+
+    def solve_all(insts):
+        out = []
+        for inst in insts:
+            solution, report = solve_welfare(inst, road_mwu_config(inst.n),
+                                             get_oracle("bucketing"))
+            out.append((report.welfare, list(solution.iter_columns())))
+        return out
+
+    def insts():
+        return [normalize_instance(inst)[0] for inst in road_instances()]
+
+    memoized = solve_all(insts())
+    real_split = sharing.column_split
+
+    def valued_split(instance, i, col):
+        _, split = real_split(instance, i, col)
+        return instance.utility.value(i, col), split
+
+    monkeypatch.setattr(sharing, "column_split", valued_split)
+    assert solve_all(insts()) == memoized
+    assert all(cols for _, cols in memoized)
+
+
+def test_a_column_the_instance_does_not_permit_is_refused_before_any_prefix_pass():
+    # on road every other agent may send to i; the path-variance prefix pass
+    # would value i's own donor row, so the share memo checks senders first
+    inst = road_instances()[0]
+    for i in (0, 7):
+        col = frozenset({i, inst.senders_of[i][0]})
+        for call in (shares, column_split):
+            with pytest.raises(ValueError, match=rf"senders \[{i}\] are not permitted for agent {i}"):
+                call(inst, i, col)
+    assert all(entry[0] is None for entry in _share_cache[inst].values())
 
 
 def test_frac_columns_still_split_by_volume():
