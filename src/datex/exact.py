@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_array
 
 from .model import ExchangeSolution, Instance, evaluate, utility
 from .sharing import column_lp, column_rows, lp_solution
@@ -67,6 +65,8 @@ def _block_margins(instance: Instance, blocks: Sequence[tuple[tuple[int, ...], n
     target) and bounded, so maximizing the sum of the t's maximizes each one.
     The matrices are sparse, built from each block's column_rows triplets at its offsets.
     """
+    from . import lp
+
     ub, eq, b_ub, t_cols = [], [], [], []
     col = row = 0  # the block's first variable and its first member row
     for coalition, targets in blocks:
@@ -89,9 +89,9 @@ def _block_margins(instance: Instance, blocks: Sequence[tuple[tuple[int, ...], n
     bounds = np.zeros((col, 2))
     bounds[:, 1] = np.inf
     bounds[t_cols, 0] = -np.inf
-    res = linprog(cost, A_ub=_sparse(ub, (2 * row, col)), b_ub=np.concatenate(b_ub),
-                  A_eq=_sparse(eq, (row, col)), b_eq=np.zeros(row), bounds=bounds,
-                  method="highs")
+    res = lp.linprog(cost, A_ub=_sparse(ub, (2 * row, col)), b_ub=np.concatenate(b_ub),
+                     A_eq=_sparse(eq, (row, col)), b_eq=np.zeros(row), bounds=bounds,
+                     method="highs")
     if not res.success:
         logger.warning("coalition LP failed for %s: %s", [coalition for coalition, _ in blocks],
                        res.message)
@@ -100,11 +100,13 @@ def _block_margins(instance: Instance, blocks: Sequence[tuple[tuple[int, ...], n
 
 
 def _sparse(triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-            shape: tuple[int, int]) -> coo_array:
-    # zeros are left out, as a dense matrix's conversion leaves them out
+            shape: tuple[int, int]):
+    # a coo_array; zeros are left out, as a dense matrix's conversion leaves them out
+    from . import lp
+
     rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
     keep = vals != 0.0
-    return coo_array((vals[keep], (rows[keep], cols[keep])), shape=shape)
+    return lp.coo_array((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 def _coalition_best_margin(instance: Instance, coalition: tuple[int, ...],

@@ -9,7 +9,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import (
     EQ_TOL,
@@ -134,13 +133,15 @@ def column_lp(instance: Instance, cols: Sequence[tuple[int, frozenset[int] | Fra
 
     Returns linprog's result, its inequality rows ordered [mass; resid; -resid].
     A failed LP raises RuntimeError("column LP failed: ...")."""
+    from . import lp
+
     n = instance.n
     util, (rows, lp_cols, vals) = column_rows(instance, cols, range(n))
     a = np.zeros((2 * n, len(cols)))
     np.add.at(a, (rows, lp_cols), vals)
     a_ub = np.vstack([a, -a[n:]])
     b_ub = np.concatenate([np.ones(n), hi, -lo])
-    res = linprog(-util, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
+    res = lp.linprog(-util, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
     if not res.success:
         raise RuntimeError(f"column LP failed: {res.message}")
     return res

@@ -21,7 +21,7 @@ from datex import (ConcaveSpec, Instance, MwuConfig, SharingRuleSpec, SymmetricW
                    get_oracle, normalize_instance)
 from datex import mwu
 from datex import cli
-from datex import sharing
+from datex import lp
 from datex.cli import main
 from datex import io as dio
 from datex.mwu import RegretBoundError, practical_eta, run_mwu
@@ -39,6 +39,52 @@ def test_the_cli_does_not_import_networkx():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     subprocess.run([sys.executable, "-c", "import sys, datex.cli; assert 'networkx' not in sys.modules"],
                    check=True, env=os.environ | {"PYTHONPATH": src})
+
+
+def _run_cli_and_list_scipy(tmp_path, commands):
+    """Run the CLI commands in one fresh interpreter; return, after import and
+    after each command, its exit code, whether the LP modules of scipy are loaded
+    and whether datex.lp is."""
+    script = """
+import contextlib, io, json, sys
+def loaded(code):
+    return [code, [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules],
+            "datex.lp" in sys.modules]
+import datex
+states = [loaded(0)]
+from datex import cli
+states.append(loaded(0))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        states.append(loaded(cli.main(argv)))
+print(json.dumps(states))
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], check=True,
+                         cwd=tmp_path, capture_output=True, text=True,
+                         env=os.environ | {"PYTHONPATH": src}).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_only_the_lp_commands_import_scipy(tmp_path):
+    """scipy serves only the LPs and datex.lp alone imports it, where an LP is
+    built: import and the LP-free commands load no scipy.optimize or
+    scipy.sparse, and exact and solve load datex.lp at their first LP."""
+    lp_free = [["gen", "--kind", "road", "--out", "road.json"],
+               ["gen", "--kind", "random", "--n", "4", "--seed", "1", "--out", "rand.json"],
+               ["stability", "road.json", "--out", "road_match.json"],
+               ["stability", "rand.json", "--algorithm", "cycle_cancel", "--out", "cycle.json"],
+               ["fuzz", "rand.json", "--trials", "20"],
+               ["oracle", "rand.json", "--agent", "0", "--q", '{"1": 0.5}'],
+               ["audit", "rand.json", "cycle.json"]]
+    states = _run_cli_and_list_scipy(tmp_path, lp_free)
+    assert states == [[0, [], False]] * (2 + len(lp_free)), list(zip([["import"]] * 2 + lp_free,
+                                                                      states))
+    for argv in (["exact", "rand.json", "--out", "exact.json"],
+                 ["solve", "rand.json", "--oracle", "knapsack", "--max-iters", "50",
+                  "--out", "solve.json", "--report", "report.json"]):
+        code, _, lp_loaded = _run_cli_and_list_scipy(tmp_path, [argv])[-1]
+        assert code == 0 and lp_loaded, argv
 
 
 def test_gen_and_solve_roundtrip(tmp_path, capsys):
@@ -223,7 +269,7 @@ def test_audit_reports_core_audit_status(tmp_path, capsys):
 def _audit_with_injected_lp_failures(tmp_path, capsys, monkeypatch, fails):
     from scipy.optimize import OptimizeResult
 
-    from datex import ExchangeSolution, exact
+    from datex import ExchangeSolution
 
     # the empty solution leaves 16 of the 20 coalitions worth an LP
     inst = tmp_path / "inst.json"
@@ -232,7 +278,7 @@ def _audit_with_injected_lp_failures(tmp_path, capsys, monkeypatch, fails):
          "--out", str(inst)], capsys)
     dio.dump_solution(ExchangeSolution.empty(5), str(sol))
     calls = []
-    real_linprog = exact.linprog
+    real_linprog = lp.linprog
 
     def failing(*args, **kwargs):
         calls.append(1)
@@ -240,9 +286,9 @@ def _audit_with_injected_lp_failures(tmp_path, capsys, monkeypatch, fails):
             return OptimizeResult(success=False, status=4, message="injected failure")
         return real_linprog(*args, **kwargs)
 
-    monkeypatch.setattr(exact, "linprog", failing)
+    monkeypatch.setattr(lp, "linprog", failing)
     code, out, _ = run(["audit", str(inst), str(sol), "--coalitions", "3"], capsys)
-    monkeypatch.setattr(exact, "linprog", real_linprog)
+    monkeypatch.setattr(lp, "linprog", real_linprog)
     payload = json.loads(out.strip().splitlines()[-1])
     code_ref, out_ref, _ = run(["audit", str(inst), str(sol), "--coalitions", "3"], capsys)
     assert code == code_ref == 0
@@ -552,7 +598,7 @@ def test_failed_column_lp_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     from scipy.optimize import OptimizeResult
 
     inst = _instance_file(tmp_path, capsys, SYM)
-    monkeypatch.setattr(sharing, "linprog", lambda *args, **kwargs: OptimizeResult(
+    monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: OptimizeResult(
         success=False, status=4, message="injected failure"))
     code, out, err = run(_cli_args(["solve", "--oracle", "knapsack", "--max-iters", "50"],
                                    inst, tmp_path), capsys)

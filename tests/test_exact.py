@@ -22,7 +22,7 @@ from datex.instances import (
     x3c_case1_solution,
 )
 from datex.instances import core_gap_long_cycle
-from datex import exact
+from datex import exact, lp
 
 
 def test_two_agent_exact_balance_forces_two(two_agent_unit):
@@ -71,9 +71,9 @@ def test_lp_solution_renormalizes_only_within_solver_tolerance():
 def test_a_failed_welfare_lp_raises_the_column_lp_error(monkeypatch, two_agent_symmetric):
     from scipy.optimize import OptimizeResult
 
-    from datex import sharing
+    from datex import lp
 
-    monkeypatch.setattr(sharing, "linprog", lambda *args, **kwargs: OptimizeResult(
+    monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: OptimizeResult(
         success=False, status=4, message="injected failure"))
     with pytest.raises(RuntimeError, match="^column LP failed: injected failure$"):
         exact_welfare_lp(two_agent_symmetric)
@@ -212,23 +212,24 @@ def test_stacked_audit_matches_one_lp_per_coalition(monkeypatch, bound):
 def test_stacked_audit_falls_back_to_one_lp_per_coalition(monkeypatch):
     from scipy.optimize import OptimizeResult
 
-    real_linprog = exact.linprog
+    real_linprog = lp.linprog
     stacked = []
 
     def stacked_lp_fails(*args, **kwargs):
-        # a coalition LP has one free variable, t; a stacked LP has one per block
-        free = int(np.isinf(kwargs["bounds"][:, 0]).sum())
+        # a coalition LP has one free variable, t; a stacked LP has one per block;
+        # a column LP (no A_eq, bounds (0, None)) is passed on
+        free = int(np.isinf(kwargs["bounds"][:, 0]).sum()) if "A_eq" in kwargs else 0
         if free > 1:
             stacked.append(free)
             return OptimizeResult(success=False, status=4, message="injected failure")
         return real_linprog(*args, **kwargs)
 
-    monkeypatch.setattr(exact, "linprog", stacked_lp_fails)
+    monkeypatch.setattr(lp, "linprog", stacked_lp_fails)
     for inst, sol in _audit_corpus():
         audit = exact_core_audit(inst, sol, max_coalition=3)
-        monkeypatch.setattr(exact, "linprog", real_linprog)
+        monkeypatch.setattr(lp, "linprog", real_linprog)
         _assert_matches_one_lp_per_coalition(audit, _unfiltered_core_audit(inst, sol, 3, 1e-7, 1.0))
-        monkeypatch.setattr(exact, "linprog", stacked_lp_fails)
+        monkeypatch.setattr(lp, "linprog", stacked_lp_fails)
     assert stacked
 
 

@@ -25,7 +25,7 @@ from datex import (
     shares,
     utility,
 )
-from datex import sharing
+from datex import lp, sharing
 from datex.instances import RoadSpec, gen_random, gen_road, grid_graph
 from datex.sharing import _permutation_rng, _share_cache, column_split
 
@@ -531,8 +531,8 @@ def test_column_lp_rows_match_the_dense_builder_bit_for_bit(monkeypatch, model):
         seen.append(kwargs["A_ub"])
         return linprog(c, **kwargs)
 
-    linprog = sharing.linprog
-    monkeypatch.setattr(sharing, "linprog", recording_linprog)
+    linprog = lp.linprog
+    monkeypatch.setattr(lp, "linprog", recording_linprog)
     bound = np.full(inst.n, inst.epsilon)
     assert sharing.column_lp(inst, cols, -bound, bound).success
     old = _dense_column_lp_rows(inst, cols)
