@@ -264,9 +264,14 @@ def solution_to_json(solution: ExchangeSolution) -> dict:
     return {
         "n": solution.n,
         "columns": columns,
-        "deltas": None if solution.deltas is None else [float(v) for v in solution.deltas],
-        "gammas": None if solution.gammas is None else [float(v) for v in solution.gammas],
+        "deltas": _slack_to_json(solution.deltas),
+        "gammas": _slack_to_json(solution.gammas),
     }
+
+
+def _slack_to_json(slack: np.ndarray) -> list[float] | None:
+    """null for an all-zero slack, so a balanced solution's file lists no zeros."""
+    return [float(v) for v in slack] if slack.any() else None
 
 
 def solution_from_json(obj: dict) -> ExchangeSolution:
@@ -287,14 +292,8 @@ def solution_from_json(obj: dict) -> ExchangeSolution:
             if col in dist:  # a dict would keep only the last
                 raise SchemaError(f"columns list agent {agent}'s column {json.dumps(col_spec)} twice")
             dist[col] = float(x)
-        deltas = obj.get("deltas")
-        gammas = obj.get("gammas")
-        return ExchangeSolution(
-            n=_int(obj["n"], "n"),
-            columns=cols,
-            deltas=None if deltas is None else np.asarray(deltas, dtype=float),
-            gammas=None if gammas is None else np.asarray(gammas, dtype=float),
-        )
+        return ExchangeSolution(n=_int(obj["n"], "n"), columns=cols,
+                                deltas=obj.get("deltas"), gammas=obj.get("gammas"))
     except (TypeError, KeyError, ValueError) as exc:
         if isinstance(exc, SchemaError):
             raise

@@ -464,6 +464,10 @@ class Instance:
                 for j in senders:
                     if (i, j) not in self.allowed:
                         raise ValueError(f"utility references non-permitted pair ({i},{j})")
+                missing = sorted(set(self.senders_of[i]) - set(senders))
+                if missing:
+                    raise ValueError(f"agent {i}'s table does not cover its permitted "
+                                     f"senders {missing}")
         elif isinstance(u, PathVariance):
             if len(u.paths) != self.n or len(u.z) != self.n:
                 raise ValueError(f"path_variance needs one path and one sample count per agent "
@@ -519,9 +523,7 @@ class Instance:
         table = np.zeros((self.n, self.n))
         model = self.utility
         if isinstance(model, ExplicitTable):  # u_i({j}) is the entry at sender j's bit
-            for i, senders in enumerate(self.senders_of):
-                if model.senders[i] != senders:
-                    model.mask_of(i, frozenset(senders))  # raises for a sender outside the table
+            for i, senders in enumerate(self.senders_of):  # == model.senders[i], checked at load
                 vals = model.values[i]
                 for b, j in enumerate(senders):
                     table[i, j] = vals[1 << b]
@@ -604,10 +606,14 @@ class ExchangeSolution:
 
     n: int
     columns: dict[int, dict[frozenset[int] | FracColumn, float]]
-    deltas: np.ndarray | None = None  # allowed excess of sent over received
-    gammas: np.ndarray | None = None  # allowed excess of received over sent
+    deltas: np.ndarray | None = None  # allowed excess of sent over received; None is zeros
+    gammas: np.ndarray | None = None  # allowed excess of received over sent; None is zeros
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"agent count must be >= 0, got {self.n}")
+        self.deltas = np.zeros(self.n) if self.deltas is None else np.asarray(self.deltas, float)
+        self.gammas = np.zeros(self.n) if self.gammas is None else np.asarray(self.gammas, float)
         for i, dist in self.columns.items():
             if not (0 <= i < self.n):
                 raise ValueError(f"column for unknown agent {i}")
@@ -621,8 +627,7 @@ class ExchangeSolution:
             if mass > 1.0 + 1e-9:
                 raise ValueError(f"agent {i} subset weights sum to {mass} > 1")
         for vec in (self.deltas, self.gammas):
-            if vec is not None and (len(vec) != self.n or not np.all(
-                    np.isfinite(vec) & (np.asarray(vec) >= -EQ_TOL))):
+            if vec.shape != (self.n,) or not np.all(np.isfinite(vec) & (vec >= -EQ_TOL)):
                 raise ValueError("imbalance slacks must be finite and non-negative, one per agent")
 
     @staticmethod
@@ -640,13 +645,7 @@ class ExchangeSolution:
     def balance_bounds(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) of the eps-balance rows lo <= residual <= hi: sent may exceed
         received by eps + delta_i, received may exceed sent by eps + gamma_i."""
-        lo = np.full(self.n, -eps)
-        hi = np.full(self.n, eps)
-        if self.deltas is not None:
-            lo -= np.asarray(self.deltas)
-        if self.gammas is not None:
-            hi += np.asarray(self.gammas)
-        return lo, hi
+        return -eps - self.deltas, eps + self.gammas
 
     def is_balanced(self, residual: np.ndarray, eps: float) -> bool:
         lo, hi = self.balance_bounds(eps)
@@ -662,9 +661,8 @@ def scale_solution(solution: ExchangeSolution, factor: float) -> ExchangeSolutio
         for i, dist in solution.columns.items()
     }
     cols = {i: d for i, d in cols.items() if d}
-    deltas = None if solution.deltas is None else solution.deltas * factor
-    gammas = None if solution.gammas is None else solution.gammas * factor
-    return ExchangeSolution(n=solution.n, columns=cols, deltas=deltas, gammas=gammas)
+    return ExchangeSolution(n=solution.n, columns=cols, deltas=solution.deltas * factor,
+                            gammas=solution.gammas * factor)
 
 
 @dataclass
@@ -686,8 +684,8 @@ def evaluate(instance: Instance, solution: ExchangeSolution) -> SolveReport:
     """Evaluate welfare and the per-agent balance residuals of a solution.
 
     residual_i = (expected utility received by i) - (expected utility i sends).
-    Feasible means |residual_i| <= epsilon, widened by the delta/gamma slacks
-    when the solution carries them.
+    Feasible means |residual_i| <= epsilon, widened by the solution's
+    delta/gamma slacks (zero without an imbalance budget).
     """
     from .sharing import column_flows  # deferred: sharing depends on the model types
 

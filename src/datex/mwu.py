@@ -139,8 +139,9 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
 
     w = np.ones(2 * n + 1)
     pool: set[tuple[int, object]] = set()  # every (agent, column) an oracle chose
-    delta_sum = np.zeros(n) if config.imbalance else None
-    gamma_sum = np.zeros(n) if config.imbalance else None
+    delta = gamma = np.zeros(n)  # the slacks without an imbalance budget
+    delta_sum = np.zeros(n)
+    gamma_sum = np.zeros(n)
     lhs = 0.0
     row_m_sum = np.zeros(2 * n + 1)
     row_m_abs = np.zeros(2 * n + 1)
@@ -168,7 +169,6 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
             oracle_total += res.value
         received, sent = column_flows(instance, chosen_cols, [1.0] * len(chosen_cols))
 
-        delta = gamma = None
         if config.imbalance is not None:
             net_p = p[1 : n + 1]
             net_r = p[n + 1 : 2 * n + 1]
@@ -187,12 +187,8 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
 
         # m = (A x - b/alpha) / rho for the 2n+1 rows
         balance = received - sent
-        if delta is not None:
-            plus_rows = balance + delta + eps / alpha
-            minus_rows = -balance + gamma + eps / alpha
-        else:
-            plus_rows = balance + eps / alpha
-            minus_rows = -balance + eps / alpha
+        plus_rows = balance + delta + eps / alpha
+        minus_rows = -balance + gamma + eps / alpha
         m = np.concatenate(([received.sum() - B / alpha], plus_rows, minus_rows)) / rho
         if np.max(np.abs(m)) > 1.0 + 1e-12:
             raise AssertionError(f"width violated: |m| = {np.max(np.abs(m)):.6g} > 1")
@@ -204,9 +200,8 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
             raise AssertionError("row weight became non-positive")
 
         pool.update(chosen_cols)
-        if delta is not None:
-            delta_sum += delta
-            gamma_sum += gamma
+        delta_sum += delta
+        gamma_sum += gamma
         t_done = t
 
         rows.append({"t": t, "B": B, "pb_threshold": threshold,
@@ -214,15 +209,14 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
                      "max_residual": float(np.max(np.abs(balance)))})
 
         if (t % config.check_every == 0 or t == iters) and (
-                delta_sum is not None or len(pool) > lp_pool_size):
+                config.imbalance is not None or len(pool) > lp_pool_size):
             # the exact LP over the pool certifies the target long before the
             # iterates' average does at desk scale; its solution is the run's.
             # The pool only grows, so an unchanged size is the last LP's pool
             # and its solution stands; imbalance slacks change every iteration
             lp_pool_size = len(pool)
             cols = sorted(pool, key=lambda c: (c[0], column_sort_key(c[1])))
-            solution = sparsify(instance, cols, None if delta_sum is None else delta_sum / t,
-                                None if gamma_sum is None else gamma_sum / t)
+            solution = sparsify(instance, cols, delta_sum / t, gamma_sum / t)
             report = evaluate(instance, solution)
             if report.feasible and report.welfare >= B / alpha - eps / (2.0 * alpha) - EQ_TOL:
                 certified = True

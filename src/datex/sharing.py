@@ -192,25 +192,19 @@ def shapley_exact(instance: Instance, i: int, subset: frozenset[int]) -> dict[in
     # weight of a coalition W preceding j: |W|! (s - |W| - 1)! / s!
     fact = [math.factorial(t) for t in range(s + 1)]
     coeff = [fact[c] * fact[s - c - 1] / fact[s] for c in range(s)]
-    u_of: dict[int, float] = {}
-
-    def u_mask(mask: int) -> float:
-        val = u_of.get(mask)
-        if val is None:
-            val = utility(instance, i, frozenset(members[b] for b in range(s) if mask & (1 << b)))
-            u_of[mask] = val
-        return val
-
+    # u[mask]: the utility of the members at mask's bits; every mask is read
+    u = [utility(instance, i, frozenset(members[b] for b in range(s) if mask & (1 << b)))
+         for mask in range(1 << s)]
     out = {j: 0.0 for j in members}
     for mask in range(1 << s):
         c = mask.bit_count()
         if c == s:
             continue
-        base = u_mask(mask)
+        base = u[mask]
         w = coeff[c]
         for b in range(s):
             if not mask & (1 << b):
-                out[members[b]] += w * (u_mask(mask | (1 << b)) - base)
+                out[members[b]] += w * (u[mask | (1 << b)] - base)
     return out
 
 

@@ -17,13 +17,6 @@ from .model import (
 )
 
 
-def symmetric_pair_weights(instance: Instance) -> dict[tuple[int, int], float]:
-    """u-hat over unordered pairs with both directions permitted: min of the two."""
-    u = instance.singleton_utility.tolist()
-    return {(i, j): min(u[i][j], u[j][i])
-            for i, j in sorted(instance.allowed) if i < j and (j, i) in instance.allowed}
-
-
 def greedy_matching(instance: Instance) -> ExchangeSolution:
     """Greedy maximal-weight matching on u-hat; each matched pair trades to balance.
 
@@ -57,14 +50,18 @@ def _matching_columns(table: np.ndarray) -> dict[int, dict]:
 
 def check_2_stability(instance: Instance, solution: ExchangeSolution,
                       ) -> list[tuple[int, int]]:
-    """Pairs (i, j) whose mutual trade beats both agents' current utilities."""
-    u_hat = symmetric_pair_weights(instance)
+    """Pairs (i, j), i < j, whose mutual trade beats both agents' current utilities.
+
+    The trade gives each partner u-hat, the min of the two singleton
+    directions; it is 0 unless the pair is permitted both ways, and a 0 never
+    beats a utility.
+    """
+    table = instance.singleton_utility
+    u_hat = np.minimum(table, table.T)
     current = evaluate(instance, solution).per_agent_utility
-    return [
-        (i, j)
-        for (i, j), w in sorted(u_hat.items())
-        if w > current[i] + EQ_TOL and w > current[j] + EQ_TOL
-    ]
+    beats = u_hat > current[:, None] + EQ_TOL  # beats[i, j]: u-hat beats i's utility
+    first, second = np.nonzero(np.triu(beats & beats.T, 1))
+    return list(zip(first.tolist(), second.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +147,10 @@ def mix_solutions(first: ExchangeSolution, second: ExchangeSolution,
         for i, col, x in sol.iter_columns():
             agent = cols.setdefault(i, {})
             agent[col] = agent.get(col, 0.0) + coef * x
-
-    def mix_slack(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-        if a is None and b is None:
-            return None
-        av = np.zeros(first.n) if a is None else np.asarray(a)
-        bv = np.zeros(first.n) if b is None else np.asarray(b)
-        return beta * av + (1.0 - beta) * bv
-
     return ExchangeSolution(
         n=first.n, columns=cols,
-        deltas=mix_slack(first.deltas, second.deltas),
-        gammas=mix_slack(first.gammas, second.gammas),
+        deltas=beta * first.deltas + (1.0 - beta) * second.deltas,
+        gammas=beta * first.gammas + (1.0 - beta) * second.gammas,
     )
 
 
@@ -208,11 +197,10 @@ def _scaled_f(fi: ConcaveSpec, factor: float) -> ConcaveSpec:
 def _hidden_table(model: ExplicitTable, agent: int, hide_from: tuple[int, ...],
                   ) -> ExplicitTable:
     values = [vals.copy() for vals in model.values]
-    for i in hide_from:
-        if agent in model.senders[i]:
-            # pairs[:, 1] are the masks with agent's bit set, pairs[:, 0] the same without it
-            pairs = values[i].reshape(-1, 2, 1 << model.senders[i].index(agent))
-            pairs[:, 1] = pairs[:, 0]  # i's utility ignores agent's data
+    for i in hide_from:  # i receives from agent, so agent has a bit in i's table
+        # pairs[:, 1] are the masks with agent's bit set, pairs[:, 0] the same without it
+        pairs = values[i].reshape(-1, 2, 1 << model.senders[i].index(agent))
+        pairs[:, 1] = pairs[:, 0]  # i's utility ignores agent's data
     return ExplicitTable(model.senders, tuple(values))
 
 

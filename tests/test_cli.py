@@ -385,6 +385,26 @@ def test_size_weights_on_a_table_exit_2_before_any_command_runs(tmp_path, capsys
         assert "weights rule 'size' needs a size-based utility model; got explicit_table" in err
 
 
+def test_a_table_that_misses_a_permitted_sender_exits_2_at_load(tmp_path, capsys):
+    # the table used to load and fail later with "sender 3 not permitted for
+    # agent 0", about a pair that is permitted
+    table, gap = tmp_path / "table.json", tmp_path / "gap.json"
+    assert run(["gen", "--kind", "random", "--n", "4", "--senders", "2", "--model", "table",
+                "--seed", "3", "--out", str(table)], capsys)[0] == 0
+    obj = json.loads(table.read_text())
+    assert [0, 3] not in obj["allowed"]
+    obj["allowed"].append([0, 3])
+    gap.write_text(json.dumps(obj))
+    out_args = ["--out", str(tmp_path / "s.json"), "--report", str(tmp_path / "r.json")]
+    for argv in (["stability", str(gap), "--out", str(tmp_path / "s.json")],
+                 ["solve", str(gap), "--max-iters", "30", *out_args],
+                 ["solve", str(gap), "--oracle", "bruteforce", "--max-iters", "30", *out_args],
+                 ["exact", str(gap)], ["fuzz", str(gap), "--trials", "5"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+        assert "agent 0's table does not cover its permitted senders [3]" in err, err
+
+
 def test_solve_road_with_missing_path_exits_2(tmp_path, capsys):
     # a path_variance model needs one path per agent; the shape check runs on load
     inst = tmp_path / "road.json"

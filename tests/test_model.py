@@ -283,6 +283,62 @@ def test_scale_solution_endpoints_and_half(two_agent_unit):
         scale_solution(sol, 1.5)
 
 
+def test_instance_rejects_a_table_that_misses_a_permitted_sender():
+    # the table covers sender 1 only, but (0, 2) is permitted too
+    with pytest.raises(ValueError, match=r"agent 0's table does not cover its permitted "
+                                         r"senders \[2\]"):
+        Instance(
+            n=3, allowed=frozenset({(0, 1), (0, 2)}),
+            utility=ExplicitTable(senders=((1,), (), ()),
+                                  values=(np.array([0.0, 1.0]), np.zeros(1), np.zeros(1))),
+            sharing=SharingRuleSpec(kind="shapley_exact"),
+        )
+
+
+def test_slacks_are_arrays_without_a_budget():
+    from datex import mix_solutions
+
+    cols = {0: {frozenset({1}): 1.0}, 1: {frozenset({0}): 1.0}}
+    slacked = ExchangeSolution(n=2, columns=cols, deltas=np.array([0.2, 0.0]),
+                               gammas=[0.0, 0.4])
+    for sol in (ExchangeSolution.empty(2), ExchangeSolution(n=2, columns=cols),
+                scale_solution(ExchangeSolution(n=2, columns=cols), 0.5),
+                mix_solutions(ExchangeSolution.empty(2), ExchangeSolution(n=2, columns=cols), 0.3)):
+        for slack in (sol.deltas, sol.gammas):
+            assert isinstance(slack, np.ndarray) and slack.tolist() == [0.0, 0.0]
+    assert scale_solution(slacked, 0.5).deltas.tolist() == [0.1, 0.0]
+    assert scale_solution(slacked, 0.5).gammas.tolist() == [0.0, 0.2]
+    mixed = mix_solutions(slacked, ExchangeSolution.empty(2), 0.5)
+    assert mixed.deltas.tolist() == [0.1, 0.0] and mixed.gammas.tolist() == [0.0, 0.2]
+    with pytest.raises(ValueError, match="one per agent"):
+        ExchangeSolution(n=2, columns={}, deltas=np.zeros(3))
+    with pytest.raises(ValueError, match="agent count"):
+        ExchangeSolution(n=-1, columns={})
+
+
+def test_balance_bounds_equal_the_np_full_form():
+    def full_form(sol, eps):  # the bounds as built while a missing slack was None
+        lo = np.full(sol.n, -eps)
+        hi = np.full(sol.n, eps)
+        if sol.deltas is not None:
+            lo -= np.asarray(sol.deltas)
+        if sol.gammas is not None:
+            hi += np.asarray(sol.gammas)
+        return lo, hi
+
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7):
+        for eps in (1e-100, 0.01, 0.3):
+            draws = [(None, None), (rng.uniform(0, 1, n), None), (None, rng.uniform(0, 1, n)),
+                     (rng.uniform(0, 1, n), rng.exponential(1e-3, n))]
+            for deltas, gammas in draws:
+                sol = ExchangeSolution(n=n, columns={}, deltas=deltas, gammas=gammas)
+                old = ExchangeSolution(n=n, columns={})
+                old.deltas, old.gammas = deltas, gammas
+                for new_bound, old_bound in zip(sol.balance_bounds(eps), full_form(old, eps)):
+                    assert new_bound.tobytes() == old_bound.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     alpha=st.floats(0.0, 1.0),
@@ -543,10 +599,25 @@ def test_solution_json_roundtrip_and_strictness():
     assert back.columns[0] == sol.columns[0]
     assert back.columns[1] == sol.columns[1]
     np.testing.assert_allclose(back.deltas, sol.deltas)
+    assert back.gammas.tolist() == [0.0, 0.0, 0.0]
     bad = dio.solution_to_json(sol)
     bad["welfare"] = 3.0
     with pytest.raises(dio.SchemaError):
         dio.solution_from_json(bad)
+
+
+def test_zero_slacks_write_null_and_read_back_as_zeros():
+    # a zero slack is written as null, so a balanced solution file lists no zeros
+    for sol in (ExchangeSolution.empty(3),
+                ExchangeSolution(n=3, columns={}, deltas=np.zeros(3), gammas=[0.0, -0.0, 0.0])):
+        obj = dio.solution_to_json(sol)
+        assert obj["deltas"] is None and obj["gammas"] is None
+        back = dio.solution_from_json(json.loads(json.dumps(obj)))
+        assert back.deltas.tolist() == back.gammas.tolist() == [0.0, 0.0, 0.0]
+    missing = dio.solution_from_json({"n": 2, "columns": []})
+    assert missing.deltas.tolist() == missing.gammas.tolist() == [0.0, 0.0]
+    obj = dio.solution_to_json(ExchangeSolution(n=2, columns={}, gammas=np.array([0.0, 0.5])))
+    assert obj["deltas"] is None and obj["gammas"] == [0.0, 0.5]
 
 
 def test_singleton_utility_table_matches_model_on_all_five_models():

@@ -465,7 +465,7 @@ def test_a_check_that_keeps_the_last_lp_returns_what_the_lp_would(monkeypatch):
             fresh = sparsify(inst, cols)
             again = evaluate(inst, fresh)
             assert run.solution.columns == fresh.columns
-            assert run.solution.deltas is run.solution.gammas is None
+            assert not run.solution.deltas.any() and not run.solution.gammas.any()
             assert run.report.welfare == again.welfare and run.report.feasible == again.feasible
             assert np.array_equal(run.report.per_agent_utility, again.per_agent_utility)
             assert np.array_equal(run.report.balance_residual, again.balance_residual)
@@ -691,6 +691,7 @@ def test_imbalance_budget_raises_welfare():
     )
     sol, rep = solve_welfare(inst, cfg_imb, get_oracle("bruteforce"))
     assert rep.welfare > balanced.welfare + 0.3
-    assert rep.feasible and sol.deltas is not None and sol.gammas is not None
-    assert np.sum(np.asarray(sol.deltas) ** 2) <= 1.0 + 1e-6
-    assert np.sum(np.asarray(sol.gammas) ** 2) <= 1.0 + 1e-6
+    # the welfare gain comes from slack the budget paid for, within both budgets
+    assert rep.feasible and sol.deltas.sum() > 0.0 and sol.gammas.sum() > 0.0
+    assert np.sum(sol.deltas ** 2) <= 1.0 + 1e-6
+    assert np.sum(sol.gammas ** 2) <= 1.0 + 1e-6

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+import math
 import weakref
 from dataclasses import replace
 
@@ -105,6 +106,60 @@ def test_shapley_matches_permutation_enumeration():
         brute = brute_shapley(inst, i, S)
         for j in S:
             assert exact[j] == pytest.approx(brute[j], abs=1e-9)
+
+
+def memo_closure_shapley(instance, i, subset):
+    """shapley_exact as it was written with a lazily filled subset memo."""
+    if not subset:
+        return {}
+    members = sorted(subset)
+    s = len(members)
+    fact = [math.factorial(t) for t in range(s + 1)]
+    coeff = [fact[c] * fact[s - c - 1] / fact[s] for c in range(s)]
+    u_of = {}
+
+    def u_mask(mask):
+        val = u_of.get(mask)
+        if val is None:
+            val = sharing.utility(instance, i,
+                                  frozenset(members[b] for b in range(s) if mask & (1 << b)))
+            u_of[mask] = val
+        return val
+
+    out = {j: 0.0 for j in members}
+    for mask in range(1 << s):
+        c = mask.bit_count()
+        if c == s:
+            continue
+        base = u_mask(mask)
+        w = coeff[c]
+        for b in range(s):
+            if not mask & (1 << b):
+                out[members[b]] += w * (u_mask(mask | (1 << b)) - base)
+    return out
+
+
+def test_shapley_exact_equals_the_memo_closure_form(monkeypatch):
+    calls = []
+
+    def counted(instance, i, subset):
+        calls.append(subset)
+        return utility(instance, i, subset)
+
+    monkeypatch.setattr(sharing, "utility", counted)
+    rng = np.random.default_rng(3)
+    for inst in [*five_model_instances(), unique_data_instance(6), gen_random(7, 6, "table", 2)]:
+        for i in range(inst.n):
+            senders = inst.senders_of[i]
+            for _ in range(4):
+                subset = frozenset(j for j in senders if rng.random() < 0.7)
+                calls.clear()
+                new = shapley_exact(inst, i, subset)
+                new_calls = sorted(calls, key=sorted)
+                calls.clear()
+                assert new == memo_closure_shapley(inst, i, subset)
+                assert new_calls == sorted(calls, key=sorted)  # one call per subset either way
+                assert len(new_calls) == (1 << len(subset) if subset else 0)
 
 
 def test_shapley_size_guard():

@@ -30,6 +30,7 @@ from datex import (
 )
 from datex import stability
 from datex.instances import CORRELATIONS, RoadSpec, gen_core_gap, gen_random, gen_road, grid_graph
+from datex.model import EQ_TOL
 from datex.stability import _shortest_lex_cycle, sample_misreport
 
 from conftest import table_instance
@@ -77,6 +78,42 @@ def test_greedy_matching_always_2_stable():
 
 def test_empty_solution_lists_positive_pairs(two_agent_unit):
     assert check_2_stability(two_agent_unit, ExchangeSolution.empty(2)) == [(0, 1)]
+
+
+def pair_map_2_stability(instance, solution):
+    """check_2_stability as it was written over a u-hat pair map: pairs i < j
+    permitted both ways, in sorted order."""
+    u = instance.singleton_utility.tolist()
+    u_hat = {(i, j): min(u[i][j], u[j][i])
+             for i, j in sorted(instance.allowed) if i < j and (j, i) in instance.allowed}
+    current = evaluate(instance, solution).per_agent_utility
+    return [(i, j) for (i, j), w in sorted(u_hat.items())
+            if w > current[i] + EQ_TOL and w > current[j] + EQ_TOL]
+
+
+def test_2_stability_equals_the_pair_map_form():
+    rng = np.random.default_rng(0)
+    instances = [gen_random(n, k, kind, seed=seed) for seed in range(20)
+                 for kind in ("table", "symmetric") for n, k in ((4, 2), (6, 3))]
+    instances += [table_instance(5, {p: float(rng.choice([0.0, 0.25, 0.5]))
+                                     for p in itertools.permutations(range(5), 2)
+                                     if rng.random() < 0.6}) for _ in range(20)]
+    instances += [gen_core_gap(n) for n in range(6, 12)]
+    instances += [gen_road(RoadSpec(edges=grid_graph(8, 8, seed=1), radius=6, n_agents=8,
+                                    seed=seed)) for seed in range(3)]
+    for inst in instances:
+        random_cols = {}
+        for i in range(inst.n):
+            senders = inst.senders_of[i]
+            if senders and rng.random() < 0.7:
+                pick = frozenset(j for j in senders if rng.random() < 0.5) or {senders[0]}
+                random_cols[i] = {frozenset(pick): float(rng.uniform(0.0, 1.0))}
+        for sol in (ExchangeSolution.empty(inst.n), greedy_matching(inst),
+                    greedy_cycle_canceling(inst)[0],
+                    ExchangeSolution(n=inst.n, columns=random_cols)):
+            pairs = check_2_stability(inst, sol)
+            assert pairs == pair_map_2_stability(inst, sol)
+            assert all(type(i) is int and type(j) is int for i, j in pairs)
 
 
 # ---------------------------------------------------------------------------
