@@ -212,6 +212,8 @@ def cmd_fuzz(args) -> int:
 def cmd_audit(args) -> int:
     if args.coalitions < 0:
         raise ValueError(f"--coalitions must be >= 0, got {args.coalitions}")
+    if args.coalitions == 1:
+        raise ValueError("--coalitions 1 audits nothing: a coalition has at least two members")
     instance = _parse(io.load_instance, args.instance, "instance file")
     solution = _parse(io.load_solution, args.solution, "solution file")
     if solution.n != instance.n:
@@ -237,6 +239,7 @@ def cmd_audit(args) -> int:
         "core_audit": "skipped" if core is None else "partial" if core.failed else "complete",
         "core_audit_counts": None if core is None else {
             key: getattr(core, key) for key in ("coalitions", "ruled_out", "lps", "failed")},
+        "core_audit_max_coalition": None if core is None else core.max_coalition,
         "blocking_coalitions": [] if core is None else [[list(c), t] for c, t in core.blocking],
         "fuzz_violations": [
             {"agent": v["agent"], "U_before": v["U_before"], "U_after": v["U_after"]}

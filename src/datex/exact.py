@@ -19,7 +19,7 @@ MAX_LP_SENDERS = 12
 MAX_COALITIONS = 5000
 # variables of one stacked core-audit LP; a larger audit is solved in batches.
 # A variable costs about 2 kB: on the 12-agent, all-senders audit of coalitions
-# up to 5 (76,945 variables, scipy 1.17 HiGHS, 2 cores), one LP took 3.0 s and
+# up to 5 (76,945 variables, the HiGHS of SciPy 1.17, 2 cores), one LP took 3.0 s and
 # 152 MB, batches of 4096 variables 2.3 s and 16 MB, batches of 256 3.8 s.
 MAX_STACKED_VARIABLES = 4096
 
@@ -39,7 +39,7 @@ def exact_welfare_lp(instance: Instance, relax_eps: float = 0.0,
 
     relax_eps = 0 enforces exact balance; otherwise residuals are bounded by
     relax_eps on both sides. A negative or non-finite relax_eps is a ValueError;
-    a failed LP raises column_lp's RuntimeError.
+    a failed LP raises column_lp's lp.LpError.
     """
     if not 0.0 <= relax_eps < float("inf"):  # also false for NaN
         raise ValueError(f"relax_eps must be finite and >= 0, got {relax_eps}")
@@ -56,8 +56,9 @@ def exact_welfare_lp(instance: Instance, relax_eps: float = 0.0,
 
 
 def _block_margins(instance: Instance, blocks: Sequence[tuple[tuple[int, ...], np.ndarray]],
-                   ) -> list[float] | None:
-    """Each block's max t over one block-diagonal LP, or None when it fails.
+                   ) -> list[float]:
+    """Each block's max t over one block-diagonal LP or, when that fails, over one
+    LP per block (_coalition_best_margin, logged); a lone block that fails gets -inf.
 
     Block (coalition, targets) has its own column weights and free t, with the
     rows mass_i <= 1, t - gain_i <= -target_i and residual_i = 0 per member.
@@ -89,42 +90,34 @@ def _block_margins(instance: Instance, blocks: Sequence[tuple[tuple[int, ...], n
     bounds = np.zeros((col, 2))
     bounds[:, 1] = np.inf
     bounds[t_cols, 0] = -np.inf
-    res = lp.linprog(cost, A_ub=_sparse(ub, (2 * row, col)), b_ub=np.concatenate(b_ub),
-                     A_eq=_sparse(eq, (row, col)), b_eq=np.zeros(row), bounds=bounds,
-                     method="highs")
-    if not res.success:
-        logger.warning("coalition LP failed for %s: %s", [coalition for coalition, _ in blocks],
-                       res.message)
-        return None
+    try:
+        res = lp.solve_lp("coalition LP", cost, A_ub=lp.sparse(ub, (2 * row, col)),
+                          b_ub=np.concatenate(b_ub), A_eq=lp.sparse(eq, (row, col)),
+                          b_eq=np.zeros(row), bounds=bounds, method="highs")
+    except lp.LpError as exc:
+        logger.warning("%s (coalitions %s)", exc, [coalition for coalition, _ in blocks])
+        if len(blocks) == 1:
+            return [-float("inf")]
+        return [_coalition_best_margin(instance, c, targets) for c, targets in blocks]
     return res.x[t_cols].tolist()
-
-
-def _sparse(triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-            shape: tuple[int, int]):
-    # a coo_array; zeros are left out, as a dense matrix's conversion leaves them out
-    from . import lp
-
-    rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
-    keep = vals != 0.0
-    return lp.coo_array((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 def _coalition_best_margin(instance: Instance, coalition: tuple[int, ...],
                            targets: np.ndarray) -> float:
     """max t s.t. a balanced sub-solution on the coalition gives every member
     utility >= target + t, by the coalition's own LP; -inf when it fails."""
-    t_star = _block_margins(instance, [(coalition, targets)])
-    return -float("inf") if t_star is None else t_star[0]
+    return _block_margins(instance, [(coalition, targets)])[0]
 
 
 @dataclass(frozen=True)
 class CoreAudit:
     """The blocking coalitions, sorted, and what the audit did to find them.
 
-    Every coalition is either ruled out without an LP or solved as a block of
-    an audit LP (ruled_out + lps == coalitions); a coalition whose LP fails
-    counts as non-blocking and in ``failed``, so the audit is complete only
-    when failed == 0.
+    The audit enumerated every coalition of 2 to max_coalition members (the
+    requested size, capped at n). Every coalition is either ruled out without
+    an LP or solved as a block of an audit LP (ruled_out + lps == coalitions);
+    a coalition whose LP fails counts as non-blocking and in ``failed``, so the
+    audit is complete, for sizes up to max_coalition, only when failed == 0.
     """
 
     blocking: list[tuple[tuple[int, ...], float]]
@@ -132,6 +125,7 @@ class CoreAudit:
     ruled_out: int
     lps: int
     failed: int
+    max_coalition: int
 
 
 def exact_core_audit(instance: Instance, solution: ExchangeSolution,
@@ -147,13 +141,14 @@ def exact_core_audit(instance: Instance, solution: ExchangeSolution,
     each of its coalitions gets its own LP.
     """
     n = instance.n
-    total = sum(math.comb(n, size) for size in range(2, min(max_coalition, n) + 1))
+    largest = min(max_coalition, n)
+    total = sum(math.comb(n, size) for size in range(2, largest + 1))
     if total > MAX_COALITIONS:
         raise ValueError(f"{total} coalitions exceed the audit bound {MAX_COALITIONS}")
     current = evaluate(instance, solution).per_agent_utility
     batches: list[list] = []
     ruled_out = size_of_batch = 0
-    for size in range(2, max_coalition + 1):
+    for size in range(2, largest + 1):
         for coalition in itertools.combinations(range(n), size):
             within = frozenset(coalition)
             targets = np.array([factor * current[i] for i in coalition])
@@ -175,11 +170,8 @@ def exact_core_audit(instance: Instance, solution: ExchangeSolution,
     blocking = []
     failed = 0
     for batch in batches:
-        margins = _block_margins(instance, batch)
-        if margins is None:  # one LP per coalition, so failures count coalitions
-            margins = [_coalition_best_margin(instance, c, targets) for c, targets in batch]
-        for (coalition, _), t_star in zip(batch, margins):
+        for (coalition, _), t_star in zip(batch, _block_margins(instance, batch)):
             failed += t_star == -float("inf")
             if t_star > margin:
                 blocking.append((coalition, t_star))
-    return CoreAudit(sorted(blocking), total, ruled_out, total - ruled_out, failed)
+    return CoreAudit(sorted(blocking), total, ruled_out, total - ruled_out, failed, largest)

@@ -249,7 +249,7 @@ def sparsify(instance: Instance, cols: list[tuple[int, frozenset[int] | FracColu
     Maximizes welfare subject to the probability and eps-balance rows (widened
     by the fixed delta/gamma slacks), so the output has at most 2n+1 active
     columns and residuals within epsilon. A failed LP raises column_lp's
-    RuntimeError.
+    lp.LpError.
     """
     slack = ExchangeSolution(n=instance.n, columns={}, deltas=deltas, gammas=gammas)
     if not cols:

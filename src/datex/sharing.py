@@ -131,8 +131,8 @@ def column_lp(instance: Instance, cols: Sequence[tuple[int, frozenset[int] | Fra
     """LP1 on a column set: maximize welfare over the weights of cols subject to
     mass_i <= 1 and lo_i <= residual_i <= hi_i (lo = hi = 0 is exact balance).
 
-    Returns linprog's result, its inequality rows ordered [mass; resid; -resid].
-    A failed LP raises RuntimeError("column LP failed: ...")."""
+    Returns lp.solve_lp's result, its inequality rows ordered [mass; resid; -resid];
+    a failed LP raises lp.LpError("column LP failed: ...")."""
     from . import lp
 
     n = instance.n
@@ -141,10 +141,8 @@ def column_lp(instance: Instance, cols: Sequence[tuple[int, frozenset[int] | Fra
     np.add.at(a, (rows, lp_cols), vals)
     a_ub = np.vstack([a, -a[n:]])
     b_ub = np.concatenate([np.ones(n), hi, -lo])
-    res = lp.linprog(-util, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
-    if not res.success:
-        raise RuntimeError(f"column LP failed: {res.message}")
-    return res
+    return lp.solve_lp("column LP", -util, A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
+                       method="highs-ds")
 
 
 def lp_solution(n: int, cols: Sequence[tuple[int, frozenset[int] | FracColumn]],

@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -85,6 +86,21 @@ def test_only_the_lp_commands_import_scipy(tmp_path):
                   "--out", "solve.json", "--report", "report.json"]):
         code, _, lp_loaded = _run_cli_and_list_scipy(tmp_path, [argv])[-1]
         assert code == 0 and lp_loaded, argv
+
+
+def test_only_the_lp_module_imports_scipy_or_checks_an_lp_result():
+    """datex.lp is the one place an LP is solved: no other module imports scipy
+    or names linprog or coo_array, and an LP result's success is tested once."""
+    src = os.path.dirname(lp.__file__)
+    texts = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                texts[name] = fh.read()
+    scipy_names = re.compile(r"^\s*(from|import)\s+scipy\b|\b(linprog|coo_array)\b", re.M)
+    assert [name for name, text in texts.items() if scipy_names.search(text)] == ["lp.py"]
+    assert {name: text.count("res.success") for name, text in texts.items()
+            if "res.success" in text} == {"lp.py": 1}
 
 
 def test_gen_and_solve_roundtrip(tmp_path, capsys):
@@ -351,6 +367,28 @@ def test_audit_bound_on_forty_agents_counts_without_enumerating(tmp_path, capsys
         code, out, _ = run(["audit", str(inst), str(sol), "--coalitions", "40"], capsys)
     payload = json.loads(out.strip().splitlines()[-1])
     assert code == 0 and payload["core_audit"] == "skipped"
+
+
+def test_audit_states_the_largest_coalition_size_it_covered(tmp_path, capsys):
+    # this cycle-canceling solution has no blocking coalition of up to 3 agents,
+    # and six of 4 to 6 agents: "complete" covers only the sizes audited
+    inst = tmp_path / "table.json"
+    sol = tmp_path / "cycle.json"
+    run(["gen", "--kind", "random", "--n", "6", "--model", "table", "--seed", "31",
+         "--out", str(inst)], capsys)
+    run(["stability", str(inst), "--algorithm", "cycle_cancel", "--out", str(sol)], capsys)
+    covered = {}
+    for size in ("0", "3", "6", "9"):
+        code, out, _ = run(["audit", str(inst), str(sol), "--coalitions", size], capsys)
+        payload = json.loads(out.strip().splitlines()[-1])
+        assert code == 0
+        covered[size] = (payload["core_audit"], payload["core_audit_max_coalition"],
+                         len(payload["blocking_coalitions"]))
+    assert covered == {"0": ("skipped", None, 0), "3": ("complete", 3, 0),
+                       "6": ("complete", 6, 6), "9": ("complete", 6, 6)}
+    code, out, err = run(["audit", str(inst), str(sol), "--coalitions", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --coalitions 1 audits nothing: a coalition has at least two members\n"
 
 
 def test_fuzz_without_misreport_model_exits_2(tmp_path, capsys):
@@ -623,7 +661,7 @@ def test_failed_column_lp_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     code, out, err = run(_cli_args(["solve", "--oracle", "knapsack", "--max-iters", "50"],
                                    inst, tmp_path), capsys)
     assert code == 3 and out == ""
-    assert err == "error: solver failure: RuntimeError: column LP failed: injected failure\n"
+    assert err == "error: solver failure: LpError: column LP failed: injected failure\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -71,11 +71,9 @@ def test_lp_solution_renormalizes_only_within_solver_tolerance():
 def test_a_failed_welfare_lp_raises_the_column_lp_error(monkeypatch, two_agent_symmetric):
     from scipy.optimize import OptimizeResult
 
-    from datex import lp
-
     monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: OptimizeResult(
         success=False, status=4, message="injected failure"))
-    with pytest.raises(RuntimeError, match="^column LP failed: injected failure$"):
+    with pytest.raises(lp.LpError, match="^column LP failed: injected failure$"):
         exact_welfare_lp(two_agent_symmetric)
 
 
@@ -231,6 +229,18 @@ def test_stacked_audit_falls_back_to_one_lp_per_coalition(monkeypatch):
         _assert_matches_one_lp_per_coalition(audit, _unfiltered_core_audit(inst, sol, 3, 1e-7, 1.0))
         monkeypatch.setattr(lp, "linprog", stacked_lp_fails)
     assert stacked
+
+
+def test_a_block_whose_own_lp_fails_gets_minus_inf_and_one_warning(monkeypatch, caplog):
+    from scipy.optimize import OptimizeResult
+
+    inst = gen_random(4, 3, "symmetric", seed=5)
+    monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: OptimizeResult(
+        success=False, status=4, message="injected failure"))
+    with caplog.at_level("WARNING", logger="datex.exact"):
+        assert exact._block_margins(inst, [((1, 2, 3), np.zeros(3))]) == [-float("inf")]
+    assert [r.getMessage() for r in caplog.records] == [
+        "coalition LP failed: injected failure (coalitions [(1, 2, 3)])"]
 
 
 def test_block_without_columns_gets_minus_its_largest_target():

@@ -608,7 +608,7 @@ def test_a_failed_column_lp_fails_the_solve(monkeypatch, two_agent_symmetric):
     inst, _ = normalize_instance(two_agent_symmetric)
     monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: OptimizeResult(
         success=False, status=4, message="injected failure"))
-    with pytest.raises(RuntimeError, match="^column LP failed: injected failure$"):
+    with pytest.raises(lp.LpError, match="^column LP failed: injected failure$"):
         solve_welfare(inst, small_config(2), get_oracle("knapsack"))
 
 
