@@ -16,6 +16,7 @@ from . import io
 from .exact import exact_core_audit, exact_welfare_lp
 from .experiment import render_svg, rows_to_csv, run_experiment
 from .instances import (
+    CORRELATIONS,
     RoadSpec,
     gen_core_gap,
     gen_random,
@@ -26,15 +27,10 @@ from .instances import (
     make_x3c_no,
     make_x3c_yes,
 )
-from .model import SharingRuleSpec, evaluate, normalize_instance
+from .model import ExchangeSolution, SharingRuleSpec, evaluate, normalize_instance
 from .mwu import MwuConfig, solve_welfare
 from .oracles import ORACLES, get_oracle
-from .stability import (
-    check_2_stability,
-    greedy_cycle_canceling,
-    greedy_matching,
-    strategyproofness_fuzz,
-)
+from .stability import ALGORITHMS, check_2_stability, strategyproofness_fuzz
 
 logger = logging.getLogger(__name__)
 
@@ -175,11 +171,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_stability(args) -> int:
     instance = _parse(io.load_instance, args.instance, "instance file")
-    if args.algorithm == "greedy_match":
-        solution = greedy_matching(instance)
-        cycles: list[list[int]] = []
-    else:
-        solution, cycles = greedy_cycle_canceling(instance)
+    cols, cycles = ALGORITHMS[args.algorithm](instance.singleton_utility)
+    solution = ExchangeSolution(n=instance.n, columns=cols)
     blocking = check_2_stability(instance, solution)
     report = evaluate(instance, solution)
     io.dump_solution(solution, args.out)
@@ -191,22 +184,24 @@ def cmd_stability(args) -> int:
     return EXIT_OK
 
 
+def _violation_json(v: dict) -> dict:
+    """One strategyproofness_fuzz violation, as fuzz prints it and audit lists it."""
+    mis = v["misreport"]
+    return {
+        "agent": v["agent"],
+        "misreport": {"kind": mis.kind, "factor": mis.factor, "hide_from": list(mis.hide_from)},
+        "U_before": v["U_before"],
+        "U_after": v["U_after"],
+    }
+
+
 def cmd_fuzz(args) -> int:
     instance = _parse(io.load_instance, args.instance, "instance file")
     violations = strategyproofness_fuzz(instance, args.algorithm, args.trials, args.seed)
     for v in violations:
-        print(json.dumps({
-            "agent": v["agent"],
-            "misreport": {
-                "kind": v["misreport"].kind,
-                "factor": v["misreport"].factor,
-                "hide_from": list(v["misreport"].hide_from),
-            },
-            "U_before": v["U_before"],
-            "U_after": v["U_after"],
-        }, sort_keys=True))
+        print(json.dumps(_violation_json(v), sort_keys=True))
     print(f"{len(violations)} violations in {args.trials} trials")
-    return EXIT_OK
+    return EXIT_INVARIANT if violations else EXIT_OK
 
 
 def cmd_audit(args) -> int:
@@ -241,10 +236,7 @@ def cmd_audit(args) -> int:
             key: getattr(core, key) for key in ("coalitions", "ruled_out", "lps", "failed")},
         "core_audit_max_coalition": None if core is None else core.max_coalition,
         "blocking_coalitions": [] if core is None else [[list(c), t] for c, t in core.blocking],
-        "fuzz_violations": [
-            {"agent": v["agent"], "U_before": v["U_before"], "U_after": v["U_after"]}
-            for v in fuzz
-        ],
+        "fuzz_violations": [_violation_json(v) for v in fuzz],
     }, sort_keys=True))
     if not report.feasible or fuzz:
         return EXIT_INVARIANT
@@ -288,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="12x12", help="synthetic WxH lattice fallback")
     p.add_argument("--radius", type=int, default=8)
     p.add_argument("--agents", type=int, default=20)
-    p.add_argument("--correlation", choices=["none", "random", "local"], default="none")
+    p.add_argument("--correlation", choices=list(CORRELATIONS), default="none")
     p.add_argument("--rho", type=float, default=0.0)
     p.set_defaults(fn=cmd_gen)
 
@@ -333,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "the instance (max utility 1) first, so its welfare differs by that scale.",
     )
     p.add_argument("instance")
-    p.add_argument("--algorithm", choices=["greedy_match", "cycle_cancel"], default="greedy_match")
+    p.add_argument("--algorithm", choices=list(ALGORITHMS), default="greedy_match")
     p.add_argument("--out", default="solution.json")
     p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("fuzz", help="strategyproofness fuzzer")
     p.add_argument("instance")
-    p.add_argument("--algorithm", choices=["greedy_match", "cycle_cancel"], default="cycle_cancel")
+    p.add_argument("--algorithm", choices=list(ALGORITHMS), default="cycle_cancel")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_fuzz)
@@ -349,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("solution")
     p.add_argument("--coalitions", type=int, default=0, help="max coalition size to audit")
     p.add_argument("--fuzz-trials", type=int, default=0, help="misreport fuzz trials (0 = skip)")
-    p.add_argument("--fuzz-algorithm", choices=["greedy_match", "cycle_cancel"],
-                   default="cycle_cancel")
+    p.add_argument("--fuzz-algorithm", choices=list(ALGORITHMS), default="cycle_cancel")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_audit)
 

@@ -128,6 +128,15 @@ def _cycle_columns(table: np.ndarray) -> tuple[dict[int, dict], list[list[int]]]
     return cols, cycles
 
 
+# Each pairwise algorithm by its CLI name: the singleton table -> (columns,
+# cycles).  The lambdas look their function up when they run, so a patched
+# _matching_columns or _cycle_columns takes effect here too.
+ALGORITHMS = {
+    "greedy_match": lambda table: (_matching_columns(table), []),
+    "cycle_cancel": lambda table: _cycle_columns(table),
+}
+
+
 # ---------------------------------------------------------------------------
 # Welfare / core tradeoff mixing
 # ---------------------------------------------------------------------------
@@ -302,28 +311,24 @@ def strategyproofness_fuzz(instance: Instance, algorithm: str, trials: int,
     """Random feasible misreports; flag any that raise the misreporter's utility.
 
     The misreporter's perceived utility is measured with its reported utility
-    function on the algorithm's output for the reported instance.  Both
-    algorithms read only the singleton table, so each trial runs on the
+    function on the output of ALGORITHMS[algorithm] for the reported instance.
+    Those algorithms read only the singleton table, so each trial runs on the
     reported table (reported_singletons) rather than a reported instance.
     """
-    runners = {
-        "cycle_cancel": lambda table: _cycle_columns(table)[0],
-        "greedy_match": _matching_columns,
-    }
-    if algorithm not in runners:
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if trials < 0:
         raise ValueError(f"fuzz trials must be >= 0, got {trials}")
-    run = runners[algorithm]
+    run = ALGORITHMS[algorithm]
     table = instance.singleton_utility
-    truthful = run(table)
+    truthful = run(table)[0]
     rng = np.random.default_rng(seed)
     violations = []
     for _ in range(trials):
         agent = int(rng.integers(0, instance.n))
         mis = sample_misreport(instance, agent, rng)
         reported = reported_singletons(instance, mis)
-        perceived = _received(reported, run(reported), agent)
+        perceived = _received(reported, run(reported)[0], agent)
         before = _received(table, truthful, agent)
         if perceived > before + EQ_TOL:
             violations.append({

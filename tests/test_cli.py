@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import copy
 import functools
 import io
@@ -14,6 +15,7 @@ import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from datex import (ConcaveSpec, Instance, MwuConfig, SharingRuleSpec, SymmetricW
                    get_oracle, normalize_instance)
 from datex import mwu
 from datex import cli
+from datex import stability
 from datex import lp
 from datex.cli import main
 from datex import io as dio
@@ -255,6 +258,126 @@ def test_audit_with_fuzz(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.strip().splitlines()[-1])
     assert payload["fuzz_violations"] == []
+
+def _ascending_matching(table):
+    """Greedy matching that takes pairs by rising u-hat, ties by (i, j): a
+    manipulable mutant of stability._matching_columns."""
+    u_hat = np.minimum(table, table.T)
+    first, second = np.nonzero(np.triu(u_hat > 0.0, 1))
+    order = np.argsort(u_hat[first, second], kind="stable")
+    u = table.tolist()
+    matched: set[int] = set()
+    cols: dict[int, dict] = {}
+    for i, j in zip(first[order].tolist(), second[order].tolist()):
+        if i in matched or j in matched:
+            continue
+        matched.update((i, j))
+        cols[i] = {frozenset({j}): min(1.0, u[j][i] / u[i][j])}
+        cols[j] = {frozenset({i}): min(1.0, u[i][j] / u[j][i])}
+    return cols
+
+
+def _register_ascending_match(monkeypatch):
+    monkeypatch.setitem(stability.ALGORITHMS, "ascending_match",
+                        lambda table: (_ascending_matching(table), []))
+
+
+@pytest.fixture
+def manipulable(tmp_path, capsys, monkeypatch):
+    """The seed-0, six-agent table instance, with the ascending-u-hat mutant
+    registered as the pairwise algorithm "ascending_match"."""
+    _register_ascending_match(monkeypatch)
+    inst = tmp_path / "m.json"
+    run(["gen", "--kind", "random", "--n", "6", "--model", "table", "--seed", "0",
+         "--out", str(inst)], capsys)
+    return inst
+
+
+def _assert_violations(violations):
+    assert len(violations) == 16
+    for v in violations:
+        assert v["U_after"] > v["U_before"]
+        assert v["misreport"]["kind"] in ("scale", "hide")
+        assert set(v["misreport"]) == {"kind", "factor", "hide_from"}
+
+
+@pytest.mark.parametrize("via", ["registered", "patched"])
+def test_fuzz_exits_1_and_prints_every_violation_with_its_misreport(manipulable, capsys,
+                                                                    monkeypatch, via):
+    """A manipulable algorithm fails the fuzz by exit code: registered in
+    ALGORITHMS under its own name, or patched in as _matching_columns, which
+    the greedy_match entry looks up when it runs."""
+    algorithm = "ascending_match"
+    if via == "patched":
+        monkeypatch.setattr(stability, "_matching_columns", _ascending_matching)
+        algorithm = "greedy_match"
+    code, out, err = run(["fuzz", str(manipulable), "--algorithm", algorithm,
+                          "--trials", "200"], capsys)
+    lines = out.strip().splitlines()
+    assert code == 1 and err == ""
+    assert lines[-1] == "16 violations in 200 trials"
+    _assert_violations([json.loads(line) for line in lines[:-1]])
+
+
+def test_audit_lists_fuzz_violations_with_their_misreport_and_exits_1(manipulable, capsys,
+                                                                       tmp_path):
+    sol = tmp_path / "s.json"
+    code, out, _ = run(["stability", str(manipulable), "--algorithm", "ascending_match",
+                        "--out", str(sol)], capsys)
+    assert code == 0 and json.loads(out)["cycles"] == []
+    code, out, _ = run(["audit", str(manipulable), str(sol), "--fuzz-trials", "200",
+                        "--fuzz-algorithm", "ascending_match"], capsys)
+    assert code == 1
+    _assert_violations(json.loads(out.strip().splitlines()[-1])["fuzz_violations"])
+
+
+@pytest.mark.parametrize("algorithm", ["greedy_match", "cycle_cancel"])
+def test_the_real_algorithms_pass_the_fuzz_the_mutant_fails(manipulable, capsys, algorithm):
+    code, out, _ = run(["fuzz", str(manipulable), "--algorithm", algorithm, "--trials", "200"],
+                       capsys)
+    assert code == 0 and out == "0 violations in 200 trials\n"
+
+
+def test_the_algorithm_flags_accept_exactly_the_algorithms_table(monkeypatch, capsys):
+    code, out, err = run(["fuzz", "m.json", "--algorithm", "bogus"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("argument --algorithm: invalid choice: 'bogus' "
+                        "(choose from 'greedy_match', 'cycle_cancel')\n")
+
+    def choices():
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return [sub.choices[command]._option_string_actions[flag].choices
+                for command, flag in (("stability", "--algorithm"), ("fuzz", "--algorithm"),
+                                      ("audit", "--fuzz-algorithm"))]
+
+    assert choices() == [["greedy_match", "cycle_cancel"]] * 3
+    _register_ascending_match(monkeypatch)
+    assert choices() == [list(stability.ALGORITHMS)] * 3
+
+
+@pytest.mark.parametrize("m, k, yes, welfare", [(3, 1, True, 18), (4, 2, False, 27),
+                                                (4, 2, True, 30)])
+def test_exact_prints_the_x3c_decision_welfare(tmp_path, capsys, m, k, yes, welfare):
+    """A yes-instance reaches 3(m+3k) in raw units; a no-instance stays below it."""
+    inst, sol = tmp_path / "x3c.json", tmp_path / "x3c_solution.json"
+    run(["gen", "--kind", "x3c", "--m", str(m), "--k", str(k), "--out", str(inst)]
+        + ["--yes"] * yes, capsys)
+    code, out, _ = run(["exact", str(inst), "--out", str(sol)], capsys)
+    assert code == 0 and out == f"welfare {welfare}\n"
+    assert (welfare == 3 * (m + 3 * k)) == yes
+    assert dio.load_solution(str(sol)).n == 2 * m + 3
+
+
+def test_audit_of_a_solution_for_another_agent_count_exits_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run(["gen", "--kind", "random", "--n", "4", "--seed", "1", "--out", str(inst)], capsys)
+    sol = tmp_path / "five.json"
+    sol.write_text('{"n": 5, "columns": []}')
+    code, out, err = run(["audit", str(inst), str(sol)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: solution agent count does not match the instance\n"
+
 
 def test_solve_degenerate_instance_exits_2(tmp_path, capsys):
     inst = tmp_path / "inst.json"

@@ -18,6 +18,7 @@ from datex import (
     Instance,
     PathVariance,
     SharingRuleSpec,
+    SymmetricWeighted,
     evaluate,
     normalize_instance,
     scale_solution,
@@ -573,6 +574,26 @@ def test_json_roundtrip_on_all_five_models():
             text = json.dumps(dio.solution_to_json(sol))
             again = dio.solution_from_json(json.loads(text))
             assert again.n == sol.n and again.columns == sol.columns  # same columns and weights
+
+
+def test_json_roundtrip_of_explicit_weights_and_the_breakpoint_concave_kinds():
+    """Explicit proportional [i, j, w] triples, variance_reduction and
+    piecewise_linear specs come back from JSON text as they went in."""
+    f = (ConcaveSpec(kind="variance_reduction", sigma2=0.8, scale=0.5),
+         ConcaveSpec(kind="piecewise_linear", points=((0.0, 0.0), (1.0, 0.5), (3.0, 0.8))))
+    inst = Instance(
+        n=2,
+        allowed=frozenset({(0, 1), (1, 0)}),
+        utility=SymmetricWeighted(sizes={(0, 1): 1.5, (1, 0): 2.0}, f=f),
+        sharing=SharingRuleSpec(kind="proportional", weights=((0, 1, 2.0), (1, 0, 0.25))),
+        epsilon=0.1,
+    )
+    obj = json.loads(json.dumps(dio.instance_to_json(inst)))
+    assert obj["sharing"]["weights"] == [[0, 1, 2.0], [1, 0, 0.25]]
+    back = dio.instance_from_json(obj)
+    assert back.sharing == inst.sharing
+    assert back.utility.f == f and back.utility.sizes == inst.utility.sizes
+    assert dio.instance_to_json(back) == obj
 
 
 def test_instance_json_rejects_unknown_fields(two_agent_symmetric):

@@ -1033,6 +1033,16 @@ def test_imbalance_grid_search_cross_check():
     assert v == pytest.approx(best, abs=1e-3)
 
 
+def test_imbalance_linear_cost_spends_each_budget_on_the_first_best_price():
+    """With g = h = x, each half puts its whole budget on its largest price,
+    the first one on a tie: value = C max p + C' max r."""
+    linear = ConvexCost(1.0)
+    d, g, v = oracle_imbalance(np.array([1.0, 3.0, 3.0]), np.array([2.0, 0.0, 1.0]), 0.5, 0.2,
+                               g=linear, h=linear)
+    assert d.tolist() == [0.0, 0.5, 0.0] and g.tolist() == [0.2, 0.0, 0.0]
+    assert v == pytest.approx(1.9, abs=1e-12)
+
+
 def test_imbalance_kkt_stationarity_and_tight_budget():
     rng = np.random.default_rng(5)
     for a in (2.0, 3.0):
