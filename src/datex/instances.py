@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    MAX_ENUMERABLE_SENDERS,
     ConcaveSpec,
     ExchangeSolution,
     ExplicitTable,
@@ -211,6 +212,10 @@ def gen_random(n: int, senders_per_agent: int, model_kind: str = "symmetric",
     """Random test instances: symmetric weighted or coverage-built tables."""
     if senders_per_agent < 0:
         raise ValueError(f"senders per agent must be >= 0, got {senders_per_agent}")
+    # a table lists all 2^k subsets of k senders; refuse past the cap before building one
+    if model_kind == "table" and min(senders_per_agent, n - 1) > MAX_ENUMERABLE_SENDERS:
+        raise ValueError(f"a table of {min(senders_per_agent, n - 1)} senders per agent "
+                         f"exceeds the enumeration cap {MAX_ENUMERABLE_SENDERS}")
     rng = np.random.default_rng(seed)
     allowed = _random_allowed(n, senders_per_agent, rng)
     if model_kind == "symmetric":

@@ -124,6 +124,8 @@ class ExplicitTable:
                 raise ValueError(f"agent {i}: {k} senders exceeds enumeration cap")
             if tuple(sorted(send)) != send:
                 raise ValueError(f"agent {i}: senders must be sorted")
+            if np.ndim(vals) != 1:
+                raise ValueError(f"agent {i}: table values must be a flat list of numbers")
             if len(vals) != 1 << k:
                 raise ValueError(f"agent {i}: table must cover all {1 << k} subsets")
             if abs(vals[0]) > EQ_TOL:
@@ -181,7 +183,8 @@ class SymmetricWeighted:
                 raise ValueError(f"size s[{i},{j}] must be finite and non-negative; got {s}")
 
     def total_size(self, i: int, subset: frozenset[int]) -> float:
-        return sum(self.sizes.get((i, j), 0.0) for j in subset)
+        # in sender order: a frozenset's iteration order depends on how it was built
+        return sum(self.sizes.get((i, j), 0.0) for j in sorted(subset))
 
     def value(self, i: int, subset: frozenset[int]) -> float:
         return self.f[i](self.total_size(i, subset))
@@ -211,6 +214,9 @@ class PathVariance:
     kind = "path_variance"
 
     def __post_init__(self) -> None:
+        for name in ("sigma2", "z", "classes"):
+            if np.ndim(getattr(self, name)) != 1:
+                raise ValueError(f"{self.kind} {name} must be a flat list of numbers")
         if not np.all((self.sigma2 >= 0) & (self.sigma2 <= 1 + EQ_TOL)):  # rejects NaN too
             raise ValueError("edge variances must lie in [0, 1]")
         if np.any(self.z < 1):
@@ -349,8 +355,8 @@ class X3CCoverage:
             return (self.m - self.k / 2.0 if self.w in subset else 0.0) / self.scale
         raise ValueError(f"unknown agent {i}")
 
-    def coverage_shares(self, subset: frozenset[int]) -> dict[int, float]:
-        """Shapley shares of u_w(subset): 1/c_e per covering set, per element."""
+    def coverage_shares(self, subset: frozenset[int]) -> tuple[float, dict[int, float]]:
+        """u_w(subset) and its Shapley shares: 1/c_e per covering set, per element."""
         cover_count: dict[int, int] = {}
         for a in subset:
             for e in self.elements_of(a):
@@ -358,7 +364,7 @@ class X3CCoverage:
         shares = {}
         for a in subset:
             shares[a] = sum(1.0 / cover_count[e] for e in self.elements_of(a)) / self.scale
-        return shares
+        return len(cover_count) / self.scale, shares
 
     def rescaled(self, divisor: float) -> X3CCoverage:
         return X3CCoverage(self.m, self.k, self.sets, scale=self.scale * divisor)
@@ -536,6 +542,11 @@ class Instance:
                 table[i, j] = model.value(i, frozenset({j}))
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def share_memo(self) -> dict[tuple[int, frozenset[int]], tuple[float, dict[int, float]]]:
+        """(u_i(S), shares) per (agent i, subset S), as datex.sharing's rule returned it."""
+        return {}
 
 
 def require_permitted(instance: Instance, i: int, subset: frozenset[int]) -> None:

@@ -4,7 +4,6 @@ proportional) and the column LP rows they induce."""
 from __future__ import annotations
 
 import math
-import weakref
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -29,52 +28,40 @@ MAX_EXACT_SHAPLEY = 12
 # agent's LP weights may exceed 1 by this much and are scaled back onto it
 LP_MASS_TOL = 1e-6
 
-# one entry per (instance, agent, subset): [u_i(S), shares], each None until
-# known; sampled Shapley's prefix pass fills in u_i(S), column_split reads it
-_share_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _memo_entry(instance: Instance, i: int, subset: frozenset[int]) -> list:
-    cache = _share_cache.setdefault(instance, {})
-    entry = cache.get((i, subset))
-    if entry is None:
-        entry = cache[(i, subset)] = [None, None]
-    return entry
+Split = tuple[float, dict[int, float]]  # a subset's (u_i(S), shares), as a sharing rule returns it
 
 
 def shares(instance: Instance, i: int, subset: frozenset[int]) -> dict[int, float]:
-    """h_ij(subset) for every j in subset, per the instance's sharing rule."""
+    """h_ij(subset) for every j in subset, per the instance's sharing rule; a miss
+    checks subset, runs the rule and memoizes its pair in instance.share_memo."""
     if not subset:
         return {}
-    entry = _memo_entry(instance, i, subset)
-    if entry[1] is not None:
-        return entry[1]
-    require_permitted(instance, i, subset)
-    rule = instance.sharing
-    if isinstance(instance.utility, X3CCoverage) and rule.kind in ("shapley_exact", "shapley_sampled"):
-        out = _x3c_shapley(instance, i, subset)
-    elif rule.kind == "shapley_exact":
-        out = shapley_exact(instance, i, subset)
-    elif rule.kind == "shapley_sampled":
-        out = shapley_sampled(instance, i, subset, rule.m, rule.seed)
-    else:
-        out = proportional(instance, i, subset)
-    entry[1] = out
-    return out
+    entry = instance.share_memo.get((i, subset))
+    if entry is None:
+        require_permitted(instance, i, subset)
+        rule = instance.sharing
+        if isinstance(instance.utility, X3CCoverage) and rule.kind != "proportional":
+            entry = _x3c_shapley(instance, i, subset)
+        elif rule.kind == "shapley_exact":
+            entry = shapley_exact(instance, i, subset)
+        elif rule.kind == "shapley_sampled":
+            entry = shapley_sampled(instance, i, subset, rule.m, rule.seed)
+        else:
+            entry = proportional(instance, i, subset)
+        instance.share_memo[(i, subset)] = entry
+    return entry[1]
 
 
-def column_split(instance: Instance, i: int, col: frozenset[int] | FracColumn,
-                 ) -> tuple[float, dict[int, float]]:
-    """Utility of a solution column to i and its shares, memoized for set
-    columns; fractional columns need the continuous model and split
-    proportionally to volume."""
+def column_split(instance: Instance, i: int, col: frozenset[int] | FracColumn) -> Split:
+    """Utility of a solution column to i and its shares: for a set column the
+    memoized pair of its sharing rule; fractional columns need the continuous
+    model and split proportionally to volume."""
     if not isinstance(col, FracColumn):
-        entry = _memo_entry(instance, i, col)
-        if entry[1] is None:  # a miss checks col, and a prefix pass fills in entry[0]
-            entry[1] = shares(instance, i, col)
-        if entry[0] is None:
-            entry[0] = utility(instance, i, col)
-        return entry[0], entry[1]
+        if not col:
+            return 0.0, {}
+        if (i, col) not in instance.share_memo:  # a miss checks col and runs its rule
+            shares(instance, i, col)
+        return instance.share_memo[(i, col)]
     model = instance.utility
     if not isinstance(model, ContinuousConcave):
         raise ValueError("fractional columns need the continuous model")
@@ -165,7 +152,7 @@ def lp_solution(n: int, cols: Sequence[tuple[int, frozenset[int] | FracColumn]],
     return ExchangeSolution(n=n, columns=out, deltas=deltas, gammas=gammas)
 
 
-def _x3c_shapley(instance: Instance, i: int, subset: frozenset[int]) -> dict[int, float]:
+def _x3c_shapley(instance: Instance, i: int, subset: frozenset[int]) -> Split:
     # Coverage utilities have a closed-form Shapley value: each covered element
     # hands 1/c_e(S) to every covering set.  Non-coverage agents have a single
     # permitted sender, so the share is the full utility.
@@ -174,13 +161,14 @@ def _x3c_shapley(instance: Instance, i: int, subset: frozenset[int]) -> dict[int
     if i == model.w:
         return model.coverage_shares(subset)
     (j,) = subset
-    return {j: utility(instance, i, subset)}
+    u = utility(instance, i, subset)
+    return u, {j: u}
 
 
-def shapley_exact(instance: Instance, i: int, subset: frozenset[int]) -> dict[int, float]:
-    """Exact Shapley shares via the subset-weighted sum (2^|S| evaluations)."""
+def shapley_exact(instance: Instance, i: int, subset: frozenset[int]) -> Split:
+    """u_i(S) and exact Shapley shares via the subset-weighted sum (2^|S| evaluations)."""
     if not subset:
-        return {}
+        return 0.0, {}
     members = sorted(subset)
     s = len(members)
     if s > MAX_EXACT_SHAPLEY:
@@ -203,7 +191,7 @@ def shapley_exact(instance: Instance, i: int, subset: frozenset[int]) -> dict[in
         for b in range(s):
             if not mask & (1 << b):
                 out[members[b]] += w * (u[mask | (1 << b)] - base)
-    return out
+    return u[-1], out
 
 
 @lru_cache(maxsize=64)
@@ -234,10 +222,10 @@ def _identity_rows(m: int, s: int) -> np.ndarray:
 
 
 def shapley_sampled(instance: Instance, i: int, subset: frozenset[int],
-                    m: int = 10, seed: int = 0) -> dict[int, float]:
-    """Average marginal over m seeded uniform permutations of the subset."""
+                    m: int = 10, seed: int = 0) -> Split:
+    """u_i(S) and the average marginal over m seeded uniform permutations of the subset."""
     if not subset:
-        return {}
+        return 0.0, {}
     if m < 1:
         raise ValueError("permutation count m must be >= 1")
     members = sorted(subset)
@@ -250,22 +238,22 @@ def shapley_sampled(instance: Instance, i: int, subset: frozenset[int],
     model = instance.utility
     if isinstance(model, (ExplicitTable, PathVariance)):  # all m prefix passes in one array
         marg = model.prefix_values(i, np.array(members)[perms])
-        _memo_entry(instance, i, subset)[0] = float(marg[0, -1])  # every last prefix is u_i(S)
     else:
         marg = np.array([[utility(instance, i, frozenset(members[t] for t in perm[:c]))
                           for c in range(1, s + 1)] for perm in perms], dtype=float)
+    u = float(marg[0, -1])  # every last prefix is u_i(S)
     # prefix utilities to marginals; add.at then adds each member's marginals
     # in permutation order, as a per-permutation loop adds them
     np.subtract(marg[:, 1:], marg[:, :-1], out=marg[:, 1:])
     acc = np.zeros(s)
     np.add.at(acc, perms, marg)
-    return dict(zip(members, (acc / m).tolist()))
+    return u, dict(zip(members, (acc / m).tolist()))
 
 
-def proportional(instance: Instance, i: int, subset: frozenset[int]) -> dict[int, float]:
-    """h_ij(S) = w_ij / sum_k w_ik * u_i(S), with w from the instance's sharing rule."""
+def proportional(instance: Instance, i: int, subset: frozenset[int]) -> Split:
+    """u_i(S) and h_ij(S) = w_ij / sum_k w_ik * u_i(S), w from the instance's sharing rule."""
     if not subset:
-        return {}
+        return 0.0, {}
     u = utility(instance, i, subset)
     w = instance.sharing.weights
     if w in (None, "singleton"):
@@ -278,8 +266,8 @@ def proportional(instance: Instance, i: int, subset: frozenset[int]) -> dict[int
     if total <= 0.0:
         if u > EQ_TOL:
             raise ValueError(f"undefined proportional share: zero weight-sum for agent {i}")
-        return {j: 0.0 for j in subset}
-    return {j: wv / total * u for j, wv in w_of.items()}
+        return u, {j: 0.0 for j in subset}
+    return u, {j: wv / total * u for j, wv in w_of.items()}
 
 
 def cross_monotonicity_audit(instance: Instance, i: int, budget: int = 200,

@@ -182,8 +182,8 @@ def test_05_sharing_rule_correctness():
         if len(senders) < 2:
             continue
         S = frozenset(senders[: min(5, len(senders))])
-        exact = shapley_exact(inst, i, S)
-        approx = shapley_sampled(inst, i, S, m=20000, seed=q)
+        _, exact = shapley_exact(inst, i, S)
+        _, approx = shapley_sampled(inst, i, S, m=20000, seed=q)
         worst = max(worst, max(abs(exact[j] - approx[j]) for j in S))
     assert worst <= 0.01
     _report(5, "sharing rules", f"efficiency x1000 ok, cross-monotone x50 ok, "

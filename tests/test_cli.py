@@ -755,6 +755,40 @@ def test_non_finite_utility_input_exits_2(tmp_path, capsys, model, path, value, 
     assert len(err.strip().splitlines()) == 1 and "bad instance file" in err
 
 
+@pytest.mark.parametrize("model, field, command", [
+    *[pytest.param("explicit_table", ("tables", 0, "values"), c, id=f"table-values-{c}")
+      for c in ("solve", "exact", "stability", "fuzz")],
+    *[pytest.param("path_variance", ("sigma2",), c, id=f"road-sigma2-{c}")
+      for c in ("solve", "stability")],
+])
+def test_a_nested_numeric_list_exits_2_at_load(tmp_path, capsys, model, field, command):
+    # [[v], ...] loaded as a 2-D array: tables exited 3 with a TypeError or 2 with
+    # a numpy message, and road was misdiagnosed as having no utility anywhere
+    inst = _instance_file(tmp_path, capsys, model)
+    obj = json.loads(inst.read_text())
+    *keys, last = field
+    target = functools.reduce(operator.getitem, keys, obj["utility"])
+    target[last] = [[v] for v in target[last]]
+    inst.write_text(json.dumps(obj))
+    argv = (["fuzz", str(inst), "--trials", "5"] if command == "fuzz"
+            else _cli_args([command], inst, tmp_path))
+    with time_limit(10):
+        code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "bad instance file" in err and "must be a flat list of numbers" in err
+
+
+def test_a_random_table_past_the_enumeration_cap_exits_2_at_once(tmp_path, capsys):
+    # the 2^21-mask table of each of 23 agents was built before the cap refused it
+    with time_limit(5):
+        code, out, err = run(["gen", "--kind", "random", "--model", "table", "--n", "23",
+                              "--senders", "21", "--out", str(tmp_path / "big.json")], capsys)
+    assert code == 2 and out == ""
+    assert err.strip() == "error: a table of 21 senders per agent exceeds the enumeration cap 20"
+    assert not (tmp_path / "big.json").exists()
+
+
 @pytest.mark.parametrize("exc, code, message", [
     (RegretBoundError("regret bound violated:\n lhs 2.0 > rhs 1.0"), 1,
      "invariant violated: regret bound violated: lhs 2.0 > rhs 1.0"),

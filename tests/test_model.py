@@ -113,6 +113,17 @@ def test_explicit_table_rejects_nonmonotone_beyond_twelve_senders():
         ExplicitTable(senders=(tuple(range(1, k + 1)),), values=(bad,))
 
 
+def test_numeric_lists_of_the_models_must_be_flat():
+    with pytest.raises(ValueError, match="agent 0: table values must be a flat list"):
+        ExplicitTable(senders=((1,),), values=(np.array([[0.0], [0.5]]),))
+    flat = dict(n_nodes=2, edges=((0, 1),), paths=((0,), (0,)),
+                sigma2=np.array([0.5]), z=np.array([2, 2]), classes=np.array([0]))
+    PathVariance(**flat)
+    for name in ("sigma2", "z", "classes"):
+        with pytest.raises(ValueError, match=f"path_variance {name} must be a flat list"):
+            PathVariance(**flat | {name: flat[name][:, None]})
+
+
 def test_path_variance_single_edge_value():
     # one shared edge, sigma2=0.5, z_i=2, donor holds 2 samples: 0.5/2 - 0.5/4
     pv = PathVariance(

@@ -388,7 +388,7 @@ def test_bucketing_values_fewer_buckets_than_the_per_sender_loop(monkeypatch, re
         return real(*args)
 
     def rule_calls(run):
-        sharing._share_cache.pop(inst, None)  # every distinct bucket is valued afresh
+        inst.share_memo.clear()  # every distinct bucket is valued afresh
         calls[0] = 0
         return run(), calls[0]
 

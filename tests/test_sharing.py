@@ -28,7 +28,7 @@ from datex import (
 )
 from datex import lp, sharing
 from datex.instances import RoadSpec, gen_random, gen_road, grid_graph
-from datex.sharing import _permutation_rng, _share_cache, column_split
+from datex.sharing import _permutation_rng, column_split
 
 from conftest import five_model_instances
 
@@ -82,14 +82,16 @@ def unique_data_instance(n=5):
 
 
 def test_shapley_singleton_is_marginal(two_agent_unit):
-    sh = shapley_exact(two_agent_unit, 0, frozenset({1}))
+    u, sh = shapley_exact(two_agent_unit, 0, frozenset({1}))
+    assert u == 1.0
     assert sh == {1: pytest.approx(1.0)}
 
 
 def test_shapley_unique_data_example():
     inst = unique_data_instance(5)
     S = frozenset(range(1, 5))  # three common senders plus the unique one (id 4)
-    sh = shapley_exact(inst, 0, S)
+    u, sh = shapley_exact(inst, 0, S)
+    assert u == 1.0
     assert sh[4] == pytest.approx(0.5, abs=1e-12)
     for j in (1, 2, 3):
         assert sh[j] == pytest.approx(1.0 / 6.0, abs=1e-12)  # 1/(2|S|), |S|=3
@@ -102,7 +104,7 @@ def test_shapley_matches_permutation_enumeration():
         if len(senders) < 4:
             continue
         S = frozenset(senders[:4])
-        exact = shapley_exact(inst, i, S)
+        _, exact = shapley_exact(inst, i, S)
         brute = brute_shapley(inst, i, S)
         for j in S:
             assert exact[j] == pytest.approx(brute[j], abs=1e-9)
@@ -154,9 +156,10 @@ def test_shapley_exact_equals_the_memo_closure_form(monkeypatch):
             for _ in range(4):
                 subset = frozenset(j for j in senders if rng.random() < 0.7)
                 calls.clear()
-                new = shapley_exact(inst, i, subset)
+                u, new = shapley_exact(inst, i, subset)
                 new_calls = sorted(calls, key=sorted)
                 calls.clear()
+                assert u == utility(inst, i, subset)
                 assert new == memo_closure_shapley(inst, i, subset)
                 assert new_calls == sorted(calls, key=sorted)  # one call per subset either way
                 assert len(new_calls) == (1 << len(subset) if subset else 0)
@@ -176,18 +179,18 @@ def test_shapley_size_guard():
 def test_sampled_telescopes_and_deterministic():
     inst = unique_data_instance(5)
     S = frozenset(range(1, 5))
-    a = shapley_sampled(inst, 0, S, m=7, seed=3)
-    b = shapley_sampled(inst, 0, S, m=7, seed=3)
-    assert a == b
-    assert sum(a.values()) == pytest.approx(utility(inst, 0, S), abs=1e-9)
+    u, a = shapley_sampled(inst, 0, S, m=7, seed=3)
+    assert shapley_sampled(inst, 0, S, m=7, seed=3) == (u, a)
+    assert u == utility(inst, 0, S)
+    assert sum(a.values()) == pytest.approx(u, abs=1e-9)
 
 
 def test_sampled_converges_to_exact():
     inst = gen_random(6, 5, "table", seed=2)
     i = 0
     S = frozenset(inst.senders_of[i][:5])
-    exact = shapley_exact(inst, i, S)
-    approx = shapley_sampled(inst, i, S, m=20000, seed=5)
+    _, exact = shapley_exact(inst, i, S)
+    _, approx = shapley_sampled(inst, i, S, m=20000, seed=5)
     for j in S:
         assert approx[j] == pytest.approx(exact[j], abs=0.01)
 
@@ -196,11 +199,11 @@ def test_sampled_is_unbiased():
     # mean over many independent seeds approaches the exact value at 3 sigma
     inst = unique_data_instance(5)
     S = frozenset(range(1, 5))
-    exact = shapley_exact(inst, 0, S)
+    _, exact = shapley_exact(inst, 0, S)
     trials, m = 4000, 5
     draws = {j: [] for j in S}
     for seed in range(trials):
-        sh = shapley_sampled(inst, 0, S, m=m, seed=seed)
+        _, sh = shapley_sampled(inst, 0, S, m=m, seed=seed)
         for j in S:
             draws[j].append(sh[j])
     for j in S:
@@ -228,7 +231,8 @@ def test_proportional_unique_data_example():
     inst = replace(unique_data_instance(5),
                    sharing=SharingRuleSpec(kind="proportional", weights="singleton"))
     S = frozenset(range(1, 5))
-    pr = proportional(inst, 0, S)
+    u, pr = proportional(inst, 0, S)
+    assert u == 1.0
     for j in S:
         assert pr[j] == pytest.approx(0.25, abs=1e-12)  # 1/(|S|+1), |S|=3
 
@@ -251,8 +255,8 @@ def test_proportional_single_sender_and_zero_weight_error(two_agent_unit):
     def rule(weights):
         return replace(two_agent_unit, sharing=SharingRuleSpec(kind="proportional", weights=weights))
 
-    pr = proportional(rule("singleton"), 0, frozenset({1}))
-    assert pr[1] == pytest.approx(1.0)
+    u, pr = proportional(rule("singleton"), 0, frozenset({1}))
+    assert u == 1.0 and pr[1] == pytest.approx(1.0)
     with pytest.raises(ValueError, match="undefined proportional"):
         proportional(rule(((0, 1, 0.0),)), 0, frozenset({1}))
 
@@ -403,7 +407,7 @@ def test_one_pass_sampled_shapley_is_bit_identical_to_the_permutation_loop():
             for size in sorted(sizes):
                 S = frozenset(int(j) for j in rng.choice(senders, size=size, replace=False))
                 for m in (1, 10, 37):
-                    got = shapley_sampled(inst, i, S, m, seed=inst.sharing.seed)
+                    _, got = shapley_sampled(inst, i, S, m, seed=inst.sharing.seed)
                     ref = loop_shapley_sampled(inst, i, S, m, inst.sharing.seed)
                     assert list(got.items()) == list(ref.items())
                     checked += 1
@@ -455,28 +459,94 @@ def test_column_split_memo_matches_a_fresh_instance_and_skips_utility(monkeypatc
     assert [column_split(fresh, i, col) for i, col in cols] == first
     assert first == [(utility(inst, i, col), shares(inst, i, col)) for i, col in cols]
 
-    gc.collect()
-    before, ref = len(_share_cache), weakref.ref(inst)
-    assert inst in _share_cache
+    assert inst.share_memo.keys() == fresh.share_memo.keys() == set(cols)
+
+    ref = weakref.ref(inst)
     del inst, first, again
     gc.collect()
-    assert ref() is None  # the memo holds no strong reference
-    assert len(_share_cache) == before - 1
+    assert ref() is None  # the memo lives and dies with its instance
 
 
 @pytest.mark.parametrize("rule", [SharingRuleSpec(kind="proportional", weights="size"),
                                   SharingRuleSpec(kind="shapley_sampled", m=5, seed=2)])
 def test_column_split_without_a_prefix_pass_makes_one_utility_call_per_column(monkeypatch, rule):
+    # a symmetric model has no prefix pass, so its rules evaluate u_i one subset
+    # at a time; the rule returns u_i(S) with its shares and column_split adds
+    # no utility call of its own, after shares or on a miss
     inst = replace(gen_random(6, 3, "symmetric", seed=11), sharing=rule)
     cols = small_and_full_columns(inst)
-    for i, col in cols:
-        shares(inst, i, col)  # the rule's own utility calls come first
     calls = counting_sharing_utility(monkeypatch)
+    for i, col in cols:
+        shares(inst, i, col)
+    rule_calls = calls.copy()
+    if rule.kind == "proportional":
+        assert rule_calls == cols  # u_i(S) is proportional's one utility call per column
+    calls.clear()
     first = [column_split(inst, i, col) for i, col in cols]
-    assert calls == cols
-    assert [column_split(inst, i, col) for i, col in cols] == first
-    assert calls == cols
+    assert calls == []
+    fresh = replace(inst)
+    assert [column_split(fresh, i, col) for i, col in cols] == first
+    assert calls == rule_calls  # a miss makes its rule's calls and no more
     assert first == [(utility(inst, i, col), shares(inst, i, col)) for i, col in cols]
+
+
+@functools.lru_cache(maxsize=None)
+def contract_models(seed):
+    """The five model kinds, plus a symmetric instance whose sender ids pass 8,
+    where a frozenset's iteration order depends on how it was built."""
+    return [*five_models(seed), gen_random(24, 6, "symmetric", seed=30 + seed)]
+
+
+# (model, receiver): x3c's coverage receiver w and its set agents are separate cases
+CONTRACT_CASES = [(0, None), (1, None), (2, None), (3, "w"), (3, "set"), (4, None), (5, None)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2), case=st.sampled_from(CONTRACT_CASES), rule=st.sampled_from(RULES),
+       data=st.data())
+def test_column_split_is_the_rule_pair_and_calls_no_utility_after_shares(seed, case, rule, data):
+    # every rule returns (u_i(S), shares) and the instance memoizes that pair,
+    # so column_split after shares reads u_i(S) without a utility call
+    model, receiver = case
+    inst = contract_models(seed)[model]
+    if rule == "proportional_size" and not isinstance(inst.utility, SymmetricWeighted):
+        return  # size weights need a size-based utility model
+    inst = _with_rule(inst, rule, data)
+    if receiver == "w":
+        i = inst.utility.w
+    else:
+        agents = range(2 * inst.utility.m) if receiver == "set" else range(inst.n)
+        i = data.draw(st.sampled_from([a for a in agents if inst.senders_of[a]]))
+    # drawn in any order, so the subset's frozenset is built in that order
+    S = frozenset(data.draw(st.lists(st.sampled_from(inst.senders_of[i]), min_size=1,
+                                     max_size=8, unique=True)))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_sharing_utility(mp)
+        h = shares(inst, i, S)
+        calls.clear()
+        u, split = column_split(inst, i, S)
+        assert calls == []
+    assert split is h
+    assert u == utility(inst, i, S)
+    assert column_split(replace(inst), i, S) == (u, h)  # a miss runs the rule for the pair
+
+
+def test_a_symmetric_column_utility_does_not_depend_on_how_its_subset_was_built():
+    # past sender id 8 a frozenset's iteration order follows its insertion
+    # order, and the Shapley rules value the subset rebuilt in sender order
+    rng = np.random.default_rng(8)
+    checked = 0
+    for rule in (SharingRuleSpec(kind="shapley_exact"),
+                 SharingRuleSpec(kind="shapley_sampled", m=5)):
+        for seed in range(3):
+            inst = replace(gen_random(24, 7, "symmetric", seed=seed), sharing=rule)
+            for i in range(inst.n):
+                order = [int(j) for j in rng.permutation(inst.senders_of[i])]
+                for k in range(2, len(order) + 1):
+                    S = frozenset(order[:k])
+                    assert column_split(inst, i, S)[0] == utility(inst, i, S)
+                    checked += 1
+    assert checked >= 400
 
 
 def test_memoized_utility_of_a_prefix_pass_equals_the_model_value():
@@ -492,7 +562,7 @@ def test_memoized_utility_of_a_prefix_pass_equals_the_model_value():
             for size in sorted({1, int(rng.integers(1, len(senders) + 1)), len(senders)}):
                 S = frozenset(int(j) for j in rng.choice(senders, size=size, replace=False))
                 shares(inst, i, S)
-                assert _share_cache[inst][(i, S)][0] == inst.utility.value(i, S)
+                assert inst.share_memo[(i, S)][0] == inst.utility.value(i, S)
                 checked += 1
     assert checked >= 150
 
@@ -535,7 +605,7 @@ def test_a_column_the_instance_does_not_permit_is_refused_before_any_prefix_pass
         for call in (shares, column_split):
             with pytest.raises(ValueError, match=rf"senders \[{i}\] are not permitted for agent {i}"):
                 call(inst, i, col)
-    assert all(entry[0] is None for entry in _share_cache[inst].values())
+    assert inst.share_memo == {}  # a refused subset leaves no memo entry
 
 
 def test_frac_columns_still_split_by_volume():
@@ -552,7 +622,7 @@ def test_frac_columns_still_split_by_volume():
     total = sum(volume.values())
     assert h == {j: v / total * u for j, v in volume.items()}
     assert column_split(inst, i, col) == (u, h)
-    assert not any(col in key for key in _share_cache.get(inst, {}))
+    assert not any(col in key for key in inst.share_memo)
 
 
 def _dense_column_lp_rows(inst, cols):
@@ -624,7 +694,7 @@ def test_sampled_shapley_on_other_models_is_bit_identical_to_the_per_draw_loop()
                 for size in sorted({1, len(senders), int(rng.integers(1, len(senders) + 1))}):
                     S = frozenset(int(j) for j in rng.choice(senders, size=size, replace=False))
                     for m in (1, 10, 37):
-                        got = shapley_sampled(inst, i, S, m, seed=inst.sharing.seed)
+                        _, got = shapley_sampled(inst, i, S, m, seed=inst.sharing.seed)
                         ref = loop_shapley_sampled_any_model(inst, i, S, m, inst.sharing.seed)
                         assert list(got.items()) == list(ref.items())
                         checked += 1
@@ -643,7 +713,7 @@ def test_one_member_sampled_shapley_draws_nothing_and_matches_the_loop(monkeypat
         for i in range(inst.n):
             for j in inst.senders_of[i][:3]:
                 for m in (1, 10, 37):
-                    got = shapley_sampled(inst, i, frozenset({j}), m, seed=4)
+                    _, got = shapley_sampled(inst, i, frozenset({j}), m, seed=4)
                     assert list(got.items()) == list(loop(inst, i, frozenset({j}), m, 4).items())
                     checked += 1
     assert checked >= 100
