@@ -236,23 +236,23 @@ def gen_random(n: int, senders_per_agent: int, model_kind: str = "symmetric",
         by_receiver: dict[int, list[int]] = {i: [] for i in range(n)}
         for i, j in allowed:
             by_receiver[i].append(j)
+        bits = 1 << np.arange(universe)
+        in_cover = (np.arange(1 << universe)[:, None] & bits) != 0  # [cover mask, element]
         for i in range(n):
             send = tuple(sorted(by_receiver[i]))
             senders.append(send)
             weights = rng.uniform(0.1, 1.0, size=universe)
             weights /= weights.sum()
-            covers = [
-                int(sum(1 << e for e in range(universe) if rng.random() < 0.4))
-                for _ in send
-            ]
-            vals = np.zeros(1 << len(send))
-            for mask in range(1, 1 << len(send)):
-                cov = 0
-                for b in range(len(send)):
-                    if mask & (1 << b):
-                        cov |= covers[b]
-                vals[mask] = sum(weights[e] for e in range(universe) if cov & (1 << e))
-            values.append(vals)
+            # sender b covers element e where its draw e is below 0.4, drawn b-major
+            covers = (rng.random((len(send), universe)) < 0.4) @ bits
+            # the value of each cover mask, its elements' weights added in ascending order
+            cover_value = np.zeros(1 << universe)
+            for e in range(universe):
+                cover_value = np.where(in_cover[:, e], cover_value + weights[e], cover_value)
+            cov = np.zeros(1 << len(send), dtype=np.intp)  # cov[mask]: OR of its senders' covers
+            for b, c in enumerate(covers.tolist()):
+                cov[1 << b : 2 << b] = cov[: 1 << b] | c
+            values.append(cover_value[cov])
         return Instance(
             n=n, allowed=allowed,
             utility=ExplicitTable(senders=tuple(senders), values=tuple(values)),

@@ -548,6 +548,11 @@ class Instance:
         """(u_i(S), shares) per (agent i, subset S), as datex.sharing's rule returned it."""
         return {}
 
+    @cached_property
+    def oracle_memo(self) -> dict[tuple, object]:
+        """The price-free part of the oracles' work, as datex.oracles laid it out."""
+        return {}
+
 
 def require_permitted(instance: Instance, i: int, subset: frozenset[int]) -> None:
     """Raise ValueError unless every sender in subset may send to i."""

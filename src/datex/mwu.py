@@ -84,7 +84,7 @@ def assemble_prices(instance: Instance, w: np.ndarray, B: float, alpha: float,
     dense n x n array whose row i is agent i's oracle price row; entries off
     the allowed pairs are never read.
     """
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise ValueError("row weights must stay positive")
     n = instance.n
     p = w / w.sum()
@@ -139,9 +139,11 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
 
     w = np.ones(2 * n + 1)
     pool: set[tuple[int, object]] = set()  # every (agent, column) an oracle chose
-    delta = gamma = np.zeros(n)  # the slacks without an imbalance budget
-    delta_sum = np.zeros(n)
+    delta_sum = np.zeros(n)  # the slacks' sums; zero without an imbalance budget
     gamma_sum = np.zeros(n)
+    m = np.empty(2 * n + 1)  # this iteration's losses (A x - b/alpha) / rho, row by row
+    m_plus, m_minus = m[1 : n + 1], m[n + 1 :]
+    row_slack = eps / alpha
     lhs = 0.0
     row_m_sum = np.zeros(2 * n + 1)
     row_m_abs = np.zeros(2 * n + 1)
@@ -185,28 +187,34 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
                          "oracle_value": oracle_total, "max_residual": float("nan")})
             break
 
-        # m = (A x - b/alpha) / rho for the 2n+1 rows
+        # m = (A x - b/alpha) / rho for the 2n+1 rows; a zero slack adds nothing
         balance = received - sent
-        plus_rows = balance + delta + eps / alpha
-        minus_rows = -balance + gamma + eps / alpha
-        m = np.concatenate(([received.sum() - B / alpha], plus_rows, minus_rows)) / rho
-        if np.max(np.abs(m)) > 1.0 + 1e-12:
-            raise AssertionError(f"width violated: |m| = {np.max(np.abs(m)):.6g} > 1")
+        m[0] = received.sum() - B / alpha
+        if config.imbalance is None:
+            np.add(balance, row_slack, out=m_plus)
+            np.subtract(row_slack, balance, out=m_minus)
+        else:
+            np.add(balance + delta, row_slack, out=m_plus)
+            np.add(gamma - balance, row_slack, out=m_minus)
+            delta_sum += delta
+            gamma_sum += gamma
+        m /= rho
+        m_abs = np.abs(m)
+        if m_abs.max() > 1.0 + 1e-12:
+            raise AssertionError(f"width violated: |m| = {m_abs.max():.6g} > 1")
         lhs += float(p @ m)
         row_m_sum += m
-        row_m_abs += np.abs(m)
+        row_m_abs += m_abs
         w = w * (1.0 - eta * m)
-        if np.any(w <= 0):
+        if (w <= 0).any():
             raise AssertionError("row weight became non-positive")
 
         pool.update(chosen_cols)
-        delta_sum += delta
-        gamma_sum += gamma
         t_done = t
 
         rows.append({"t": t, "B": B, "pb_threshold": threshold,
                      "oracle_value": oracle_total,
-                     "max_residual": float(np.max(np.abs(balance)))})
+                     "max_residual": float(np.abs(balance).max())})
 
         if (t % config.check_every == 0 or t == iters) and (
                 config.imbalance is not None or len(pool) > lp_pool_size):

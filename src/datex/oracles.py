@@ -39,7 +39,8 @@ class OracleResult:
     guesses: int = 0
 
 
-def oracle_value(instance: Instance, i: int, q: np.ndarray, subset: frozenset[int]) -> float:
+def oracle_value(instance: Instance, i: int, q: np.ndarray | list[float],
+                 subset: frozenset[int]) -> float:
     """Recompute sum_j q_j h_ij(subset)."""
     return sum(float(q[j]) * h for j, h in shares(instance, i, subset).items())
 
@@ -48,7 +49,14 @@ _EMPTY = frozenset()
 
 
 def _best_singleton(name: str, instance: Instance, i: int, q: np.ndarray) -> float:
-    """max(0, max_j q_j u_ij) over i's senders; NaN if any product is NaN.
+    """_checked_single on agent i's rows of q and of the singleton table."""
+    return _checked_single(name, instance.n, instance.senders_of[i], q.tolist(),
+                           instance.singleton_utility[i].tolist())
+
+
+def _checked_single(name: str, n: int, senders: Sequence[int], q_row: list[float],
+                    u_row: list[float]) -> float:
+    """max(0, max_j q_j u_ij) over the senders; NaN if any product is NaN.
 
     n times this value is the oracle's first guess of its optimum.  Under a
     cross-monotone rule every share h_ij(S) is at most u_ij, so a finite guess
@@ -56,13 +64,12 @@ def _best_singleton(name: str, instance: Instance, i: int, q: np.ndarray) -> flo
     overflow) raises ValueError.  On rows of a few senders this loop costs
     less than the same reduction in numpy.
     """
-    u = instance.singleton_utility[i]
     single_val = 0.0
-    for j in instance.senders_of[i]:
-        v = q.item(j) * u.item(j)
+    for j in senders:
+        v = q_row[j] * u_row[j]
         if v > single_val or v != v:  # a NaN then stays, as in numpy's max
             single_val = v
-    guess = instance.n * single_val
+    guess = n * single_val
     if not math.isfinite(guess):
         raise _first_guess_error(name, guess)
     return single_val
@@ -115,6 +122,14 @@ class FirstGuess(NamedTuple):
     single: float  # max(0, max_j q_j u_ij) over the agent's senders
     best: int  # the first sender, in sender order, whose q_j u_ij is the maximum
     buckets: dict[int, list[int]]  # bucket index c -> its senders, in sender order
+
+
+class _BucketingLayout(NamedTuple):
+    """What oracle_bucketing reads of an instance at one eps, built once per instance."""
+
+    u_rows: list[list[float]]  # the singleton table, row i for agent i
+    prune: bool  # a bucket's singleton bound caps its value (not an explicit table)
+    alpha_hat: float  # bucketing_alpha(n, eps)
 
 
 # instances whose bucketing calls have already logged the sampled-Shapley note
@@ -204,9 +219,12 @@ def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1
     n = instance.n
     guess = n * single_val
     q_row = q.tolist()
-    u_row = instance.singleton_utility[i].tolist()
-    prune = not isinstance(instance.utility, ExplicitTable)
-    alpha_hat = bucketing_alpha(n, eps)
+    layout = instance.oracle_memo.get(("bucketing", eps))
+    if layout is None:
+        layout = instance.oracle_memo["bucketing", eps] = _BucketingLayout(
+            instance.singleton_utility.tolist(), not isinstance(instance.utility, ExplicitTable),
+            bucketing_alpha(n, eps))
+    u_row, prune, alpha_hat = layout.u_rows[i], layout.prune, layout.alpha_hat
 
     best_set, best_val = _EMPTY, 0.0
     guesses = 0
@@ -280,7 +298,6 @@ def _knapsack_table(profits: list[float], weights_int: tuple[int, ...],
     return caps, answers
 
 
-@lru_cache(maxsize=256)
 def _knapsack_plan(f: ConcaveSpec, sizes: tuple[float, ...], eps: float) -> tuple[int, tuple]:
     """The part of a knapsack oracle call that does not depend on prices.
 
@@ -322,6 +339,33 @@ def _knapsack_plan(f: ConcaveSpec, sizes: tuple[float, ...], eps: float) -> tupl
                                 for fit, w, guesses in groups)
 
 
+class _KnapsackAgent(NamedTuple):
+    """What oracle_knapsack reads of agent i, built once per instance."""
+
+    senders: tuple[int, ...]  # i's senders, ascending
+    u_row: list[float]  # row i of the singleton table
+    sizes: tuple[tuple[int, float], ...]  # (j, s_ij) of the senders with s_ij > 0
+    f: ConcaveSpec  # f_i
+    plans: dict[tuple, tuple]  # (positive-price senders, eps) -> _knapsack_plan's result
+
+
+def _knapsack_agent(instance: Instance, i: int) -> _KnapsackAgent:
+    """Agent i's entry of instance.oracle_memo; until one is built, every call
+    checks the model and the sharing rule, so a refused instance stays refused."""
+    agent = instance.oracle_memo.get(("knapsack", i))
+    if agent is None:
+        model = instance.utility
+        if model.kind != "symmetric_weighted":  # not continuous: (1+eps)^2 holds for set columns
+            raise ValueError("knapsack oracle needs the symmetric weighted model")
+        if instance.sharing.kind != "proportional" or instance.sharing.weights != "size":
+            raise ValueError("knapsack oracle needs proportional sharing with w = s")
+        senders = instance.senders_of[i]
+        sizes = tuple((j, s) for j in senders if (s := model.sizes.get((i, j), 0.0)) > 0.0)
+        agent = instance.oracle_memo["knapsack", i] = _KnapsackAgent(
+            senders, instance.singleton_utility[i].tolist(), sizes, model.f[i], {})
+    return agent
+
+
 def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1) -> OracleResult:
     """Guess the optimal data volume and solve a knapsack per guess.
 
@@ -330,8 +374,8 @@ def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1)
     lets a (1+eps) grid on D plus an FPTAS knapsack give a (1+eps)^2 factor.
     The DP of a guess depends on it only through the items that fit, and
     those sets are nested, so one table per distinct set answers every guess.
-    The guess grid does not depend on prices and is cached per (f_i, sizes of
-    the positive-price items, eps).
+    The guess grid does not depend on prices; it is kept in the agent's entry
+    of instance.oracle_memo per (positive-price senders, eps).
 
     A guess scores v * r_k, v its table answer's profit and r_k = f(phi_k) /
     phi_k.  Groups are solved in descending order of the bound P * r_max, P
@@ -342,15 +386,11 @@ def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1)
     the best only from an earlier group, so the result is the first strict
     maximum of the ascending (group, guess) scan over every group.
     """
-    model = instance.utility
-    if model.kind != "symmetric_weighted":  # not continuous: (1+eps)^2 holds for set columns
-        raise ValueError("knapsack oracle needs the symmetric weighted model")
-    if instance.sharing.kind != "proportional" or instance.sharing.weights != "size":
-        raise ValueError("knapsack oracle needs proportional sharing with w = s")
+    agent = _knapsack_agent(instance, i)
     check_oracle_eps("knapsack", eps)
-    _best_singleton("knapsack", instance, i, q)
-    items = [(j, float(q[j]), model.sizes.get((i, j), 0.0)) for j in instance.senders_of[i]]
-    items = [(j, qj, s) for j, qj, s in items if qj > 0.0 and s > 0.0]
+    q_row = q.tolist()
+    _checked_single("knapsack", instance.n, agent.senders, q_row, agent.u_row)
+    items = [(j, q_row[j], s) for j, s in agent.sizes if q_row[j] > 0.0]
     if not items:
         return OracleResult(chosen=_EMPTY, value=0.0, guesses=0)
     profits = [qj * s for _, qj, s in items]
@@ -359,7 +399,11 @@ def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1)
         raise ValueError(f"knapsack oracle needs a finite total profit sum_j q_j s_ij; "
                          f"got {total_profit!r}")
 
-    guesses, groups = _knapsack_plan(model.f[i], tuple(s for _, _, s in items), eps)
+    key = (tuple([j for j, _, _ in items]), eps)
+    plan = agent.plans.get(key)
+    if plan is None:
+        plan = agent.plans[key] = _knapsack_plan(agent.f, tuple([s for _, _, s in items]), eps)
+    guesses, groups = plan
     bounds = []
     for fit, _, _, r_max in groups:
         p_fit = 0
@@ -384,9 +428,9 @@ def oracle_knapsack(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1)
     if best is None:
         return OracleResult(chosen=_EMPTY, value=0.0, guesses=guesses)
     fit, chosen = best
-    best_set = frozenset(items[fit[b]][0] for b in chosen)
-    value = oracle_value(instance, i, q, best_set)
-    return OracleResult(chosen=best_set, value=value, guesses=guesses)
+    best_set = frozenset([items[fit[b]][0] for b in chosen])
+    return OracleResult(chosen=best_set, value=oracle_value(instance, i, q_row, best_set),
+                        guesses=guesses)
 
 
 def oracle_continuous(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1) -> OracleResult:
@@ -571,11 +615,11 @@ class OracleSpec:
         """Every agent's result on its row of the n x n price matrix q, in
         agent order; the bucketing oracle's first guesses come from one array
         pass over all rows."""
-        agents = range(instance.n)
+        agents, fn, eps = range(instance.n), self.fn, self.eps
         if self.name != "bucketing":
-            return [self(instance, i, q[i]) for i in agents]
-        first = bucketing_first_guesses(instance, agents, q, self.eps)
-        return [self.fn(instance, i, q[i], self.eps, first[i]) for i in agents]  # type: ignore[operator]
+            return [fn(instance, i, q[i], eps) for i in agents]  # type: ignore[operator]
+        first = bucketing_first_guesses(instance, agents, q, eps)
+        return [fn(instance, i, q[i], eps, first[i]) for i in agents]  # type: ignore[operator]
 
 
 def get_oracle(name: str, eps: float = 0.1) -> OracleSpec:

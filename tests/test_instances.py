@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import signal
 from collections import deque
 
 import numpy as np
@@ -14,6 +15,7 @@ from datex import (
 from datex.instances import (
     RoadSpec,
     X3CSpec,
+    _random_allowed,
     core_gap_long_cycle,
     core_gap_pair,
     gen_core_gap,
@@ -162,6 +164,60 @@ def test_gen_random_tables_are_submodular():
                 q = int(rng.choice(outside))
                 u = lambda W: utility(inst, i, W)
                 assert u(S | {q}) - u(S) <= u(T | {q}) - u(T) + 1e-9
+
+
+def _loop_draws(n, k, seed):
+    """Each agent's (weights, sender covers) as gen_random(n, k, "table") draws
+    them: the element weights, then one draw per sender and element, sender-major."""
+    rng = np.random.default_rng(seed)
+    _random_allowed(n, k, rng)
+    for i in range(n):
+        weights = rng.uniform(0.1, 1.0, size=8)
+        weights /= weights.sum()
+        yield weights, [int(sum(1 << e for e in range(8) if rng.random() < 0.4))
+                        for _ in range(min(k, n - 1))]
+
+
+def _loop_value(weights, covers, mask):
+    """A table entry as the per-mask loop filled it: the senders' covers ORed bit
+    by bit, then the covered elements' weights added in ascending order."""
+    cov = 0
+    for b in range(len(covers)):
+        if mask & (1 << b):
+            cov |= covers[b]
+    return sum(weights[e] for e in range(8) if cov & (1 << e))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gen_random_tables_match_the_per_mask_loop_bit_for_bit(seed):
+    for n, k in ((1, 0), (3, 2), (6, 5), (9, 8), (11, 10)):
+        inst = gen_random(n, k, "table", seed=seed)
+        for i, (weights, covers) in enumerate(_loop_draws(n, k, seed)):
+            want = np.zeros(1 << len(covers))
+            for mask in range(1, 1 << len(covers)):
+                want[mask] = _loop_value(weights, covers, mask)
+            got = inst.utility.values[i]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, k, i)
+
+
+def test_gen_random_fills_tables_at_the_enumeration_cap_in_seconds():
+    """21 agents, 20 senders each: 2^20 entries per table, which the per-mask
+    loop took minutes to fill; sampled entries still match it bit for bit."""
+    def timeout(signum, frame):
+        raise TimeoutError("gen_random at the enumeration cap did not finish in 30 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    try:
+        inst = gen_random(21, 20, "table", seed=7)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    rng = np.random.default_rng(8)
+    for vals, (weights, covers) in zip(inst.utility.values, _loop_draws(21, 20, 7)):
+        assert len(vals) == 1 << 20
+        for mask in [0, (1 << 20) - 1, *rng.integers(0, 1 << 20, size=50).tolist()]:
+            assert vals[mask] == _loop_value(weights, covers, mask), mask
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from datex.oracles import OracleResult, OracleSpec
 from datex.model import column_sort_key
 from datex.sharing import column_flows, column_lp, shares
 from datex.exact import exact_welfare_lp
-from datex.instances import gen_random, gen_x3c, make_x3c_yes
+from datex.experiment import road_mwu_config
+from datex.instances import RoadSpec, gen_random, gen_road, gen_x3c, grid_graph, make_x3c_yes
 from conftest import columns_of, table_instance
 
 
@@ -695,3 +696,57 @@ def test_imbalance_budget_raises_welfare():
     assert rep.feasible and sol.deltas.sum() > 0.0 and sol.gammas.sum() > 0.0
     assert np.sum(sol.deltas ** 2) <= 1.0 + 1e-6
     assert np.sum(sol.gammas ** 2) <= 1.0 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Pinned numerics
+# ---------------------------------------------------------------------------
+
+# Each solve's (welfare, iterations, trace length, columns as (agent, senders,
+# weight)), recorded before the knapsack oracle kept its layout and plans on the
+# instance. A change meant to be numerics-preserving must leave every bit of them.
+PINNED_KNAPSACK = {
+    (2, 3501): (1.2927691514506048, 144, 145, [(0, [1], 1.0), (1, [0], 0.6963845757253023)]),
+    (3, 3502): (1.8847511118649058, 441, 443, [(0, [1, 2], 1.0), (1, [0, 2], 0.49129306367908343),
+                                               (2, [0, 1], 1.0)]),
+    (5, 3504): (3.4765840760690234, 25, 25, [(0, [2, 3, 4], 1.0), (1, [2, 3, 4], 0.6108762541931154),
+                                             (2, [0, 1, 3], 0.979772253839577), (3, [0, 2, 4], 1.0),
+                                             (4, [0, 1, 2], 0.5078463750663571)]),
+}
+PINNED_ROAD = (1.1163366073309517, 30, 30, [
+    (0, [5], 1.0), (1, [0, 2, 3, 4, 5, 6], 0.4000538313370274), (1, [0, 2, 5], 0.005082180191897879),
+    (1, [0, 5], 0.537641219262877), (1, [0, 5, 6], 0.01552932398613855), (1, [5], 0.0416934452220592),
+    (2, [1, 3, 4, 5], 1.0), (3, [1, 2, 4, 5], 0.9536596665111277), (3, [1, 5], 0.04634033348887234),
+    (4, [0, 1, 5, 6], 1.0), (5, [1], 0.5429680513172447), (6, [0, 1, 4, 5, 7], 1.0),
+    (7, [1, 4, 5, 6], 1.0)])
+PINNED_IMBALANCE = (1.1967460598011823, 410, 411, [(0, [1], 0.9967460598011824), (1, [0], 1.0)],
+                    [0.6132648924162758, 0.7867460598011824], [0.7867460598011824, 0.6132648924162758])
+
+
+def _pinned(solution, report):
+    return (report.welfare, report.iterations, len(report.trace),
+            [(i, sorted(col), x) for i, col, x in solution.iter_columns()])
+
+
+@pytest.mark.parametrize("n, seed", sorted(PINNED_KNAPSACK))
+def test_knapsack_solve_keeps_its_pinned_numerics(n, seed):
+    inst, _ = normalize_instance(gen_random(n, 3, "symmetric", seed=seed, epsilon=0.1))
+    config = MwuConfig(delta=1.0 / 3.0, max_iters=400, eta_override=practical_eta(n, 400))
+    got = _pinned(*solve_welfare(inst, config, get_oracle("knapsack", eps=0.1)))
+    assert got == PINNED_KNAPSACK[n, seed]
+
+
+def test_road_solve_keeps_its_pinned_numerics():
+    edges = grid_graph(6, 6, seed=0)
+    road, _ = normalize_instance(gen_road(RoadSpec(edges=edges, radius=4, n_agents=8, seed=3)))
+    got = _pinned(*solve_welfare(road, road_mwu_config(road.n, 60), get_oracle("bucketing")))
+    assert got == PINNED_ROAD
+
+
+def test_imbalance_solve_keeps_its_pinned_numerics():
+    inst = table_instance(2, {(0, 1): 1.0, (1, 0): 0.2}, epsilon=0.01)
+    config = MwuConfig(max_iters=800, eta_override=practical_eta(2, 800),
+                       imbalance=ImbalanceSpec(C=1.0, C_prime=1.0))
+    solution, report = solve_welfare(inst, config, get_oracle("bruteforce"))
+    got = _pinned(solution, report) + (solution.deltas.tolist(), solution.gammas.tolist())
+    assert got == PINNED_IMBALANCE

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import gc
 import math
 import signal
+import weakref
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -945,6 +948,109 @@ def test_knapsack_solve_matches_the_full_scan(monkeypatch):
     for k, run in enumerate(runs):
         assert run == solve(k), k
     assert all(run[2] for run in runs)
+
+
+def _counting_plans(monkeypatch):
+    """Record the (f, sizes, eps) of every _knapsack_plan call."""
+    made = []
+    real = oracles._knapsack_plan
+
+    def counting(f, sizes, eps):
+        made.append((f, sizes, eps))
+        return real(f, sizes, eps)
+
+    monkeypatch.setattr(oracles, "_knapsack_plan", counting)
+    return made
+
+
+def test_knapsack_memo_makes_one_plan_per_agent_sender_set_and_eps(monkeypatch):
+    """Rows whose zero and negative prices drop senders, at three eps: each
+    (agent, positive-price senders, eps) gets one plan, and every answer is the
+    per-guess DP's."""
+    made = _counting_plans(monkeypatch)
+    inst = gen_random(6, 4, "symmetric", seed=61)
+    rng = np.random.default_rng(62)
+    keys = set()
+    for trial in range(120):
+        i = int(rng.integers(0, inst.n))
+        q = prices_for(inst, i, {j: float(rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0]))
+                                 for j in inst.senders_of[i]})
+        eps = float(rng.choice([0.05, 0.1, 0.3]))
+        res = oracle_knapsack(inst, i, q, eps=eps)
+        assert (res.chosen, res.value, res.guesses) == _per_guess_knapsack(inst, i, q, eps), trial
+        positive = tuple(j for j in inst.senders_of[i] if q[j] > 0.0)
+        if positive:
+            keys.add((i, positive, eps))
+    assert len(made) == len(keys) < 120
+    memo = inst.oracle_memo
+    assert {(i, *key) for (_, i), agent in memo.items() for key in agent.plans} == keys
+    for i, positive, eps in keys:
+        sizes = tuple(inst.utility.sizes[i, j] for j in positive)
+        assert memo["knapsack", i].plans[positive, eps] == oracles._knapsack_plan(
+            inst.utility.f[i], sizes, eps)
+
+
+def test_knapsack_memo_is_per_instance(monkeypatch):
+    """Two instances with the same agents and senders but other sizes, or other
+    f: each builds its own layout and plans and answers with its own model."""
+    base = gen_random(5, 3, "symmetric", seed=63)
+    others = [
+        _with_sizes(base, {pair: s * 1.7 for pair, s in base.utility.sizes.items()}),
+        Instance(n=base.n, allowed=base.allowed, sharing=base.sharing,
+                 utility=SymmetricWeighted(sizes=base.utility.sizes,
+                                           f=(ConcaveSpec(kind="capped_linear", cap=0.4),) * base.n)),
+    ]
+    made = _counting_plans(monkeypatch)
+    rows = [prices_for(base, i, {j: 1.0 for j in base.senders_of[i]}) for i in range(base.n)]
+    for inst in [base, *others]:
+        before = len(made)
+        for i, q in enumerate(rows):
+            res = oracle_knapsack(inst, i, q)
+            assert (res.chosen, res.value, res.guesses) == _per_guess_knapsack(inst, i, q, 0.1)
+        assert len(made) - before == base.n  # no plan came from another instance's memo
+        assert [f for f, _, _ in made[before:]] == list(inst.utility.f)
+    assert all(inst.oracle_memo is not base.oracle_memo for inst in others)
+    assert base.oracle_memo["knapsack", 0] is not others[0].oracle_memo["knapsack", 0]
+
+
+def test_knapsack_memo_lives_and_dies_with_its_instance():
+    inst = gen_random(4, 3, "symmetric", seed=64)
+    q = prices_for(inst, 0, {j: 1.0 for j in inst.senders_of[0]})
+    first = oracle_knapsack(inst, 0, q)
+    assert oracle_knapsack(inst, 0, q) == first
+    assert oracle_knapsack(Instance(n=inst.n, allowed=inst.allowed, utility=inst.utility,
+                                    sharing=inst.sharing), 0, q) == first
+    assert list(inst.oracle_memo) == [("knapsack", 0)]
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None  # the memo holds no reference that keeps its instance alive
+
+
+def test_knapsack_errors_keep_their_messages_and_order_on_every_call():
+    """The model check comes before the sharing check, both before the eps
+    check, and the eps check before the first guess; a refused call memoizes
+    nothing, and an accepted agent's later calls still check eps."""
+    table = table_instance(3, {(0, 1): 0.5, (0, 2): 0.5})
+    shapley = replace(gen_random(4, 3, "symmetric", seed=65),
+                      sharing=SharingRuleSpec(kind="shapley_exact"))
+    good = gen_random(4, 3, "symmetric", seed=65)
+    huge = lambda inst: prices_for(inst, 0, {j: 1e308 for j in inst.senders_of[0]})
+    calls = [
+        (table, 2.0, "^knapsack oracle needs the symmetric weighted model$"),
+        (shapley, 2.0, "^knapsack oracle needs proportional sharing with w = s$"),
+        (good, 2.0, r"^knapsack oracle eps must lie in \[0.0001, 1\); got 2.0$"),
+        (good, 0.1, "^knapsack oracle needs a finite first guess"),
+    ]
+    for _ in range(3):
+        for inst, eps, message in calls:
+            with pytest.raises(ValueError, match=message):
+                oracle_knapsack(inst, 0, huge(inst), eps=eps)
+    assert table.oracle_memo == {} and shapley.oracle_memo == {}
+    unit = prices_for(good, 0, {j: 1.0 for j in good.senders_of[0]})
+    assert oracle_knapsack(good, 0, unit).chosen
+    with pytest.raises(ValueError, match=r"eps must lie in \[0.0001, 1\); got 0.0$"):
+        oracle_knapsack(good, 0, unit, eps=0.0)
 
 
 # ---------------------------------------------------------------------------
