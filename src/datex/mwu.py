@@ -139,7 +139,8 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
 
     w = np.ones(2 * n + 1)
     pool: set[tuple[int, object]] = set()  # every (agent, column) an oracle chose
-    delta_sum = np.zeros(n)  # the slacks' sums; zero without an imbalance budget
+    delta = gamma = np.zeros(n)  # the slacks without an imbalance budget
+    delta_sum = np.zeros(n)
     gamma_sum = np.zeros(n)
     m = np.empty(2 * n + 1)  # this iteration's losses (A x - b/alpha) / rho, row by row
     m_plus, m_minus = m[1 : n + 1], m[n + 1 :]
@@ -187,17 +188,11 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
                          "oracle_value": oracle_total, "max_residual": float("nan")})
             break
 
-        # m = (A x - b/alpha) / rho for the 2n+1 rows; a zero slack adds nothing
+        # m = (A x - b/alpha) / rho for the 2n+1 rows
         balance = received - sent
         m[0] = received.sum() - B / alpha
-        if config.imbalance is None:
-            np.add(balance, row_slack, out=m_plus)
-            np.subtract(row_slack, balance, out=m_minus)
-        else:
-            np.add(balance + delta, row_slack, out=m_plus)
-            np.add(gamma - balance, row_slack, out=m_minus)
-            delta_sum += delta
-            gamma_sum += gamma
+        np.add(balance + delta, row_slack, out=m_plus)
+        np.add(gamma - balance, row_slack, out=m_minus)
         m /= rho
         m_abs = np.abs(m)
         if m_abs.max() > 1.0 + 1e-12:
@@ -210,6 +205,8 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
             raise AssertionError("row weight became non-positive")
 
         pool.update(chosen_cols)
+        delta_sum += delta
+        gamma_sum += gamma
         t_done = t
 
         rows.append({"t": t, "B": B, "pb_threshold": threshold,

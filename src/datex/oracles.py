@@ -124,14 +124,6 @@ class FirstGuess(NamedTuple):
     buckets: dict[int, list[int]]  # bucket index c -> its senders, in sender order
 
 
-class _BucketingLayout(NamedTuple):
-    """What oracle_bucketing reads of an instance at one eps, built once per instance."""
-
-    u_rows: list[list[float]]  # the singleton table, row i for agent i
-    prune: bool  # a bucket's singleton bound caps its value (not an explicit table)
-    alpha_hat: float  # bucketing_alpha(n, eps)
-
-
 # instances whose bucketing calls have already logged the sampled-Shapley note
 _noted: weakref.WeakSet = weakref.WeakSet()
 
@@ -219,12 +211,9 @@ def oracle_bucketing(instance: Instance, i: int, q: np.ndarray, eps: float = 0.1
     n = instance.n
     guess = n * single_val
     q_row = q.tolist()
-    layout = instance.oracle_memo.get(("bucketing", eps))
-    if layout is None:
-        layout = instance.oracle_memo["bucketing", eps] = _BucketingLayout(
-            instance.singleton_utility.tolist(), not isinstance(instance.utility, ExplicitTable),
-            bucketing_alpha(n, eps))
-    u_row, prune, alpha_hat = layout.u_rows[i], layout.prune, layout.alpha_hat
+    u_row = instance.singleton_utility[i].tolist()
+    prune = not isinstance(instance.utility, ExplicitTable)
+    alpha_hat = bucketing_alpha(n, eps)
 
     best_set, best_val = _EMPTY, 0.0
     guesses = 0
