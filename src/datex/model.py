@@ -553,6 +553,11 @@ class Instance:
         """The price-free part of the oracles' work, as datex.oracles laid it out."""
         return {}
 
+    @cached_property
+    def lp_memo(self) -> dict[tuple, ExchangeSolution]:
+        """Column-LP solutions per (column pool, slacks), as datex.mwu.sparsify solved them."""
+        return {}
+
 
 def require_permitted(instance: Instance, i: int, subset: frozenset[int]) -> None:
     """Raise ValueError unless every sender in subset may send to i."""

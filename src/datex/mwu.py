@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +20,9 @@ from .model import (
 )
 from .oracles import ConvexCost, OracleSpec, oracle_imbalance
 from .sharing import column_flows, column_lp, lp_solution
+
+logger = logging.getLogger(__name__)
+
 
 class RegretBoundError(AssertionError):
     """The logged multiplicative-weights regret inequality failed."""
@@ -105,6 +109,7 @@ class MwuRun:
     iterations: int
     regret_lhs: float
     regret_rhs_min: float
+    lp_checks: int = 0  # checks that asked sparsify for a column LP, solved or memoized
     trace: list[dict] = field(default_factory=list)
 
 
@@ -113,7 +118,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
 
     Every check_every iterations, and at the iteration cap, a check certifies
     the target by the column LP (sparsify) over the run's column pool. A check
-    solves that LP only when the pool grew since the run's last LP, or when
+    asks for that LP only when the pool grew since the run's last LP, or when
     imbalance slacks are set; otherwise the last LP's solution and report
     stand, as the LP would return them again. The run's trace holds one row
     per iteration; an infeasible iteration ends it with a row whose
@@ -153,6 +158,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
     certified = False
     solution = report = None
     lp_pool_size = -1  # len(pool) at the last column LP; -1 before the first
+    lp_checks = 0  # checks that handed sparsify a non-empty pool
     t_done = 0
 
     for t in range(1, iters + 1):
@@ -218,9 +224,13 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
             # the exact LP over the pool certifies the target long before the
             # iterates' average does at desk scale; its solution is the run's.
             # The pool only grows, so an unchanged size is the last LP's pool
-            # and its solution stands; imbalance slacks change every iteration
+            # and its solution stands; imbalance slacks change every iteration.
+            # sparsify's memo would return the same solution, but sorting the
+            # pool, hashing its key and evaluating again cost 2-8% of a knapsack
+            # run, so this size test stays
             lp_pool_size = len(pool)
             cols = sorted(pool, key=lambda c: (c[0], column_sort_key(c[1])))
+            lp_checks += bool(cols)
             solution = sparsify(instance, cols, delta_sum / t, gamma_sum / t)
             report = evaluate(instance, solution)
             if report.feasible and report.welfare >= B / alpha - eps / (2.0 * alpha) - EQ_TOL:
@@ -242,6 +252,7 @@ def run_mwu(instance: Instance, B: float, config: MwuConfig, oracle: OracleSpec)
         iterations=t_done,
         regret_lhs=lhs,
         regret_rhs_min=rhs_min,
+        lp_checks=lp_checks,
         trace=rows,
     )
 
@@ -255,12 +266,22 @@ def sparsify(instance: Instance, cols: list[tuple[int, frozenset[int] | FracColu
     by the fixed delta/gamma slacks), so the output has at most 2n+1 active
     columns and residuals within epsilon. A failed LP raises column_lp's
     lp.LpError.
+
+    The LP depends only on the instance, cols and the slacks, never on a
+    welfare target, so instance.lp_memo keeps each solution and a later call
+    on the same pool and slacks returns it: HiGHS is deterministic, so that is
+    what a re-solve would return. The memo has no bound; it grows by one entry
+    per distinct (pool, slacks) that the instance's checks reach.
     """
     slack = ExchangeSolution(n=instance.n, columns={}, deltas=deltas, gammas=gammas)
     if not cols:
         return slack
-    res = column_lp(instance, cols, *slack.balance_bounds(instance.epsilon))
-    return lp_solution(instance.n, cols, res.x, deltas, gammas)
+    key = (tuple(cols), slack.deltas.tobytes(), slack.gammas.tobytes())
+    solution = instance.lp_memo.get(key)
+    if solution is None:
+        res = column_lp(instance, cols, *slack.balance_bounds(instance.epsilon))
+        solution = instance.lp_memo[key] = lp_solution(instance.n, cols, res.x, deltas, gammas)
+    return solution
 
 
 def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
@@ -289,6 +310,7 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
     grid = [eps * (1.0 + config.delta) ** k for k in range(grid_len)]
 
     runs: dict[int, MwuRun] = {}  # grid index -> its run, in probe order
+    memo_size = len(instance.lp_memo)  # LPs that earlier solves of the instance solved
 
     def probe(k: int) -> bool:
         run = runs[k] = run_mwu(instance, grid[k], config, oracle)
@@ -322,4 +344,8 @@ def solve_welfare(instance: Instance, config: MwuConfig, oracle: OracleSpec,
     report.iterations = sum(run.iterations for run in runs.values())
     report.trace = [row for run in runs.values() for row in run.trace]
     report.caveats.append(search)
+    solved = len(instance.lp_memo) - memo_size
+    logger.debug("B search summary: probes=%d iterations=%d column_lps_solved=%d "
+                 "column_lps_reused=%d", len(runs), report.iterations, solved,
+                 sum(run.lp_checks for run in runs.values()) - solved)
     return solution, report

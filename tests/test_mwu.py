@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import logging
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +33,7 @@ from datex.sharing import column_flows, column_lp, shares
 from datex.exact import exact_welfare_lp
 from datex.experiment import road_mwu_config
 from datex.instances import RoadSpec, gen_random, gen_road, gen_x3c, grid_graph, make_x3c_yes
+from datex.io import dump_instance, load_instance
 from conftest import columns_of, table_instance
 
 
@@ -360,12 +364,13 @@ def test_top_first_search_decisions_match_climbing_search_on_feasibility_pattern
 def _record_runs(monkeypatch):
     """Record every run_mwu call of the solves that follow, one dict per run:
     its target B, the run, the columns its oracles chose at each iteration
-    (through column_flows) and the column pool of each of its column LPs
-    (through sparsify)."""
+    (through column_flows), the column pool of each of its calls to sparsify
+    with the call itself (its columns, slacks, solution and whether it ran
+    column_lp) and the (columns, lo, hi) key of each LP column_lp solved."""
     runs = []
 
     def recording_run_mwu(instance, B, config, oracle):
-        runs.append({"B": B, "chosen": [], "lp_pools": []})
+        runs.append({"B": B, "chosen": [], "lp_pools": [], "lp_calls": [], "lp_keys": []})
         runs[-1]["run"] = run_mwu(instance, B, config, oracle)
         return runs[-1]["run"]
 
@@ -375,11 +380,20 @@ def _record_runs(monkeypatch):
 
     def recording_sparsify(instance, cols, *slacks):
         runs[-1]["lp_pools"].append(frozenset(cols))
-        return sparsify(instance, cols, *slacks)
+        lps = len(runs[-1]["lp_keys"])
+        solution = sparsify(instance, cols, *slacks)
+        runs[-1]["lp_calls"].append({"cols": cols, "slacks": slacks, "solution": solution,
+                                     "solved": len(runs[-1]["lp_keys"]) > lps})
+        return solution
+
+    def recording_column_lp(instance, cols, lo, hi):
+        runs[-1]["lp_keys"].append((tuple(cols), lo.tobytes(), hi.tobytes()))
+        return column_lp(instance, cols, lo, hi)
 
     monkeypatch.setattr(mwu, "run_mwu", recording_run_mwu)
     monkeypatch.setattr(mwu, "column_flows", recording_column_flows)
     monkeypatch.setattr(mwu, "sparsify", recording_sparsify)
+    monkeypatch.setattr(mwu, "column_lp", recording_column_lp)
     return runs
 
 
@@ -398,9 +412,11 @@ def _check_pools(record, check_every):
 
 @pytest.mark.parametrize("case", ["road", "knapsack-top-feasible", "knapsack-top-infeasible"])
 def test_one_column_lp_per_certification_check(monkeypatch, case):
-    # the column LP is the only certificate: a check solves it once when the
+    # the column LP is the only certificate: a check asks for it when the
     # pool grew since the run's last LP and otherwise keeps that LP's
-    # solution; solve_welfare returns the best run's solution as it is
+    # solution; column_lp runs once per distinct (sorted pool, bounds) of the
+    # instance, however many probes reach that pool; solve_welfare returns
+    # the best run's solution as it is
     if case == "road":
         from datex.experiment import road_mwu_config
         from datex.instances import RoadSpec, gen_road, grid_graph
@@ -411,13 +427,7 @@ def test_one_column_lp_per_certification_check(monkeypatch, case):
         raw = gen_random(4, 3, "symmetric", seed=1 if case == "knapsack-top-feasible" else 3)
         config, oracle = small_config(4, 80), get_oracle("knapsack", eps=0.1)
     inst, _ = normalize_instance(raw)
-    records, lp_calls = _record_runs(monkeypatch), [0]
-
-    def counting_column_lp(*args):
-        lp_calls[0] += 1
-        return column_lp(*args)
-
-    monkeypatch.setattr(mwu, "column_lp", counting_column_lp)
+    records = _record_runs(monkeypatch)
     sol, rep = solve_welfare(inst, config, oracle)
     checks = grown = 0
     for record in records:
@@ -426,8 +436,13 @@ def test_one_column_lp_per_certification_check(monkeypatch, case):
         assert record["lp_pools"] == lp_pools and all(lp_pools)
         assert all(a < b for a, b in zip(lp_pools, lp_pools[1:]))
         checks, grown = checks + len(pools), grown + len(lp_pools)
-    assert lp_calls[0] == grown > 0
     assert (grown < checks) == (case == "knapsack-top-feasible")
+    asked = [call["cols"] for record in records for call in record["lp_calls"]]
+    lp_keys = [key for record in records for key in record["lp_keys"]]
+    assert len(asked) == grown
+    eps = np.full(inst.n, inst.epsilon)
+    assert len(set(lp_keys)) == len(lp_keys) > 0
+    assert set(lp_keys) == {(tuple(cols), (-eps).tobytes(), eps.tobytes()) for cols in asked}
     runs = [(record["B"], record["run"]) for record in records]
     assert any(not run.feasible for _, run in runs) == (case == "knapsack-top-infeasible")
     feasible = [(B, run) for B, run in runs if run.feasible]
@@ -454,7 +469,8 @@ def _acceptance_02_solves(monkeypatch, imbalance=None):
 
 def test_a_check_that_keeps_the_last_lp_returns_what_the_lp_would(monkeypatch):
     # the skipped LP would see the last LP's pool again, and HiGHS is
-    # deterministic: a run's solution and report are a fresh LP's on its pool
+    # deterministic: a run's solution and report are a fresh LP's on its pool.
+    # The reference is solved on a fresh instance, whose memo is empty
     checked = skipped = 0
     for inst, config, records in _acceptance_02_solves(monkeypatch):
         for record in records:
@@ -463,7 +479,7 @@ def test_a_check_that_keeps_the_last_lp_returns_what_the_lp_would(monkeypatch):
             if not run.feasible:
                 continue
             cols = sorted(pools[-1], key=lambda c: (c[0], column_sort_key(c[1])))
-            fresh = sparsify(inst, cols)
+            fresh = sparsify(replace(inst), cols)
             again = evaluate(inst, fresh)
             assert run.solution.columns == fresh.columns
             assert not run.solution.deltas.any() and not run.solution.gammas.any()
@@ -472,6 +488,75 @@ def test_a_check_that_keeps_the_last_lp_returns_what_the_lp_would(monkeypatch):
             assert np.array_equal(run.report.balance_residual, again.balance_residual)
             checked += 1
     assert checked >= 20 and skipped > 0
+
+
+def test_a_memoized_column_lp_is_a_fresh_instances_lp(monkeypatch):
+    # a probe that reaches a pool and slacks an earlier probe of the same solve
+    # already solved gets that LP's solution from the instance's memo; HiGHS is
+    # deterministic, so it is exactly what a fresh instance's LP returns
+    reused = inputs_with_reuse = 0
+    for inst, _, records in _acceptance_02_solves(monkeypatch):
+        hits = [call for record in records for call in record["lp_calls"] if not call["solved"]]
+        for call in hits:
+            fresh = sparsify(replace(inst), call["cols"], *call["slacks"])
+            got = call["solution"]
+            assert got.columns == fresh.columns
+            assert np.array_equal(got.deltas, fresh.deltas)
+            assert np.array_equal(got.gammas, fresh.gammas)
+        reused += len(hits)
+        inputs_with_reuse += bool(hits)
+    assert reused > 0 and inputs_with_reuse > 0
+
+
+def test_a_second_instance_from_the_same_file_solves_its_own_lps(monkeypatch, tmp_path):
+    path = str(tmp_path / "inst.json")
+    dump_instance(gen_random(4, 3, "symmetric", seed=3, epsilon=0.1), path)
+    first, second = (normalize_instance(load_instance(path))[0] for _ in range(2))
+    solved, results = [], []  # per solve, the instance of each LP column_lp solved
+
+    def counting_column_lp(instance, *args):
+        solved[-1].append(instance)
+        return column_lp(instance, *args)
+
+    monkeypatch.setattr(mwu, "column_lp", counting_column_lp)
+    for inst in (first, second, first):
+        solved.append([])
+        results.append(solve_welfare(inst, small_config(4, 80), get_oracle("knapsack", eps=0.1)))
+    # each instance solves every LP of its own solve once; solving the first
+    # instance again finds every LP in its memo
+    assert solved[0] == [first] * len(first.lp_memo) and len(first.lp_memo) > 0
+    assert solved[1] == [second] * len(second.lp_memo)
+    assert solved[2] == []
+    assert first.lp_memo.keys() == second.lp_memo.keys()
+    (sol1, rep1), (sol2, rep2), (sol3, rep3) = results
+    assert sol2 is not sol1 and sol2.columns == sol1.columns and rep2.welfare == rep1.welfare
+    assert sol3 is sol1 and rep3 is not rep1 and rep3.welfare == rep1.welfare
+
+
+def test_the_lp_memo_lives_and_dies_with_its_instance():
+    inst, _ = normalize_instance(gen_random(4, 3, "symmetric", seed=3, epsilon=0.1))
+    sol, _ = solve_welfare(inst, small_config(4, 80), get_oracle("knapsack", eps=0.1))
+    assert any(entry is sol for entry in inst.lp_memo.values())
+    refs = weakref.ref(inst), weakref.ref(sol)
+    del inst, sol
+    gc.collect()
+    assert refs[0]() is None and refs[1]() is None  # the memo's entries go with the instance
+
+
+def test_a_solve_logs_one_summary_line(monkeypatch, caplog):
+    # EXCHANGE_LOG=debug shows one line per solve: its probes and iterations,
+    # and the column LPs it solved and the ones it found in the memo
+    records = _record_runs(monkeypatch)
+    inst, _ = normalize_instance(gen_random(2, 3, "symmetric", seed=2000, epsilon=0.1))
+    config = MwuConfig(max_iters=400, eta_override=practical_eta(2, 400))
+    with caplog.at_level(logging.DEBUG, logger="datex.mwu"):
+        _, rep = solve_welfare(inst, config, get_oracle("knapsack", eps=0.1))
+    calls = [call for record in records for call in record["lp_calls"]]
+    solved = sum(call["solved"] for call in calls)
+    assert 0 < solved < len(calls)
+    assert [r.getMessage() for r in caplog.records if r.name == "datex.mwu"] == [
+        f"B search summary: probes={len(records)} iterations={rep.iterations} "
+        f"column_lps_solved={solved} column_lps_reused={len(calls) - solved}"]
 
 
 def test_imbalance_slacks_solve_the_lp_at_every_check(monkeypatch):
